@@ -549,20 +549,20 @@ func BenchmarkFETCHEndToEnd(b *testing.B) {
 	}
 }
 
-// --- Intra-binary sharding ---
+// --- Large single binary ---
 
-// shardBenchBinary builds the large synthetic corpus shape the sharded
-// pipeline is judged on: one big binary (the service's worst case —
-// batch parallelism cannot help a single upload).
+// largeBenchBinary builds the large synthetic shape: one big binary
+// (about 1,200 functions), the service's worst case — batch
+// parallelism cannot help a single upload.
 var (
-	shardBenchOnce sync.Once
-	shardBenchRaw  []byte
+	largeBenchOnce sync.Once
+	largeBenchRaw  []byte
 )
 
-func shardBenchBinary(b *testing.B) []byte {
+func largeBenchBinary(b *testing.B) []byte {
 	b.Helper()
-	shardBenchOnce.Do(func() {
-		cfg := synth.DefaultConfig("bench-sharded", 91000, synth.O2, synth.GCC, synth.LangC)
+	largeBenchOnce.Do(func() {
+		cfg := synth.DefaultConfig("bench-large", 91000, synth.O2, synth.GCC, synth.LangC)
 		cfg.NumFuncs = 1200
 		cfg.IndirectOnlyRate = 0.02
 		img, _, err := synth.Generate(cfg)
@@ -573,56 +573,25 @@ func shardBenchBinary(b *testing.B) []byte {
 		if err != nil {
 			panic(err)
 		}
-		shardBenchRaw = raw
+		largeBenchRaw = raw
 	})
-	return shardBenchRaw
+	return largeBenchRaw
 }
 
-// BenchmarkShardedAnalyze measures the full pipeline on the large
-// shape at several intra-binary worker counts. jobs=1 is the exact
-// sequential path; jobs=4 is the headline configuration (≥1.5× on
-// multicore hardware — the shard walks, non-return inference, and
-// candidate validation are the parallel portion; the deterministic
-// merge is the serial residue, reported by stats.merge_wall_ns). On a
-// single-CPU host the sharded legs measure pure overhead instead of
-// speedup; shard_fallbacks and the per-shard counters in -v output
-// break the difference down. Every leg also re-checks that output is
-// byte-identical to sequential, so a broken sharded path fails the CI
-// bench smoke rather than silently benchmarking garbage.
-func BenchmarkShardedAnalyze(b *testing.B) {
-	raw := shardBenchBinary(b)
-	ref, err := Analyze(raw, WithJobs(1))
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkAnalyzeLarge measures the full pipeline on the large shape.
+func BenchmarkAnalyzeLarge(b *testing.B) {
+	raw := largeBenchBinary(b)
+	b.SetBytes(int64(len(raw)))
+	b.ResetTimer()
+	var funcs int
+	for i := 0; i < b.N; i++ {
+		res, err := Analyze(raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		funcs = len(res.FunctionStarts)
 	}
-	refBlob, err := EncodeResult(StripSchedule(ref))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, jobs := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-			b.SetBytes(int64(len(raw)))
-			var fallbacks int
-			for i := 0; i < b.N; i++ {
-				res, err := Analyze(raw, WithJobs(jobs))
-				if err != nil {
-					b.Fatal(err)
-				}
-				fallbacks = res.Stats.ShardFallbacks
-				if i == 0 {
-					blob, err := EncodeResult(StripSchedule(res))
-					if err != nil {
-						b.Fatal(err)
-					}
-					if string(blob) != string(refBlob) {
-						b.Fatalf("jobs=%d output differs from sequential", jobs)
-					}
-				}
-			}
-			b.ReportMetric(float64(fallbacks), "fallbacks")
-			b.ReportMetric(float64(len(ref.FunctionStarts)), "funcs")
-		})
-	}
+	b.ReportMetric(float64(funcs), "funcs")
 }
 
 // --- Result cache ---

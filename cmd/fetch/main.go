@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 
 	"fetch"
@@ -84,20 +83,6 @@ func printJSON(w io.Writer, name string, res *fetch.Result) error {
 	return err
 }
 
-// intraJobs resolves how much of the -jobs budget goes inside each
-// binary: all of it for a single input (cross-binary workers would
-// idle), none for several (the batch pool already saturates). 0 means
-// one per CPU, matching the batch convention.
-func intraJobs(jobs, inputs int) int {
-	if inputs > 1 {
-		return 1
-	}
-	if jobs == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return jobs
-}
-
 // run executes the command against args, writing results to w and
 // per-binary failures plus flag diagnostics to errW. It is separated
 // from main so tests can drive every path directly.
@@ -110,7 +95,7 @@ func run(args []string, w, errW io.Writer) error {
 	sample := fs.Bool("sample", false, "analyze a generated sample binary instead of a file")
 	seed := fs.Int64("seed", 1, "sample generation seed")
 	arch := fs.String("arch", "", "sample ISA: x64 (default) or a64; real binaries dispatch on their ELF header")
-	jobs := fs.Int("jobs", 0, "parallelism: across binaries when several are given, inside the binary when one is (0 = one per CPU)")
+	jobs := fs.Int("jobs", 0, "max binaries analyzed concurrently (0 = one per CPU)")
 	cacheDir := fs.String("cache-dir", "", "persistent result cache directory (reuses results across runs)")
 	cacheMaxBytes := fs.Int64("cache-max-bytes", 0, "disk cache byte budget, oldest entries evicted first (0 = unbounded, needs -cache-dir)")
 	jsonOut := fs.Bool("json", false, "emit the serialized result schema (docs/API.md) instead of text")
@@ -157,7 +142,7 @@ func run(args []string, w, errW io.Writer) error {
 		if err != nil {
 			return err
 		}
-		res, err := fetch.Analyze(raw, append(opts, fetch.WithJobs(intraJobs(*jobs, 1)))...)
+		res, err := fetch.Analyze(raw, opts...)
 		if err != nil {
 			return err
 		}
@@ -167,11 +152,7 @@ func run(args []string, w, errW io.Writer) error {
 		for i, p := range fs.Args() {
 			inputs[i] = fetch.Input{Path: p}
 		}
-		results := fetch.AnalyzeBatch(inputs, fetch.BatchOptions{
-			Jobs:      *jobs,
-			IntraJobs: intraJobs(*jobs, fs.NArg()),
-			Options:   opts,
-		})
+		results := fetch.AnalyzeBatch(inputs, fetch.BatchOptions{Jobs: *jobs, Options: opts})
 		var firstErr error
 		for _, br := range results {
 			if br.Err != nil {

@@ -5,9 +5,8 @@
 //
 // Usage:
 //
-//	fetchd [-addr :8421] [-jobs N] [-intra-jobs N] [-max-queued N]
-//	       [-queue-timeout D] [-cache-entries N] [-cache-dir DIR]
-//	       [-cache-max-bytes N]
+//	fetchd [-addr :8421] [-jobs N] [-max-queued N] [-queue-timeout D]
+//	       [-cache-entries N] [-cache-dir DIR] [-cache-max-bytes N]
 //	       [-max-upload BYTES] [-spool-dir DIR] [-log-format text|json|none]
 //
 // Endpoints (documented with examples in docs/API.md):
@@ -24,15 +23,12 @@
 // At most -jobs analyses run concurrently; up to -max-queued more wait
 // for at most -queue-timeout before the server answers 503. Arrivals
 // beyond both bounds are rejected immediately with 429 and a
-// Retry-After hint. -intra-jobs > 1 additionally shards each admitted
-// analysis inside the binary (same output, more cores per request).
-// -cache-dir persists results across restarts. Uploads stream to temp
-// files under -spool-dir (system temp dir by default) and are analyzed
-// file-backed, so accepting a large binary never buffers it on the
-// heap. -log-format selects the structured access-log encoding on
-// stderr. On SIGINT/SIGTERM the
-// server stops accepting connections and drains in-flight requests
-// before exiting.
+// Retry-After hint. -cache-dir persists results across restarts.
+// Uploads stream to temp files under -spool-dir (system temp dir by
+// default) and are analyzed file-backed, so accepting a large binary
+// never buffers it on the heap. -log-format selects the structured
+// access-log encoding on stderr. On SIGINT/SIGTERM the server stops
+// accepting connections and drains in-flight requests before exiting.
 package main
 
 import (
@@ -103,7 +99,6 @@ func run(args []string, errW io.Writer, ready chan<- string) error {
 	fs.SetOutput(errW)
 	addr := fs.String("addr", ":8421", "listen address")
 	jobs := fs.Int("jobs", 0, "max concurrent analyses (0 = one per CPU)")
-	intraJobs := fs.Int("intra-jobs", 0, "per-request intra-binary shard parallelism (≤1 = sequential)")
 	maxQueued := fs.Int("max-queued", 0, "max requests waiting for an analysis slot (0 = 4×jobs, negative = no queue)")
 	queueTimeout := fs.Duration("queue-timeout", 0, "max time a request may wait for a slot (0 = default)")
 	cacheEntries := fs.Int("cache-entries", 4096, "in-memory result cache capacity")
@@ -136,7 +131,6 @@ func run(args []string, errW io.Writer, ready chan<- string) error {
 	svc, err := service.New(service.Config{
 		Cache:          cache,
 		MaxInFlight:    *jobs,
-		IntraJobs:      *intraJobs,
 		MaxQueued:      *maxQueued,
 		QueueTimeout:   *queueTimeout,
 		MaxUploadBytes: *maxUpload,
@@ -174,8 +168,8 @@ func run(args []string, errW io.Writer, ready chan<- string) error {
 	go func() { errc <- srv.Serve(ln) }()
 	// Log the RESOLVED configuration — what the server actually runs
 	// with — not the raw flag values (jobs=0 resolves to one per CPU).
-	fmt.Fprintf(out, "fetchd: listening on %s (jobs=%d, intra-jobs=%d, max-queued=%d, queue-timeout=%s, max-upload=%d, spool-dir=%q, cache=%d entries, dir=%q, log-format=%s)\n",
-		ln.Addr(), svc.MaxInFlight(), svc.IntraJobs(), svc.MaxQueued(),
+	fmt.Fprintf(out, "fetchd: listening on %s (jobs=%d, max-queued=%d, queue-timeout=%s, max-upload=%d, spool-dir=%q, cache=%d entries, dir=%q, log-format=%s)\n",
+		ln.Addr(), svc.MaxInFlight(), svc.MaxQueued(),
 		svc.QueueTimeout(), svc.MaxUploadBytes(), svc.SpoolDir(), *cacheEntries, *cacheDir, *logFormat)
 
 	select {

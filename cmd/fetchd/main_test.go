@@ -35,15 +35,15 @@ func TestRunRejectsBadFlagsAndArgs(t *testing.T) {
 
 // TestStartupLogPrintsResolvedConfig pins the startup-log bugfix: the
 // banner must report the configuration the server actually runs with —
-// -jobs 0 resolved to one slot per CPU — and name the intra-jobs,
-// queue, and upload bounds, not echo raw flag values.
+// -jobs 0 resolved to one slot per CPU — and name the queue and upload
+// bounds, not echo raw flag values.
 func TestStartupLogPrintsResolvedConfig(t *testing.T) {
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	var errW syncBuffer
 	go func() {
 		done <- run([]string{
-			"-addr", "127.0.0.1:0", "-jobs", "0", "-intra-jobs", "2",
+			"-addr", "127.0.0.1:0", "-jobs", "0",
 			"-max-queued", "7", "-queue-timeout", "3s", "-log-format", "none",
 		}, &errW, ready)
 	}()
@@ -69,7 +69,6 @@ func TestStartupLogPrintsResolvedConfig(t *testing.T) {
 	banner := errW.String()
 	for _, want := range []string{
 		fmt.Sprintf("jobs=%d", runtime.GOMAXPROCS(0)), // resolved, not the raw 0
-		"intra-jobs=2",
 		"max-queued=7",
 		"queue-timeout=3s",
 		fmt.Sprintf("max-upload=%d", service.DefaultMaxUploadBytes),

@@ -27,7 +27,11 @@ import (
 //
 // Version 4 added the memory accounting of the file-backed image path
 // (stats.peak_image_bytes, stats.peak_aux_bytes).
-const ResultSchemaVersion = 4
+//
+// Version 5 removed the intra-binary sharding trace (stats.jobs,
+// stats.sharded_passes, stats.shard_fallbacks, stats.merge_wall_ns,
+// stats.shards).
+const ResultSchemaVersion = 5
 
 // hexAddr serializes a code address as a 0x-prefixed hex string. JSON
 // numbers are IEEE-754 doubles in most consumers, which silently
@@ -71,22 +75,17 @@ type jsonResult struct {
 // jsonStats is the wire form of Stats. Durations are integer
 // nanoseconds (the _ns suffix is the unit contract).
 type jsonStats struct {
-	Passes         []jsonPass  `json:"passes"`
-	InstsDecoded   int64       `json:"insts_decoded"`
-	InstsReused    int64       `json:"insts_reused"`
-	ColdStarts     int         `json:"cold_starts"`
-	Extends        int         `json:"extends"`
-	Retracts       int         `json:"retracts"`
-	Forks          int         `json:"forks"`
-	Probes         int         `json:"probes"`
-	XrefIterations int         `json:"xref_iterations"`
-	XrefConverged  bool        `json:"xref_converged"`
-	Truncated      bool        `json:"truncated"`
-	Jobs           int         `json:"jobs"`
-	ShardedPasses  int         `json:"sharded_passes"`
-	ShardFallbacks int         `json:"shard_fallbacks"`
-	MergeWallNS    int64       `json:"merge_wall_ns"`
-	Shards         []jsonShard `json:"shards"`
+	Passes         []jsonPass `json:"passes"`
+	InstsDecoded   int64      `json:"insts_decoded"`
+	InstsReused    int64      `json:"insts_reused"`
+	ColdStarts     int        `json:"cold_starts"`
+	Extends        int        `json:"extends"`
+	Retracts       int        `json:"retracts"`
+	Forks          int        `json:"forks"`
+	Probes         int        `json:"probes"`
+	XrefIterations int        `json:"xref_iterations"`
+	XrefConverged  bool       `json:"xref_converged"`
+	Truncated      bool       `json:"truncated"`
 
 	DeltaPath           bool   `json:"delta_path"`
 	DeltaDirtyRanges    int    `json:"delta_dirty_ranges"`
@@ -101,14 +100,6 @@ type jsonStats struct {
 type jsonPass struct {
 	Name   string `json:"name"`
 	WallNS int64  `json:"wall_ns"`
-}
-
-// jsonShard is the wire form of ShardStat.
-type jsonShard struct {
-	Seeds        int   `json:"seeds"`
-	InstsDecoded int64 `json:"insts_decoded"`
-	InstsReused  int64 `json:"insts_reused"`
-	WallNS       int64 `json:"wall_ns"`
 }
 
 func toHexSlice(in []uint64) []hexAddr {
@@ -158,10 +149,6 @@ func EncodeResult(res *Result) ([]byte, error) {
 			XrefIterations: res.Stats.XrefIterations,
 			XrefConverged:  res.Stats.XrefConverged,
 			Truncated:      res.Stats.Truncated,
-			Jobs:           res.Stats.Jobs,
-			ShardedPasses:  res.Stats.ShardedPasses,
-			ShardFallbacks: res.Stats.ShardFallbacks,
-			MergeWallNS:    int64(res.Stats.MergeWall),
 
 			DeltaPath:           res.Stats.DeltaPath,
 			DeltaDirtyRanges:    res.Stats.DeltaDirtyRanges,
@@ -171,17 +158,6 @@ func EncodeResult(res *Result) ([]byte, error) {
 			PeakImageBytes: res.Stats.PeakImageBytes,
 			PeakAuxBytes:   res.Stats.PeakAuxBytes,
 		},
-	}
-	if res.Stats.Shards != nil {
-		jr.Stats.Shards = make([]jsonShard, len(res.Stats.Shards))
-		for i, sh := range res.Stats.Shards {
-			jr.Stats.Shards[i] = jsonShard{
-				Seeds:        sh.Seeds,
-				InstsDecoded: sh.InstsDecoded,
-				InstsReused:  sh.InstsReused,
-				WallNS:       int64(sh.Wall),
-			}
-		}
 	}
 	if res.MergedParts != nil {
 		jr.MergedParts = make(map[hexAddr]hexAddr, len(res.MergedParts))
@@ -245,10 +221,6 @@ func DecodeResult(data []byte) (*Result, error) {
 			XrefIterations: jr.Stats.XrefIterations,
 			XrefConverged:  jr.Stats.XrefConverged,
 			Truncated:      jr.Stats.Truncated,
-			Jobs:           jr.Stats.Jobs,
-			ShardedPasses:  jr.Stats.ShardedPasses,
-			ShardFallbacks: jr.Stats.ShardFallbacks,
-			MergeWall:      time.Duration(jr.Stats.MergeWallNS),
 
 			DeltaPath:           jr.Stats.DeltaPath,
 			DeltaDirtyRanges:    jr.Stats.DeltaDirtyRanges,
@@ -258,17 +230,6 @@ func DecodeResult(data []byte) (*Result, error) {
 			PeakImageBytes: jr.Stats.PeakImageBytes,
 			PeakAuxBytes:   jr.Stats.PeakAuxBytes,
 		},
-	}
-	if jr.Stats.Shards != nil {
-		res.Stats.Shards = make([]ShardStat, len(jr.Stats.Shards))
-		for i, sh := range jr.Stats.Shards {
-			res.Stats.Shards[i] = ShardStat{
-				Seeds:        sh.Seeds,
-				InstsDecoded: sh.InstsDecoded,
-				InstsReused:  sh.InstsReused,
-				Wall:         time.Duration(sh.WallNS),
-			}
-		}
 	}
 	if jr.MergedParts != nil {
 		res.MergedParts = make(map[uint64]uint64, len(jr.MergedParts))

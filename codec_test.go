@@ -3,6 +3,7 @@ package fetch
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -96,13 +97,18 @@ func TestDecodeRejectsWrongSchemaAndUnknownFields(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wrongSchema := strings.Replace(string(blob), `"schema": 4`, `"schema": 999`, 1)
+	schema := fmt.Sprintf(`"schema": %d`, ResultSchemaVersion)
+	if !strings.Contains(string(blob), schema) {
+		t.Fatalf("encoding lacks %s", schema)
+	}
+
+	wrongSchema := strings.Replace(string(blob), schema, `"schema": 999`, 1)
 	if _, err := DecodeResult([]byte(wrongSchema)); err == nil ||
 		!strings.Contains(err.Error(), "schema version") {
 		t.Fatalf("wrong schema: %v", err)
 	}
 
-	unknown := strings.Replace(string(blob), `"schema": 4`, `"schema": 4, "surprise": 1`, 1)
+	unknown := strings.Replace(string(blob), schema, schema+`, "surprise": 1`, 1)
 	if _, err := DecodeResult([]byte(unknown)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
@@ -112,12 +118,13 @@ func TestDecodeRejectsWrongSchemaAndUnknownFields(t *testing.T) {
 	}
 	// Trailing data is rejected whichever layer sees it first (the
 	// schema probe's strict Unmarshal or the post-decode EOF check).
-	trailing := append(append([]byte(nil), blob...), []byte(`{"schema": 4}`)...)
+	trailing := append(append([]byte(nil), blob...), "{"+schema+"}"...)
 	if _, err := DecodeResult(trailing); err == nil {
 		t.Fatal("concatenated documents accepted")
 	}
-	if _, err := DecodeResult([]byte(`{"schema": 4, "fde_starts": ["zz"]}`)); err == nil {
-		t.Fatal("malformed address accepted")
+	if _, err := DecodeResult([]byte("{" + schema + `, "fde_starts": ["zz"]}`)); err == nil ||
+		!strings.Contains(err.Error(), "bad address") {
+		t.Fatalf("malformed address: %v", err)
 	}
 }
 
@@ -131,7 +138,7 @@ func TestCodecGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "result_v4.golden.json")
+	golden := filepath.Join("testdata", "result_v5.golden.json")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

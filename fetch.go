@@ -1,7 +1,7 @@
-// Package fetch detects function starts in System-V x86-64 ELF binaries
-// from their exception-handling information, implementing the FETCH
-// system from "Towards Optimal Use of Exception Handling Information
-// for Function Detection" (DSN 2021).
+// Package fetch detects function starts in System-V ELF binaries
+// (x86-64 and aarch64) from their exception-handling information,
+// implementing the FETCH system from "Towards Optimal Use of Exception
+// Handling Information for Function Detection" (DSN 2021).
 //
 // The pipeline extracts FDE PC Begin values from .eh_frame, runs safe
 // recursive disassembly (bounded jump tables, skipped indirect calls,
@@ -112,20 +112,6 @@ type Stats struct {
 	// convergence and records the pathological bound-hit here.
 	Truncated bool
 
-	// Jobs echoes the effective intra-binary parallelism (1 when
-	// sequential). ShardedPasses counts disassembly passes executed as
-	// sharded union walks, ShardFallbacks those whose exactness guards
-	// forced the sequential replay, MergeWall the total shard-merge
-	// time, and Shards the per-shard-slot work. All of these — like
-	// the decode counters and wall times — describe the execution, not
-	// the analysis result: jobs=N output is byte-identical to jobs=1
-	// (see StripSchedule).
-	Jobs           int
-	ShardedPasses  int
-	ShardFallbacks int
-	MergeWall      time.Duration
-	Shards         []ShardStat
-
 	// DeltaPath reports that the result was served by function-granular
 	// delta re-analysis: the binary missed the whole-binary cache, but a
 	// recorded trace with the same layout residue proved that only
@@ -156,26 +142,15 @@ type Stats struct {
 	PeakAuxBytes   int64
 }
 
-// ShardStat is one shard slot's accumulated work across an analysis.
-type ShardStat struct {
-	// Seeds counts seed addresses assigned to the slot.
-	Seeds int
-	// InstsDecoded and InstsReused are the slot's decode-cache misses
-	// and hits.
-	InstsDecoded int64
-	InstsReused  int64
-	// Wall is the slot's total walk time.
-	Wall time.Duration
-}
-
-// StripSchedule returns a copy of the result with every
-// scheduling-dependent field zeroed: wall times, decode/probe/fork
-// traffic counters, and the shard trace. What remains — the detected
-// starts, the corrections, and the deterministic pipeline counters
-// (extends, retracts, xref iterations, convergence, truncation) — is
-// identical for every Jobs value and every scheduler interleaving; the
-// differential checkers compare codec encodings of stripped results
-// byte for byte.
+// StripSchedule returns a copy of the result with every field zeroed
+// that describes how the analysis ran rather than what it found: wall
+// times, decode/probe/fork traffic counters, the delta-serving trace,
+// and the peak-memory accounting. What remains — the detected starts,
+// the corrections, and the deterministic pipeline counters (extends,
+// retracts, xref iterations, convergence, truncation) — is identical
+// however the result was obtained (cold, cached, delta-served,
+// buffered, or file-backed); the differential checkers compare codec
+// encodings of stripped results byte for byte.
 func StripSchedule(r *Result) *Result {
 	cp := *r
 	cp.Stats.Passes = append([]PassStat(nil), r.Stats.Passes...)
@@ -186,11 +161,6 @@ func StripSchedule(r *Result) *Result {
 	cp.Stats.InstsReused = 0
 	cp.Stats.Forks = 0
 	cp.Stats.Probes = 0
-	cp.Stats.Jobs = 0
-	cp.Stats.ShardedPasses = 0
-	cp.Stats.ShardFallbacks = 0
-	cp.Stats.MergeWall = 0
-	cp.Stats.Shards = nil
 	cp.Stats.DeltaPath = false
 	cp.Stats.DeltaDirtyRanges = 0
 	cp.Stats.DeltaTotalRanges = 0
@@ -211,14 +181,6 @@ type Options struct {
 	// binaries: a hit returns the stored result without decoding, a
 	// miss stores the fresh result for the next caller.
 	Cache *Cache
-	// Jobs > 1 shards the analysis inside the binary: disassembly
-	// passes, non-return inference, pointer-candidate validation, and
-	// Algorithm 1's precomputations run on a worker pool of that size.
-	// Output is byte-identical for every value (only wall times and
-	// the scheduling-trace counters in Stats change), which is why the
-	// result cache keys on (binary, strategy) and ignores it. Values
-	// ≤ 1 run fully sequentially.
-	Jobs int
 }
 
 // Option adjusts one analysis (strategy selection, caching).
@@ -256,11 +218,6 @@ func WithCache(c *Cache) Option {
 	return func(o *Options) { o.Cache = c }
 }
 
-// WithJobs sets the intra-binary shard parallelism (Options.Jobs).
-func WithJobs(n int) Option {
-	return func(o *Options) { o.Jobs = n }
-}
-
 // Analyze runs the FETCH pipeline on an ELF binary given as bytes.
 func Analyze(elfData []byte, opts ...Option) (*Result, error) {
 	return analyzeData(elfData, buildOptions(opts))
@@ -296,10 +253,7 @@ func analyzeData(data []byte, o Options) (*Result, error) {
 // result the cold path produced — the oracle's CachedEqualsRecomputed
 // and DeltaEqualsCold checkers hold this equal (modulo the scheduling
 // trace, see StripSchedule) to a recomputation across every
-// adversarial profile. The cache key deliberately excludes Jobs:
-// sharded and sequential runs produce the same analysis, so either
-// may serve the other's entry (whose Stats then describe the run that
-// produced it).
+// adversarial profile.
 func analyzeCached(data []byte, o Options) (*Result, bool, error) {
 	if o.Cache == nil {
 		res, err := analyzeCold(data, o)
@@ -379,7 +333,7 @@ func analyzeImageCached(key resultcache.Key, img *elfx.Image, o Options) (*Resul
 
 	// Cold run with recording, so a future recompilation of this binary
 	// can be served by delta replay.
-	rep, tr, err := core.AnalyzeRecorded(simg, core.Config{Strategy: o.Strategy, Jobs: o.Jobs})
+	rep, tr, err := core.AnalyzeRecorded(simg, core.Config{Strategy: o.Strategy})
 	if err != nil {
 		return nil, false, err
 	}
@@ -406,7 +360,7 @@ func analyzeCold(data []byte, o Options) (*Result, error) {
 
 // analyzeImageCold runs the pipeline over an already-loaded image.
 func analyzeImageCold(img *elfx.Image, o Options) (*Result, error) {
-	rep, err := core.AnalyzeConfig(img.Strip(), core.Config{Strategy: o.Strategy, Jobs: o.Jobs})
+	rep, err := core.AnalyzeConfig(img.Strip(), core.Config{Strategy: o.Strategy})
 	if err != nil {
 		return nil, err
 	}
@@ -426,20 +380,8 @@ func reportToResult(rep *core.Report) *Result {
 		XrefIterations: rep.Stats.XrefIterations,
 		XrefConverged:  rep.Stats.XrefConverged,
 		Truncated:      rep.Stats.Truncated,
-		Jobs:           rep.Stats.Jobs,
-		ShardedPasses:  rep.Stats.Disasm.ShardedPasses,
-		ShardFallbacks: rep.Stats.Disasm.ShardFallbacks,
-		MergeWall:      rep.Stats.Disasm.MergeWall,
 		PeakImageBytes: rep.Stats.PeakImageBytes,
 		PeakAuxBytes:   rep.Stats.PeakAuxBytes,
-	}
-	for _, sh := range rep.Stats.Disasm.Shards {
-		st.Shards = append(st.Shards, ShardStat{
-			Seeds:        sh.Seeds,
-			InstsDecoded: sh.InstsDecoded,
-			InstsReused:  sh.InstsReused,
-			Wall:         sh.Wall,
-		})
 	}
 	for _, ps := range rep.Stats.Passes {
 		st.Passes = append(st.Passes, PassStat{Name: ps.Name, Wall: ps.Wall})
@@ -474,12 +416,6 @@ type BatchOptions struct {
 	// sequential path exactly (it also does so for any other value —
 	// see AnalyzeBatch).
 	Jobs int
-	// IntraJobs sets each item's intra-binary shard parallelism
-	// (Options.Jobs), equivalent to appending WithJobs(IntraJobs) to
-	// Options (an explicit WithJobs there wins). A batch saturating
-	// its workers with Jobs rarely profits from IntraJobs > 1; a batch
-	// of one large binary is the case it exists for.
-	IntraJobs int
 	// Context cancels outstanding work; nil means context.Background.
 	// After cancellation, unstarted items report the context error as
 	// their per-item Err.
@@ -519,9 +455,6 @@ func AnalyzeBatch(inputs []Input, opts BatchOptions) []BatchResult {
 	o := buildOptions(opts.Options)
 	if o.Cache == nil {
 		o.Cache = opts.Cache
-	}
-	if o.Jobs == 0 {
-		o.Jobs = opts.IntraJobs
 	}
 
 	// Dedup before the pool: map every input to its group key and keep

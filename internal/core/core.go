@@ -41,13 +41,6 @@ const DefaultXrefIterBound = 64
 type Config struct {
 	// Strategy selects the pipeline stages.
 	Strategy Strategy
-	// Jobs > 1 enables intra-binary sharded analysis: committed
-	// disassembly passes, non-return inference, pointer-candidate
-	// validation, and Algorithm 1's precomputations run on a worker
-	// pool of that size. The Report is byte-identical for every value;
-	// only wall-clock time and the scheduling-trace counters in Stats
-	// change. Values ≤ 1 run fully sequentially.
-	Jobs int
 	// XrefIterBound overrides DefaultXrefIterBound when positive.
 	XrefIterBound int
 }
@@ -83,10 +76,6 @@ type Stats struct {
 	// XrefConverged when the xref stage ran; kept separate so the
 	// serialized schema states the pathology explicitly.
 	Truncated bool
-	// Jobs echoes the effective intra-binary parallelism the analysis
-	// ran with (1 when sequential). Like wall times, it is a property
-	// of the execution, not of the analysis result.
-	Jobs int
 	// PeakImageBytes is the section content the image held on the heap
 	// by the end of the run: the whole binary for buffered images, only
 	// the materialized (pread/NOBITS) copies for file-backed ones —
@@ -225,11 +214,7 @@ func AnalyzeRecorded(img *elfx.Image, cfg Config) (*Report, *Trace, error) {
 
 // AnalyzeConfig runs the pipeline under a full Config. The Report is a
 // function of the binary bytes, the Strategy, and the xref iteration
-// bound alone: Jobs redistributes the same work across goroutines
-// without changing any analysis output (the oracle's
-// ShardedEqualsSequential checker enforces this across every
-// adversarial shape), so result caches may key on (binary, strategy)
-// and ignore it.
+// bound alone.
 func AnalyzeConfig(img *elfx.Image, cfg Config) (*Report, error) {
 	rep, _, err := analyzeWith(img, cfg, nil)
 	return rep, err
@@ -238,10 +223,6 @@ func AnalyzeConfig(img *elfx.Image, cfg Config) (*Report, error) {
 // analyzeWith is the shared pipeline driver; rec, when non-nil,
 // observes the run for delta-trace recording.
 func analyzeWith(img *elfx.Image, cfg Config, rec *recorder) (*Report, *disasm.Session, error) {
-	jobs := cfg.Jobs
-	if jobs < 1 {
-		jobs = 1
-	}
 	p := &pipeline{
 		img:    img,
 		strat:  cfg.Strategy,
@@ -251,7 +232,7 @@ func analyzeWith(img *elfx.Image, cfg Config, rec *recorder) (*Report, *disasm.S
 		rep: &Report{
 			Funcs:  make(map[uint64]bool),
 			Merged: make(map[uint64]uint64),
-			Stats:  Stats{XrefConverged: true, Jobs: jobs},
+			Stats:  Stats{XrefConverged: true},
 		},
 	}
 	strat := cfg.Strategy
@@ -314,7 +295,6 @@ func (p *pipeline) runRecursive() error {
 		seeds = append(seeds, p.img.Entry)
 	}
 	p.sess = disasm.NewSession(p.img, safeOpts())
-	p.sess.SetJobs(p.cfg.Jobs)
 	if p.rec != nil {
 		p.sess.SetExecObserver(p.rec)
 	}
@@ -350,14 +330,14 @@ func (p *pipeline) addFuncs(from map[uint64]bool) {
 
 // dataIndex lazily builds the data-section pointer index that answers
 // DataRefCount and candidate-collection queries in O(1) instead of
-// rescanning every data window per query (sharded runs build it on
-// the worker pool). The index is a pure restatement of the data
-// bytes, so using it never changes a result; the oracle's
-// sharded-equivalence sweep pins index-backed runs against the
-// scan-backed scratch reference.
+// rescanning every data window per query. The index is a pure
+// restatement of the data bytes, so using it never changes a result;
+// the oracle's DiffReports pins index-backed runs against
+// core.ScratchAnalyze, whose xref and tailcall stages use the
+// scan-backed path.
 func (p *pipeline) dataIndex() *xref.DataIndex {
 	if p.dataIdx == nil {
-		p.dataIdx = xref.NewDataIndex(p.img, p.cfg.Jobs)
+		p.dataIdx = xref.NewDataIndex(p.img, 0)
 	}
 	return p.dataIdx
 }
@@ -387,7 +367,6 @@ func (p *pipeline) runXref(exclude map[uint64]bool) {
 	opts := xref.Options{
 		KnownRanges: p.fdeRanges(exclude),
 		Session:     p.sess,
-		Jobs:        p.cfg.Jobs,
 		Index:       p.dataIndex(),
 	}
 	if p.rec != nil {
@@ -428,7 +407,6 @@ func (p *pipeline) runTailCall() error {
 		Funcs:        p.rep.Funcs,
 		DataRefCount: p.dataRefCount,
 		Sess:         p.sess,
-		Jobs:         p.cfg.Jobs,
 	}
 	if p.rec != nil {
 		in.Obs = &tailcall.Observer{

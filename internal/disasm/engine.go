@@ -100,9 +100,7 @@ type Result struct {
 	tableReads []Interval
 	// sawMid records that a walk arrived in the middle of a previously
 	// decoded instruction — the one order-sensitive walk rule that is
-	// invisible in the final instruction set. A sharded pass whose
-	// walkers saw it cannot prove its union equal to the sequential
-	// walk and falls back.
+	// invisible in the final instruction set (see SawMid).
 	sawMid bool
 	// isa is the backend the walk decoded with; the inference passes
 	// use it for the gate-register test and backward-scan bounds.

@@ -2,20 +2,18 @@ package disasm
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 
 	"fetch/internal/elfx"
 )
 
-// FuzzShardedExtend differentially fuzzes the shard-boundary merge: an
+// FuzzSessionExtend differentially fuzzes the incremental session: an
 // arbitrary byte blob becomes an executable section, a handful of
-// blob-derived offsets become seeds, and the sharded committed pass
-// (jobs=4, including its claim table, union merge, exactness guards,
-// and sequential fallback) must reproduce the sequential session's
-// result exactly — references compared as multisets, everything else
-// byte for byte.
-func FuzzShardedExtend(f *testing.F) {
+// blob-derived offsets become seeds, and one warm session commits them
+// as Extend(first half), Extend(second half), then Retract(every third
+// seed). Its result must equal a fresh Recursive over the surviving
+// seeds exactly — references included, in discovery order.
+func FuzzSessionExtend(f *testing.F) {
 	f.Add([]byte{0xC3}, uint8(1))
 	f.Add([]byte{0x55, 0x48, 0x89, 0xE5, 0xC3, 0xE8, 0xF6, 0xFF, 0xFF, 0xFF}, uint8(3))
 	f.Add([]byte{
@@ -38,56 +36,59 @@ func FuzzShardedExtend(f *testing.F) {
 				Flags: elfx.FlagAlloc | elfx.FlagExec,
 			}},
 		}
-		// Derive 8..40 seed offsets from the blob so the shard split
-		// has something to divide.
+		// Derive 8..40 seed offsets from the blob.
 		n := int(nseeds%33) + 8
 		seeds := make([]uint64, 0, n)
 		for i := 0; i < n; i++ {
 			off := (i * 7919) % len(code)
 			seeds = append(seeds, base+uint64((off+int(code[off]))%len(code)))
 		}
-		opts := Options{ResolveJumpTables: true, NonReturning: true}
-		seq := NewSession(img, opts).Extend(seeds)
-		par4 := NewSession(img, opts)
-		par4.SetJobs(4)
-		got := par4.Extend(seeds)
-		if !reflect.DeepEqual(got.Insts, seq.Insts) {
-			t.Fatalf("Insts differ: %d vs %d", len(got.Insts), len(seq.Insts))
+		drop := map[uint64]bool{}
+		var retract []uint64
+		for i := 0; i < len(seeds); i += 3 {
+			drop[seeds[i]] = true
+			retract = append(retract, seeds[i])
 		}
-		if !reflect.DeepEqual(got.Funcs, seq.Funcs) {
+		var kept []uint64
+		for _, sd := range seeds {
+			if !drop[sd] {
+				kept = append(kept, sd)
+			}
+		}
+
+		opts := Options{ResolveJumpTables: true, NonReturning: true}
+		sess := NewSession(img, opts)
+		sess.Extend(seeds[:n/2])
+		sess.Extend(seeds[n/2:])
+		got := sess.Retract(retract)
+		want := Recursive(img, kept, opts)
+		if !reflect.DeepEqual(got.Insts, want.Insts) {
+			t.Fatalf("Insts differ: %d vs %d", len(got.Insts), len(want.Insts))
+		}
+		if !reflect.DeepEqual(got.Funcs, want.Funcs) {
 			t.Fatal("Funcs differ")
 		}
-		if !reflect.DeepEqual(got.NonRet, seq.NonRet) ||
-			!reflect.DeepEqual(got.CondNonRet, seq.CondNonRet) {
+		if !reflect.DeepEqual(got.NonRet, want.NonRet) ||
+			!reflect.DeepEqual(got.CondNonRet, want.CondNonRet) {
 			t.Fatal("non-return sets differ")
 		}
-		if !reflect.DeepEqual(got.JTTargets, seq.JTTargets) {
+		if !reflect.DeepEqual(got.JTTargets, want.JTTargets) {
 			t.Fatal("jump-table resolutions differ")
 		}
-		if !reflect.DeepEqual(got.Constants, seq.Constants) {
+		if !reflect.DeepEqual(got.Constants, want.Constants) {
 			t.Fatal("constants differ")
 		}
-		if !reflect.DeepEqual(sortRefs(got.Refs), sortRefs(seq.Refs)) {
-			t.Fatal("reference multisets differ")
+		if !reflect.DeepEqual(got.TableBases, want.TableBases) {
+			t.Fatal("jump-table bases differ")
 		}
-		// The owner index must agree with the instruction map either
-		// way (sharded results rebuild it from the union).
+		if !reflect.DeepEqual(got.Refs, want.Refs) {
+			t.Fatal("references differ")
+		}
+		// The owner index must agree with the instruction map.
 		for a, in := range got.Insts {
 			if _, ok := got.InstStartAt(a); !ok {
 				t.Fatalf("decoded %#x (len %d) not in owner index", a, in.Len)
 			}
 		}
 	})
-}
-
-// sortRefs canonicalizes per-target reference order for multiset
-// comparison (the sharded merge sorts, the sequential walk does not).
-func sortRefs(refs map[uint64][]uint64) map[uint64][]uint64 {
-	out := make(map[uint64][]uint64, len(refs))
-	for t, l := range refs {
-		c := append([]uint64(nil), l...)
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-		out[t] = c
-	}
-	return out
 }

@@ -48,12 +48,8 @@ func (c jtCtx) RecordTableRead(lo, hi uint64) {
 // RecordTableBase records a resolved table's base address.
 func (c jtCtx) RecordTableBase(table uint64) { c.res.TableBases[table] = true }
 
-// prevInst returns the start of the decoded instruction that ends
-// exactly at addr, using the result's own backend for the scan bound.
-func prevInst(res *Result, addr uint64) (uint64, bool) {
-	return prevInstIn(res, res.isa, addr)
-}
-
+// prevInstIn returns the start of the decoded instruction that ends
+// exactly at addr, scanning back at most isa's longest instruction.
 func prevInstIn(res *Result, isa arch.ISA, addr uint64) (uint64, bool) {
 	for back := uint64(1); back <= uint64(isa.MaxInstLen()); back++ {
 		start, ok := res.owner.get(addr - back)

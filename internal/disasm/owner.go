@@ -91,83 +91,6 @@ func (o *ownerMap) get(addr uint64) (uint64, bool) {
 	return 0, false
 }
 
-// insertChecked atomically (with respect to this map's content) checks
-// that none of the n bytes at addr are covered yet and marks them owned
-// by addr, resolving the span once. It reports false — leaving partial
-// coverage possible — when any byte was already owned; callers treat
-// that as a fatal overlap and discard the map.
-func (o *ownerMap) insertChecked(addr uint64, n int) bool {
-	if o.m != nil {
-		for b := addr; b < addr+uint64(n); b++ {
-			if _, ok := o.m[b]; ok {
-				return false
-			}
-		}
-		for b := addr; b < addr+uint64(n); b++ {
-			o.m[b] = addr
-		}
-		return true
-	}
-	for i := range o.spans {
-		sp := &o.spans[i]
-		if addr < sp.base {
-			break
-		}
-		if d := addr - sp.base; d < uint64(sp.size) {
-			end := d + uint64(n)
-			if end > uint64(sp.size) {
-				end = uint64(sp.size)
-			}
-			for k := d; k < end; k++ {
-				if c := sp.chunks[k>>ownerChunkShift]; c != nil && c[k&ownerChunkMask] != 0 {
-					return false
-				}
-			}
-			v := int32(d) + 1
-			for k := d; k < end; k++ {
-				o.chunk(sp, k)[k&ownerChunkMask] = v
-			}
-			return true
-		}
-	}
-	return true
-}
-
-// verifyRange reports whether all n bytes at addr are owned exactly by
-// the instruction at addr — the self-consistency check merge bases get
-// instead of re-insertion.
-func (o *ownerMap) verifyRange(addr uint64, n int) bool {
-	if o.m != nil {
-		for b := addr; b < addr+uint64(n); b++ {
-			if s, ok := o.m[b]; !ok || s != addr {
-				return false
-			}
-		}
-		return true
-	}
-	for i := range o.spans {
-		sp := &o.spans[i]
-		if addr < sp.base {
-			break
-		}
-		if d := addr - sp.base; d < uint64(sp.size) {
-			end := d + uint64(n)
-			if end > uint64(sp.size) {
-				end = uint64(sp.size)
-			}
-			v := int32(d) + 1
-			for k := d; k < end; k++ {
-				c := sp.chunks[k>>ownerChunkShift]
-				if c == nil || c[k&ownerChunkMask] != v {
-					return false
-				}
-			}
-			return true
-		}
-	}
-	return false
-}
-
 // setRange marks the n bytes starting at addr as owned by the
 // instruction at addr. Instruction bytes never cross a section end
 // (decode windows are section-bounded), so the run stays in one span.

@@ -1,8 +1,6 @@
 package disasm
 
 import (
-	"time"
-
 	"fetch/internal/arch"
 	"fetch/internal/elfx"
 )
@@ -32,27 +30,8 @@ type Stats struct {
 	Probes int
 	// FixedPointPasses counts individual recursive-descent passes,
 	// including the inner iterations of the non-returning fixed point
-	// and probe walks. A sharded committed pass counts once, like the
-	// sequential pass it replaces, but parallel candidate validation
-	// probes a superset of the sequential loop's, so the total is a
-	// scheduling trace like Probes and Forks.
+	// and probe walks.
 	FixedPointPasses int
-
-	// ShardedPasses counts committed passes executed by the sharded
-	// union walk (Session.SetJobs > 1); ShardFallbacks counts sharded
-	// attempts whose exactness guards tripped, forcing the sequential
-	// replay. Fallbacks are a performance event, never a correctness
-	// one: both paths produce identical results.
-	ShardedPasses  int
-	ShardFallbacks int
-	// MergeWall is the total wall time spent in the deterministic
-	// shard-merge step (including guard evaluation).
-	MergeWall time.Duration
-	// Shards aggregates per-shard-slot work across all sharded passes.
-	// Like the decode counters, shard counters are an execution trace:
-	// they depend on scheduling and on the shard count, never on the
-	// analysis result.
-	Shards []ShardStat
 
 	// PeakAuxBytes is the high-water accounted estimate of one pass's
 	// auxiliary memory: owner-index chunk allocations plus the decode
@@ -80,55 +59,6 @@ func (s *Session) notePassMem(res *Result) {
 	}
 	if aux > s.stats.PeakAuxBytes {
 		s.stats.PeakAuxBytes = aux
-	}
-}
-
-// ShardStat is the accumulated work of one shard slot across every
-// sharded pass of a session.
-type ShardStat struct {
-	// Seeds counts seed addresses assigned to the slot.
-	Seeds int
-	// InstsDecoded and InstsReused are the slot's decode-cache misses
-	// and hits (hits include entries served from the parent session's
-	// cache).
-	InstsDecoded int64
-	InstsReused  int64
-	// Wall is the slot's total walk time.
-	Wall time.Duration
-}
-
-// add accumulates one sharded pass's slot work.
-func (s *ShardStat) add(other ShardStat) {
-	s.Seeds += other.Seeds
-	s.InstsDecoded += other.InstsDecoded
-	s.InstsReused += other.InstsReused
-	s.Wall += other.Wall
-}
-
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.InstsDecoded += other.InstsDecoded
-	s.InstsReused += other.InstsReused
-	s.ColdStarts += other.ColdStarts
-	s.Extends += other.Extends
-	s.Retracts += other.Retracts
-	s.Reruns += other.Reruns
-	s.Forks += other.Forks
-	s.Probes += other.Probes
-	s.FixedPointPasses += other.FixedPointPasses
-	s.ShardedPasses += other.ShardedPasses
-	s.ShardFallbacks += other.ShardFallbacks
-	s.MergeWall += other.MergeWall
-	for k, sh := range other.Shards {
-		for len(s.Shards) <= k {
-			s.Shards = append(s.Shards, ShardStat{})
-		}
-		s.Shards[k].add(sh)
-	}
-	// A high-water mark merges by max: forks ran against the same
-	// budget, not after each other.
-	if other.PeakAuxBytes > s.PeakAuxBytes {
-		s.PeakAuxBytes = other.PeakAuxBytes
 	}
 }
 
@@ -179,25 +109,6 @@ type Session struct {
 	stats *Stats
 	seeds []uint64
 	res   *Result
-	// jobs > 1 enables the sharded committed passes (SetJobs).
-	jobs int
-	// warm is a read-only fallback decode cache (a parent session's
-	// cache, shared by shard walkers and parallel probe forks). Entries
-	// found here are never copied into cache: the parent already owns
-	// them.
-	warm map[uint64]decodeEntry
-	// claim, when set, arbitrates work-item ownership between
-	// concurrent shard walkers: push only explores an address when
-	// claim returns true (some other shard explores it otherwise).
-	claim func(uint64) bool
-	// claims, subs, lastUnion, and sizeHint are the sharded-pass
-	// scratch state: the reusable claim table, the per-slot shard
-	// sub-sessions, the previous pass's union size (the allocation
-	// hint for the next), and the per-walk result-map size hint.
-	claims    *claimTable
-	subs      []*Session
-	lastUnion int64
-	sizeHint  int
 	// ownerProto is the executable-section layout (sorted by base) the
 	// dense owner index is allocated from.
 	ownerProto []struct {
@@ -274,8 +185,7 @@ func (s *Session) newOwner(opts Options) ownerMap {
 // parent and vice versa — decodes are pure, so this is safe), while
 // the committed seed list and result are the fork's own. Use a fork to
 // probe speculative decodes, e.g. §IV-E candidate validation, without
-// corrupting the main state. A fork is serial like its parent; it
-// never inherits the parent's shard parallelism.
+// corrupting the main state. A fork is serial like its parent.
 func (s *Session) Fork() *Session {
 	s.stats.Forks++
 	return &Session{
@@ -284,57 +194,10 @@ func (s *Session) Fork() *Session {
 		opts:  s.opts,
 		cache: s.cache,
 		stats: s.stats,
-		warm:  s.warm,
 		seeds: append([]uint64(nil), s.seeds...),
 		res:   s.res,
 	}
 }
-
-// ParallelFork returns a fork that is safe to use concurrently with
-// other ParallelForks of the same session: it reads the parent's
-// decode cache as an immutable warm store and writes new decodes to a
-// private overlay, with private counters. The parent session must stay
-// idle while parallel forks run; afterwards, Absorb folds each fork's
-// overlay and counters back into the parent. Decode entries are pure
-// functions of the image bytes, so the overlay merge order never
-// affects content.
-func (s *Session) ParallelFork() *Session {
-	// The fork counts itself in its own private stats — incrementing
-	// the parent's here would race with sibling forks created by
-	// concurrent pool workers; Absorb folds the count in after the
-	// join.
-	return &Session{
-		img:   s.img,
-		isa:   s.isa,
-		opts:  s.opts,
-		cache: make(map[uint64]decodeEntry),
-		warm:  s.cache,
-		stats: &Stats{Forks: 1},
-	}
-}
-
-// Absorb folds a ParallelFork's private decode overlay and counters
-// back into the session after the fork's concurrent phase has joined.
-func (s *Session) Absorb(f *Session) {
-	for a, e := range f.cache {
-		if _, ok := s.cache[a]; !ok {
-			s.cache[a] = e
-		}
-	}
-	s.stats.Forks += f.stats.Forks
-	s.stats.InstsDecoded += f.stats.InstsDecoded
-	s.stats.InstsReused += f.stats.InstsReused
-	s.stats.Probes += f.stats.Probes
-	s.stats.FixedPointPasses += f.stats.FixedPointPasses
-}
-
-// SetJobs sets the session's intra-binary parallelism: when n > 1,
-// committed passes (Extend, Retract, Rerun) run as n concurrent shard
-// walks merged deterministically, falling back to the sequential walk
-// whenever an exactness guard cannot prove the merged result equal to
-// it. Results are byte-identical for every n; only wall-clock time and
-// the scheduling-trace counters in Stats change.
-func (s *Session) SetJobs(n int) { s.jobs = n }
 
 // Result returns the current committed result (nil before the first
 // Extend/Rerun).
@@ -411,23 +274,21 @@ func (s *Session) Probe(seeds []uint64, opts Options) *Result {
 // exec runs the full Recursive fixed point from the given seeds with
 // cached decoding. Knowledge always restarts from empty so the
 // iteration trajectory — and therefore the result — matches a
-// from-scratch run exactly. With SetJobs > 1 each pass and each
-// non-return inference dispatches to its parallel variant; both are
-// result-identical to the sequential forms, so the trajectory — and
-// the result — is independent of the job count.
+// from-scratch run exactly.
 func (s *Session) exec(seeds []uint64, opts Options) *Result {
 	nonRet := map[uint64]bool{}
 	condNonRet := map[uint64]bool{}
 	var res *Result
 	for iter := 0; iter < 6; iter++ {
-		res = s.runPass(seeds, opts, nonRet, condNonRet)
+		res = s.pass(seeds, opts, nonRet, condNonRet)
+		s.notePassMem(res)
 		if s.observing && s.obs != nil {
 			s.obs.OnPass(nonRet, condNonRet, res)
 		}
 		if !opts.NonReturning {
 			return res
 		}
-		newNonRet, newCond := s.runInfer(res)
+		newNonRet, newCond := inferNonReturning(res)
 		if setsEqual(newNonRet, nonRet) && setsEqual(newCond, condNonRet) {
 			break
 		}
@@ -441,12 +302,6 @@ func (s *Session) exec(seeds []uint64, opts Options) *Result {
 // decode memoizes the pure part of instruction decoding: the section
 // window fetch and the x64 decode at addr.
 func (s *Session) decode(addr uint64) decodeEntry {
-	// Warm first: in a shard walker's steady state (every pass after
-	// the first) the parent cache holds nearly every decode.
-	if e, ok := s.warm[addr]; ok {
-		s.stats.InstsReused++
-		return e
-	}
 	if e, ok := s.cache[addr]; ok {
 		s.stats.InstsReused++
 		return e
@@ -481,10 +336,10 @@ func (s *Session) pass(seeds []uint64, opts Options,
 	img := s.img
 	res := &Result{
 		isa:        s.isa,
-		Insts:      make(map[uint64]*arch.Inst, s.sizeHint),
-		Funcs:      make(map[uint64]bool, s.sizeHint/8),
-		Refs:       make(map[uint64][]uint64, s.sizeHint/8),
-		Constants:  make(map[uint64]bool, s.sizeHint/8),
+		Insts:      make(map[uint64]*arch.Inst),
+		Funcs:      make(map[uint64]bool),
+		Refs:       make(map[uint64][]uint64),
+		Constants:  make(map[uint64]bool),
 		NonRet:     nonRet,
 		CondNonRet: condNonRet,
 		JTTargets:  make(map[uint64][]uint64),
@@ -534,13 +389,6 @@ func (s *Session) pass(seeds []uint64, opts Options,
 		rdi := item.rdi
 
 		for {
-			// Under a shard claim, the first walker to claim an address
-			// decodes it and continues the run; the others stop here and
-			// leave the rest of the run to the claimer, so the union of
-			// the walks is the full closure with almost no duplication.
-			if s.claim != nil && !s.claim(addr) {
-				break
-			}
 			if opts.MaxInsts > 0 && len(res.Insts) >= opts.MaxInsts {
 				return res
 			}
@@ -548,9 +396,9 @@ func (s *Session) pass(seeds []uint64, opts Options,
 				break
 			}
 			if owner, mid := res.owner.get(addr); mid && owner != addr {
-				// The walk's only order-sensitive rule: record that it
-				// fired so a sharded pass knows its union may diverge
-				// from the sequential walk.
+				// The walk's one order-sensitive rule that leaves no
+				// trace in the instruction set: record that it fired
+				// so delta re-analysis refuses to reuse this walk.
 				res.sawMid = true
 				strictErr(ErrMidInstruction, addr)
 				break
@@ -646,13 +494,6 @@ func (s *Session) pass(seeds []uint64, opts Options,
 						if m, ok := in.IndirectMem(); ok && m.Disp > 0 {
 							res.TableBases[uint64(m.Disp)] = true
 						}
-					} else if s.claim != nil {
-						// Shard walkers record unresolved indirect jumps
-						// as explicit nil entries so the merge guard can
-						// audit every resolution this walker made. Only
-						// internal shard results carry these; the merge
-						// rebuilds the public map without them.
-						res.JTTargets[in.Addr] = nil
 					}
 					for _, t := range targets {
 						addRef(t, in.Addr)

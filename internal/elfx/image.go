@@ -115,8 +115,8 @@ type Image struct {
 
 	// secIdx caches the sorted-range section index behind the address
 	// queries (SectionAt, IsExec, IsMapped, Bytes). It is accessed
-	// with sync/atomic so concurrent readers (sharded analysis walks)
-	// may share one image, and it revalidates against the identity of
+	// with sync/atomic so concurrent readers (the data-index scan
+	// workers) may share one image, and it revalidates against the identity of
 	// the Sections slice, so appending or replacing Sections
 	// invalidates it automatically. Replacing an element of the slice
 	// in place does not; no builder in this codebase does that.

@@ -121,8 +121,8 @@ func TestSectionIndexInvalidatedOnAppend(t *testing.T) {
 }
 
 // TestSectionIndexConcurrentReaders drives the lazy build from many
-// goroutines under -race: sharded analysis shares one image across
-// walkers, so the cache must be safe for concurrent address queries.
+// goroutines under -race: the data-index scan shares one image across
+// workers, so the cache must be safe for concurrent address queries.
 func TestSectionIndexConcurrentReaders(t *testing.T) {
 	im := loadSelf(t)
 	var wg sync.WaitGroup

@@ -181,6 +181,26 @@ func CheckAccounting(shape string, strat core.Strategy, rep *core.Report) []Viol
 	return vs
 }
 
+// CheckConvergence asserts the xref fixed point genuinely converged:
+// every adversarial shape must reach a Detect round that accepts
+// nothing within the safety bound. A truncated analysis (the failure
+// mode the historical 3-round cap hid) is a violation on any shape the
+// sweep generates.
+func CheckConvergence(shape string, strat core.Strategy, rep *core.Report) []Violation {
+	var vs []Violation
+	if !rep.Stats.XrefConverged {
+		vs = append(vs, Violation{shape, strat, "xref-convergence",
+			fmt.Sprintf("pointer detection did not converge (%d iterations, truncated=%v)",
+				rep.Stats.XrefIterations, rep.Stats.Truncated)})
+	}
+	if rep.Stats.Truncated != !rep.Stats.XrefConverged {
+		vs = append(vs, Violation{shape, strat, "xref-convergence",
+			fmt.Sprintf("Truncated=%v inconsistent with XrefConverged=%v",
+				rep.Stats.Truncated, rep.Stats.XrefConverged)})
+	}
+	return vs
+}
+
 // CheckMetrics scores a report against the ground truth and asserts
 // the consistency bounds that hold for every synthesized shape:
 // the score balances, functions with correct FDEs are never false

@@ -73,7 +73,6 @@ func CheckShape(cfg synth.Config) ([]Violation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("oracle: writing %s: %w", cfg.Name, err)
 	}
-	vs = append(vs, CheckShardedEqualsSequential(cfg.Name, stripped, raw)...)
 	vs = append(vs, CheckBatchDeterminism(cfg.Name, raw, 4, 8)...)
 	vs = append(vs, CheckCachedEqualsRecomputed(cfg.Name, raw)...)
 	vs = append(vs, CheckDeltaEqualsCold(cfg)...)

@@ -52,9 +52,6 @@ func TestResolvedConfigDefaults(t *testing.T) {
 	if got := svc.MaxUploadBytes(); got != int64(DefaultMaxUploadBytes) {
 		t.Fatalf("MaxUploadBytes() = %d, want %d", got, DefaultMaxUploadBytes)
 	}
-	if got := svc.IntraJobs(); got != 0 {
-		t.Fatalf("IntraJobs() = %d, want 0", got)
-	}
 }
 
 // TestOversizeUploadIs413 is the regression test for the 413 bugfix:

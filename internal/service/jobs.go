@@ -263,12 +263,8 @@ func (s *Server) runJob(j *job, admitted bool) {
 	s.enterFlight()
 	defer s.exitFlight()
 
-	opts := j.opts
-	if s.intraJobs > 1 {
-		opts = append(opts[:len(opts):len(opts)], fetch.WithJobs(s.intraJobs))
-	}
 	t0 := time.Now()
-	_, cached, err := s.cache.AnalyzeFile(j.spoolPath, opts...)
+	_, cached, err := s.cache.AnalyzeFile(j.spoolPath, j.opts...)
 	s.analyzeDur.observe(time.Since(t0))
 	if err != nil {
 		s.jobsFailed.Add(1)

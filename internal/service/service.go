@@ -73,13 +73,6 @@ type Config struct {
 	// a temp file under SpoolDir (hashed on the way through) and the
 	// analysis runs file-backed against it. Empty selects os.TempDir().
 	SpoolDir string
-	// IntraJobs sets each analysis's intra-binary shard parallelism
-	// (fetch.Options.Jobs). The in-flight bound still caps the number
-	// of concurrent analyses; IntraJobs multiplies the worker
-	// goroutines each admitted analysis may use, so a deployment
-	// typically lowers MaxInFlight when raising it. Results are
-	// byte-identical for every value; values ≤ 1 analyze sequentially.
-	IntraJobs int
 	// JobTTL is how long a finished async job remains pollable;
 	// non-positive selects DefaultJobTTL.
 	JobTTL time.Duration
@@ -121,7 +114,6 @@ type Server struct {
 	jobs      *jobStore
 	maxUpload int64
 	spoolDir  string
-	intraJobs int
 	logger    *slog.Logger
 	start     time.Time
 
@@ -190,7 +182,6 @@ func New(cfg Config) (*Server, error) {
 		jobs:       newJobStore(cfg.MaxJobs, cfg.JobTTL),
 		maxUpload:  cfg.MaxUploadBytes,
 		spoolDir:   cfg.SpoolDir,
-		intraJobs:  cfg.IntraJobs,
 		logger:     cfg.Logger,
 		start:      time.Now(),
 		queueWait:  newHistogram(durationBuckets),
@@ -217,10 +208,6 @@ func (s *Server) MaxUploadBytes() int64 { return s.maxUpload }
 
 // SpoolDir returns the resolved upload spool directory.
 func (s *Server) SpoolDir() string { return s.spoolDir }
-
-// IntraJobs returns the configured per-analysis shard parallelism
-// (≤ 1 means sequential).
-func (s *Server) IntraJobs() int { return s.intraJobs }
 
 // Close stops the async job subsystem: further submissions are
 // rejected, queued jobs fail with a shutdown error, and Close returns
@@ -448,9 +435,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	defer os.Remove(path)
 
 	t0 := time.Now()
-	if s.intraJobs > 1 {
-		opts = append(opts, fetch.WithJobs(s.intraJobs))
-	}
 	res, cached, err := s.cache.AnalyzeFile(path, opts...)
 	s.analyzeDur.observe(time.Since(t0))
 

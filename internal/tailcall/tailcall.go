@@ -16,7 +16,6 @@
 package tailcall
 
 import (
-	"context"
 	"sort"
 
 	"fetch/internal/arch"
@@ -24,7 +23,6 @@ import (
 	"fetch/internal/disasm"
 	"fetch/internal/ehframe"
 	"fetch/internal/elfx"
-	"fetch/internal/pool"
 	"fetch/internal/stackan"
 )
 
@@ -44,11 +42,6 @@ type Input struct {
 	// Sess, when set, lets the static-height ablation's jump-table
 	// probes reuse the pipeline's shared decode cache.
 	Sess *disasm.Session
-	// Jobs > 1 precomputes the per-FDE CFI height tables and the
-	// convention-sweep entry validations on a worker pool of that
-	// size. Both are pure per-FDE functions, so the output is
-	// identical to the sequential computation.
-	Jobs int
 
 	// UseStaticHeights replaces CFI-recorded heights with the static
 	// dataflow analysis — the ablation the paper argues against via
@@ -129,37 +122,8 @@ func Run(in Input) Output {
 	isa := in.Img.ISA()
 	cfiSP, cfiEntry := isa.CFISPReg(), isa.CFIEntryOffset()
 
-	// Sharded runs precompute the two pure per-FDE quantities the
-	// sequential loops below consume — entry-convention verdicts and
-	// CFI height tables — on the worker pool. The loops themselves
-	// stay sequential (and identical) either way.
-	var convOK map[uint64]bool
-	var heights []ehframe.HeightTable
-	if in.Jobs > 1 && len(in.Sec.FDEs) > 1 {
-		rs := pool.Map(nil, in.Jobs, in.Sec.FDEs,
-			func(_ context.Context, _ int, f *ehframe.FDE) (bool, error) {
-				return callconv.Validate(in.Img, f.PCBegin), nil
-			})
-		convOK = make(map[uint64]bool, len(rs))
-		for i, r := range rs {
-			convOK[in.Sec.FDEs[i].PCBegin] = r.Value
-		}
-		if !in.UseStaticHeights {
-			hs := pool.Map(nil, in.Jobs, in.Sec.FDEs,
-				func(_ context.Context, _ int, f *ehframe.FDE) (ehframe.HeightTable, error) {
-					return f.HeightsABI(cfiSP, cfiEntry), nil
-				})
-			heights = make([]ehframe.HeightTable, len(hs))
-			for i, r := range hs {
-				heights[i] = r.Value
-			}
-		}
-	}
 	entryOK := func(a uint64) bool {
-		v, ok := convOK[a]
-		if !ok {
-			v = callconv.Validate(in.Img, a)
-		}
+		v := callconv.Validate(in.Img, a)
 		if in.Obs != nil && in.Obs.OnConv != nil {
 			in.Obs.OnConv(a, v)
 		}
@@ -204,16 +168,11 @@ func Run(in Input) Output {
 		return n
 	}
 
-	for fi, fde := range in.Sec.FDEs {
+	for _, fde := range in.Sec.FDEs {
 		if !out.Funcs[fde.PCBegin] {
 			continue
 		}
-		var ht ehframe.HeightTable
-		if heights != nil {
-			ht = heights[fi]
-		} else {
-			ht = fde.HeightsABI(cfiSP, cfiEntry)
-		}
+		ht := fde.HeightsABI(cfiSP, cfiEntry)
 		var static map[uint64]stackan.Height
 		if in.UseStaticHeights {
 			static = stackan.AnalyzeWithSession(in.Sess, in.Img, fde.PCBegin, fde.End(), stackan.Precise)

@@ -67,7 +67,7 @@ func candidates(img *elfx.Image, res *disasm.Result, ix *DataIndex) []uint64 {
 // eight-byte windows, restricted to values landing in executable code:
 // per-value occurrence counts (DataRefCount's hot query — reference
 // evidence for code addresses) and the sorted distinct values (the
-// data half of Candidates). Sharded runs build one per binary so
+// data half of Candidates). The pipeline builds one per binary so
 // reference-count queries stop rescanning every window. The
 // restriction bounds the index by the executable address range rather
 // than the data size (a distinct-window-count index would be O(data));
@@ -170,12 +170,6 @@ type Options struct {
 	// reuses (and feeds) the binary's shared decode cache instead of
 	// decoding from scratch. Results are byte-identical either way.
 	Session *disasm.Session
-	// Jobs > 1 validates each round's candidates concurrently (on
-	// parallel session forks when Session is set). Validation is a
-	// pure function of the committed disassembly, so precomputing
-	// verdicts in parallel and replaying the sequential accept loop
-	// over them yields the exact sequential result.
-	Jobs int
 	// Index, when set, answers the data-section half of candidate
 	// collection from the precomputed DataIndex instead of rescanning
 	// the sections each round. Output is identical either way.
@@ -220,16 +214,6 @@ func Detect(img *elfx.Image, res *disasm.Result, funcs map[uint64]bool, opts Opt
 	}
 
 	for len(pending) > 0 {
-		// Parallel mode precomputes every verdict the sequential loop
-		// below could ask for. validate is pure in (img, res, c, opts)
-		// — probe sessions change only decode-cache traffic — so the
-		// replayed accept loop is byte-identical to computing verdicts
-		// inline.
-		var precomputed map[uint64]valOutcome
-		if opts.Jobs > 1 {
-			precomputed = validateAll(img, res, pending, funcs, tried, acceptedSet, opts)
-		}
-
 		var next []uint64
 		for _, c := range pending {
 			if tried[c] || funcs[c] || acceptedSet[c] {
@@ -239,14 +223,7 @@ func Detect(img *elfx.Image, res *disasm.Result, funcs map[uint64]bool, opts Opt
 			if insideAccepted(c) {
 				continue
 			}
-			var newRes *disasm.Result
-			var ok bool
-			if precomputed != nil {
-				v := precomputed[c]
-				newRes, ok = v.res, v.ok
-			} else {
-				newRes, ok = validate(img, res, c, opts, probe)
-			}
+			newRes, ok := validate(img, res, c, opts, probe)
 			if opts.Observer != nil {
 				opts.Observer(c, ok, newRes)
 			}
@@ -273,52 +250,6 @@ func Detect(img *elfx.Image, res *disasm.Result, funcs map[uint64]bool, opts Opt
 	}
 	sort.Slice(accepted, func(i, j int) bool { return accepted[i] < accepted[j] })
 	return accepted
-}
-
-// valOutcome is one precomputed candidate verdict.
-type valOutcome struct {
-	res *disasm.Result
-	ok  bool
-}
-
-// validateAll precomputes verdicts for every candidate of a round that
-// the sequential accept loop could validate (everything not already
-// tried, known, or accepted at round start — a superset of what it
-// will actually consult, since within-round skips are unknowable until
-// replay). Candidates validate concurrently on parallel session forks,
-// whose decode overlays are absorbed back in candidate order.
-func validateAll(img *elfx.Image, res *disasm.Result, pending []uint64,
-	funcs, tried, acceptedSet map[uint64]bool, opts Options) map[uint64]valOutcome {
-
-	var todo []uint64
-	in := map[uint64]bool{}
-	for _, c := range pending {
-		if tried[c] || funcs[c] || acceptedSet[c] || in[c] {
-			continue
-		}
-		in[c] = true
-		todo = append(todo, c)
-	}
-	type out struct {
-		v    valOutcome
-		fork *disasm.Session
-	}
-	outs := pool.Map(nil, opts.Jobs, todo, func(_ context.Context, _ int, c uint64) (out, error) {
-		var fork *disasm.Session
-		if opts.Session != nil {
-			fork = opts.Session.ParallelFork()
-		}
-		r, ok := validate(img, res, c, opts, fork)
-		return out{v: valOutcome{res: r, ok: ok}, fork: fork}, nil
-	})
-	verdicts := make(map[uint64]valOutcome, len(todo))
-	for i, o := range outs {
-		if o.Value.fork != nil {
-			opts.Session.Absorb(o.Value.fork)
-		}
-		verdicts[todo[i]] = o.Value.v
-	}
-	return verdicts
 }
 
 // contiguousEnd returns the end of the contiguous instruction run the

@@ -55,26 +55,9 @@ func Summarize(res *Result, verbose bool) []SummaryLine {
 		SummaryLine{"stats.xref_iterations", fmt.Sprintf("%d", st.XrefIterations)},
 		SummaryLine{"stats.xref_converged", fmt.Sprintf("%v", st.XrefConverged)},
 		SummaryLine{"stats.truncated", fmt.Sprintf("%v", st.Truncated)},
-		SummaryLine{"stats.jobs", fmt.Sprintf("%d", st.Jobs)},
 		SummaryLine{"stats.peak_image_bytes", fmt.Sprintf("%d", st.PeakImageBytes)},
 		SummaryLine{"stats.peak_aux_bytes", fmt.Sprintf("%d", st.PeakAuxBytes)},
 	)
-	if st.Jobs > 1 {
-		lines = append(lines,
-			SummaryLine{"stats.sharded_passes", fmt.Sprintf("%d", st.ShardedPasses)},
-			SummaryLine{"stats.shard_fallbacks", fmt.Sprintf("%d", st.ShardFallbacks)},
-			SummaryLine{"stats.merge_wall_ns", fmt.Sprintf("%d (%v)",
-				int64(st.MergeWall), st.MergeWall.Round(time.Microsecond))},
-			SummaryLine{"derived.shards", fmt.Sprintf("%d", len(st.Shards))},
-		)
-		for i, sh := range st.Shards {
-			lines = append(lines, SummaryLine{
-				Name: fmt.Sprintf("derived.shard_%d", i),
-				Value: fmt.Sprintf("seeds=%d decoded=%d reused=%d wall=%v",
-					sh.Seeds, sh.InstsDecoded, sh.InstsReused, sh.Wall.Round(time.Microsecond)),
-			})
-		}
-	}
 	for _, ps := range st.Passes {
 		lines = append(lines, SummaryLine{
 			Name: fmt.Sprintf("stats.passes.%s.wall_ns", ps.Name),
