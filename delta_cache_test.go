@@ -2,12 +2,15 @@ package fetch
 
 import (
 	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"fetch/internal/core"
+	"fetch/internal/ehframe"
 	"fetch/internal/elfx"
 	"fetch/internal/synth"
 )
@@ -226,6 +229,80 @@ func TestDeltaFnTierCorruption(t *testing.T) {
 				t.Fatalf("delta hit off corrupted entries: %+v", st)
 			}
 		})
+	}
+}
+
+// TestDeltaTraceImpossibleInstLen stores a well-formed manifest whose
+// trace claims an instruction length the owner index cannot hold. The
+// trace must fail to load — counted as a manifest miss — and the next
+// build must run cold, never replay against the planted coverage.
+func TestDeltaTraceImpossibleInstLen(t *testing.T) {
+	baseRaw, nextRaw, coldEnc := deltaPair(t)
+	img, err := elfx.LoadELF(nextRaw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simg := img.Strip()
+	eh, ok := simg.Section(".eh_frame")
+	if !ok {
+		t.Fatal("no .eh_frame")
+	}
+	sec, err := ehframe.Decode(eh.Bytes(), eh.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, ok := core.DeltaKey(simg, sec)
+	if !ok {
+		t.Fatal("no delta key")
+	}
+	key := manifestKey(sum, core.FETCH)
+
+	cache, err := NewCache(CacheConfig{MaxEntries: 3 * deltaNumFuncs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Analyze(baseRaw, WithCache(cache)); err != nil {
+		t.Fatal(err)
+	}
+	blob, ok := cache.rc.Get(key)
+	if !ok {
+		t.Fatal("base analysis stored no manifest under the next build's residue key")
+	}
+	var tr core.Trace
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&tr); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.GlobalInsts) == 0 {
+		t.Fatal("trace has no instruction facts")
+	}
+	tr.GlobalInsts[len(tr.GlobalInsts)/2].Len = 256
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&tr); err != nil {
+		t.Fatal(err)
+	}
+	cache.rc.Put(key, buf.Bytes())
+
+	before := cache.Stats()
+	res, err := Analyze(nextRaw, WithCache(cache))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := EncodeResult(StripSchedule(res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, coldEnc) {
+		t.Fatal("served result differs from cold analysis")
+	}
+	if res.Stats.DeltaPath {
+		t.Fatal("delta path replayed a trace with an impossible instruction length")
+	}
+	after := cache.Stats()
+	if got := after.ManifestMisses - before.ManifestMisses; got != 1 {
+		t.Fatalf("manifest misses +%d, want +1", got)
+	}
+	if after.ManifestHits != before.ManifestHits || after.DeltaHits != before.DeltaHits {
+		t.Fatalf("corrupt manifest counted as a hit: before %+v, after %+v", before, after)
 	}
 }
 

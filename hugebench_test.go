@@ -80,12 +80,12 @@ func writeHugeBinary(tb testing.TB, textMiB int) (string, int64) {
 // hugePeakCeiling is the enforced memory budget of the huge-binary
 // benchmark, in peak bytes per byte of executable text. The file-backed
 // path holds no dense per-text-byte array — the decode cache is
-// per-reachable-instruction, the owner index allocates 256 KiB chunks
-// only where coverage lands, the image serves sections from mmap — so
-// an analysis of mostly-cold text sits far below this. Any dense
-// allocation regression (owner index back to one int32 per byte is
-// ratio 4.0, a materialized text copy is ratio 1.0) fails the run
-// outright.
+// per-reachable-instruction, the owner index (one byte per text byte)
+// allocates 64 KiB chunks only where coverage lands, the image serves
+// sections from mmap — so an analysis of mostly-cold text sits far
+// below this. Any dense allocation regression (an eagerly allocated
+// owner index is ratio 1.0, and so is a materialized text copy) fails
+// the run outright.
 const hugePeakCeiling = 0.125
 
 // BenchmarkHugeBinary analyzes a synthesized binary with ≥64 MiB of

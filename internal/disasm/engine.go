@@ -91,8 +91,9 @@ type Result struct {
 	// Errors holds strict-mode validation errors.
 	Errors []Error
 	// owner maps every byte of decoded instructions to the
-	// instruction start covering it.
-	owner ownerMap
+	// instruction start covering it. It is nil on Probe and WalkLocal
+	// results, whose walks returned the borrowed workspace.
+	owner *ownerIndex
 	// tableReads records the data intervals consulted by jump-table
 	// resolution during this walk. A cached verdict derived from the
 	// walk is only reusable while these bytes are unchanged; the delta
@@ -107,13 +108,15 @@ type Result struct {
 	isa arch.ISA
 }
 
-// Covered reports whether addr lies inside any decoded instruction.
+// Covered reports whether addr lies inside any decoded instruction. It
+// is always false on a Probe result, which carries no coverage index.
 func (r *Result) Covered(addr uint64) bool {
 	_, ok := r.owner.get(addr)
 	return ok
 }
 
-// InstStartAt returns the start of the instruction covering addr.
+// InstStartAt returns the start of the instruction covering addr. A
+// Probe result carries no coverage index and reports no instruction.
 func (r *Result) InstStartAt(addr uint64) (uint64, bool) {
 	return r.owner.get(addr)
 }

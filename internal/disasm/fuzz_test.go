@@ -12,7 +12,10 @@ import (
 // blob-derived offsets become seeds, and one warm session commits them
 // as Extend(first half), Extend(second half), then Retract(every third
 // seed). Its result must equal a fresh Recursive over the surviving
-// seeds exactly — references included, in discovery order.
+// seeds exactly — references included, in discovery order. A fork then
+// probes each surviving seed and seed+1 in turn, reusing the one owner
+// workspace: every probe must equal a fresh Recursive under the probe
+// options, and the committed coverage must be unchanged afterwards.
 func FuzzSessionExtend(f *testing.F) {
 	f.Add([]byte{0xC3}, uint8(1))
 	f.Add([]byte{0x55, 0x48, 0x89, 0xE5, 0xC3, 0xE8, 0xF6, 0xFF, 0xFF, 0xFF}, uint8(3))
@@ -88,6 +91,33 @@ func FuzzSessionExtend(f *testing.F) {
 		for a, in := range got.Insts {
 			if _, ok := got.InstStartAt(a); !ok {
 				t.Fatalf("decoded %#x (len %d) not in owner index", a, in.Len)
+			}
+		}
+
+		type owned struct {
+			start uint64
+			ok    bool
+		}
+		before := make([]owned, len(code))
+		for i := range code {
+			before[i].start, before[i].ok = got.InstStartAt(base + uint64(i))
+		}
+		popts := Options{ResolveJumpTables: true, Strict: true, MaxInsts: 64}
+		fork := sess.Fork()
+		for _, sd := range kept {
+			for _, cand := range []uint64{sd, sd + 1} {
+				p := fork.Probe([]uint64{cand}, popts)
+				requireEqualProbe(t, "probe", p, Recursive(img, []uint64{cand}, popts))
+			}
+		}
+		if sess.Result() != got {
+			t.Fatal("probing a fork replaced the committed result")
+		}
+		for i := range code {
+			var now owned
+			now.start, now.ok = got.InstStartAt(base + uint64(i))
+			if now != before[i] {
+				t.Fatalf("committed owner of %#x changed by probes: %+v, was %+v", base+uint64(i), now, before[i])
 			}
 		}
 	})

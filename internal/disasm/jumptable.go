@@ -21,7 +21,7 @@ type jtCtx struct {
 }
 
 // InstEndingAt returns the decoded instruction that ends exactly at
-// addr, scanning the owner map back over the backend's maximum
+// addr, scanning the walk's owner index back over the backend's maximum
 // instruction length.
 func (c jtCtx) InstEndingAt(addr uint64) (*arch.Inst, bool) {
 	start, ok := prevInstIn(c.res, c.isa, addr)
@@ -49,7 +49,9 @@ func (c jtCtx) RecordTableRead(lo, hi uint64) {
 func (c jtCtx) RecordTableBase(table uint64) { c.res.TableBases[table] = true }
 
 // prevInstIn returns the start of the decoded instruction that ends
-// exactly at addr, scanning back at most isa's longest instruction.
+// exactly at addr, scanning back at most isa's longest instruction. It
+// runs mid-walk, while the walk still holds its owner index: its own
+// for a committed pass, the borrowed workspace for Probe and WalkLocal.
 func prevInstIn(res *Result, isa arch.ISA, addr uint64) (uint64, bool) {
 	for back := uint64(1); back <= uint64(isa.MaxInstLen()); back++ {
 		start, ok := res.owner.get(addr - back)

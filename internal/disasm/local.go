@@ -56,7 +56,9 @@ func (f InstFacts) GobEncode() ([]byte, error) {
 	return buf, nil
 }
 
-// GobDecode unpacks the GobEncode form.
+// GobDecode unpacks the GobEncode form. It rejects a zero length and
+// any length the owner index cannot hold (over maxOwnedInstLen), so a
+// corrupt trace fails to load instead of replaying wrong coverage.
 func (f *InstFacts) GobDecode(b []byte) error {
 	rd := func() (uint64, error) {
 		v, n := binary.Uvarint(b)
@@ -80,6 +82,11 @@ func (f *InstFacts) GobDecode(b []byte) error {
 		l, err := rd()
 		if err != nil {
 			return err
+		}
+		if l == 0 || l > maxOwnedInstLen {
+			// No decoder yields such a length, and the owner index
+			// could not represent it: the trace is corrupt.
+			return fmt.Errorf("disasm: InstFacts length %d out of range", l)
 		}
 		prev += d
 		out = append(out, InstFact{Addr: prev, Len: uint16(l)})
@@ -219,11 +226,16 @@ func (lw *LocalWalk) Facts() *LocalFacts { return lw.facts }
 // records pushes that leave the range as facts instead of following
 // them, exactly as the global walk's contribution of this range would
 // appear to every other range. Decodes go through the session cache.
+//
+// Like Probe, the walk records coverage in the session's owner
+// workspace and returns it when done: the walk's private result carries
+// no coverage index, and nothing reads one after the walk.
 func (s *Session) WalkLocal(rng FuncRange, entries []uint64,
 	nonRet, condNonRet map[uint64]bool) *LocalWalk {
 
 	img := s.img
 	facts := &LocalFacts{RefCounts: make(map[uint64]int)}
+	own := s.borrowOwner()
 	res := &Result{
 		isa:        s.isa,
 		Insts:      make(map[uint64]*arch.Inst),
@@ -234,7 +246,7 @@ func (s *Session) WalkLocal(rng FuncRange, entries []uint64,
 		CondNonRet: condNonRet,
 		JTTargets:  make(map[uint64][]uint64),
 		TableBases: make(map[uint64]bool),
-		owner:      ownerMap{m: make(map[uint64]uint64)},
+		owner:      own,
 	}
 	inRange := func(a uint64) bool { return a >= rng.Start && a < rng.End }
 
@@ -287,7 +299,7 @@ func (s *Session) WalkLocal(rng FuncRange, entries []uint64,
 			if _, seen := res.Insts[addr]; seen {
 				break
 			}
-			if owner, mid := res.owner.get(addr); mid && owner != addr {
+			if owner, mid := own.get(addr); mid && owner != addr {
 				res.sawMid = true
 				facts.Flags |= LocalSawMid
 				break
@@ -307,7 +319,7 @@ func (s *Session) WalkLocal(rng FuncRange, entries []uint64,
 				break
 			}
 			res.Insts[addr] = in
-			res.owner.setRange(addr, int(in.Len))
+			own.setRange(addr, int(in.Len))
 			for _, c := range e.consts {
 				res.Constants[c] = true
 			}
@@ -378,6 +390,7 @@ func (s *Session) WalkLocal(rng FuncRange, entries []uint64,
 		}
 	pathDone:
 	}
+	s.returnOwner(res)
 
 	// Project the private result into the sorted fact lists.
 	facts.Insts = make([]InstFact, 0, len(res.Insts))
@@ -565,16 +578,15 @@ func (lw *LocalWalk) CondFacts(entry uint64, isFunc func(uint64) bool) (hasTest 
 // on the original result, with no decoded instruction values behind
 // them. Delta replay uses it to answer the committed-state queries of
 // candidate re-validation (seed rules and phase-overlap checks).
-// It builds the dense owner form directly — one span per address
-// cluster — because the sparse map costs one insert per covered byte,
-// which dominates delta-replay time on large binaries.
+// Persisted facts carry no section layout, so the owner index reserves
+// one span per address cluster instead of one per section.
 func BuildCoverage(facts []InstFact) *Result {
 	if !sort.SliceIsSorted(facts, func(i, j int) bool { return facts[i].Addr < facts[j].Addr }) {
 		sorted := append([]InstFact(nil), facts...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Addr < sorted[j].Addr })
 		facts = sorted
 	}
-	res := &Result{}
+	own := newOwnerIndex(nil)
 	const maxGap = 1 << 16 // start a new span across section-sized holes
 	for i := 0; i < len(facts); {
 		base := facts[i].Addr
@@ -586,16 +598,11 @@ func BuildCoverage(facts []InstFact) *Result {
 			}
 			j++
 		}
-		res.owner.spans = append(res.owner.spans, newOwnerSpan(base, int(end-base)))
-		sp := &res.owner.spans[len(res.owner.spans)-1]
-		for k := i; k < j; k++ {
-			d := facts[k].Addr - base
-			v := int32(d) + 1
-			for b := uint64(0); b < uint64(facts[k].Len); b++ {
-				res.owner.chunk(sp, d+b)[(d+b)&ownerChunkMask] = v
-			}
+		own.spans = append(own.spans, newOwnerSpan(Range{Start: base, End: end}))
+		sp := &own.spans[len(own.spans)-1]
+		for ; i < j; i++ {
+			own.fill(sp, facts[i].Addr-base, int(facts[i].Len))
 		}
-		i = j
 	}
-	return res
+	return &Result{owner: own}
 }

@@ -1,117 +1,170 @@
 package disasm
 
-// ownerMap indexes every byte of decoded instructions to the covering
-// instruction's start. Unbounded passes re-walk whole binaries every
-// round, so they use a dense offset representation per executable
-// section (per-byte map writes dominated the pass profile); short
-// capped probe walks (candidate validation) keep a sparse map, which
-// is cheaper than clearing text-sized arrays per probe. Both
-// representations index identical content — the choice never affects
-// results.
+// ownerIndex maps every byte of decoded instructions to the start of
+// the instruction that last covered it: the coverage queries behind the
+// mid-instruction rule, jump-table back-scans, xref rule (ii), and gap
+// scans. It is the engine's one representation of byte ownership. It
+// stores one byte per text byte: 0 when the byte is uncovered,
+// otherwise 1 + the byte's distance from the start of its owning
+// instruction. Decoded instructions are at most 15 bytes long, well
+// within maxOwnedInstLen, so the distance always fits, whatever the
+// section size.
 //
-// The dense form is chunk-lazy: a span reserves address space for its
-// whole section but allocates 64 Ki-entry chunks only when bytes in
-// them are first written. Huge binaries are mostly padding and data
-// the walk never touches — eager per-byte arrays would cost 4 bytes
-// per text byte per pass regardless, which is exactly the memory the
-// bytes-per-text-byte budget forbids.
-type ownerMap struct {
-	// spans is the dense form, one per executable section, sorted by
-	// base; nil when the sparse form is in use.
+// Storage is chunk-lazy: an index reserves one span per executable
+// section but allocates 64 KiB chunks only when bytes in them are first
+// written. Huge binaries are mostly padding and data the walk never
+// touches; an eager array would cost a byte per text byte per pass
+// regardless.
+//
+// Every chunk is stamped with the epoch it was last written in, and
+// only chunks stamped with the index's current epoch are live. reset
+// therefore empties the whole index in O(1), and a stale chunk is
+// cleared when it is next written. That is what lets the short walks
+// (Probe, WalkLocal) borrow one session-wide workspace index instead of
+// building coverage per walk; committed passes allocate their own.
+type ownerIndex struct {
+	// spans are the reserved sections, sorted by base.
 	spans []ownerSpan
-	// m is the sparse form; nil when the dense form is in use.
-	m map[uint64]uint64
+	// epoch is the live stamp. It is never 0, so never-written
+	// (zero-stamped) chunks always read as stale.
+	epoch uint32
 	// alloc counts bytes of chunk storage allocated so far — the
 	// memory-accounting input for Stats.PeakAuxBytes.
 	alloc int64
+	// borrowed marks a workspace index lent to a running walk.
+	borrowed bool
 }
 
 const (
-	// ownerChunkLen is the dense chunk granule: 64 Ki entries (256 KiB)
+	// ownerChunkShift sets the chunk granule: 64 Ki entries (64 KiB)
 	// balances lazy savings on sparse text against per-write overhead.
 	ownerChunkShift = 16
 	ownerChunkLen   = 1 << ownerChunkShift
 	ownerChunkMask  = ownerChunkLen - 1
+
+	// maxOwnedInstLen is the longest instruction the one-byte encoding
+	// can own; persisted instruction facts beyond it are rejected.
+	maxOwnedInstLen = 255
 )
 
-// ownerSpan covers one executable section of size bytes starting at
-// base: chunk entry (addr-base)&mask of chunk (addr-base)>>shift holds
-// the owning instruction's section offset + 1, or 0 when uncovered.
-// Unallocated chunks read as all-uncovered.
+// ownerSpan covers one reserved address range of size bytes starting
+// at base. Entry (addr-base)&mask of chunk (addr-base)>>shift holds the
+// byte's encoding.
 type ownerSpan struct {
 	base   uint64
-	size   int
-	chunks [][]int32
+	size   uint64
+	chunks []ownerChunk
 }
 
-// newOwnerSpan reserves a dense span without allocating any chunks.
-func newOwnerSpan(base uint64, size int) ownerSpan {
+// ownerChunk is one lazily allocated granule and the epoch it was last
+// written in.
+type ownerChunk struct {
+	b     *[ownerChunkLen]uint8
+	epoch uint32
+}
+
+// newOwnerIndex reserves one span per range without allocating any
+// chunks.
+func newOwnerIndex(layout []Range) *ownerIndex {
+	o := &ownerIndex{spans: make([]ownerSpan, len(layout)), epoch: 1}
+	for i, r := range layout {
+		o.spans[i] = newOwnerSpan(r)
+	}
+	return o
+}
+
+// newOwnerSpan reserves a span over r without allocating any chunks.
+func newOwnerSpan(r Range) ownerSpan {
 	return ownerSpan{
-		base:   base,
-		size:   size,
-		chunks: make([][]int32, (size+ownerChunkLen-1)>>ownerChunkShift),
+		base:   r.Start,
+		size:   r.Len(),
+		chunks: make([]ownerChunk, (r.Len()+ownerChunkLen-1)>>ownerChunkShift),
 	}
 }
 
-// chunk returns the chunk for section offset d, allocating it on first
-// write and charging the allocation to the map's accounting.
-func (o *ownerMap) chunk(sp *ownerSpan, d uint64) []int32 {
-	ci := d >> ownerChunkShift
-	c := sp.chunks[ci]
-	if c == nil {
-		c = make([]int32, ownerChunkLen)
-		sp.chunks[ci] = c
-		o.alloc += ownerChunkLen * 4
+// reset empties the index in O(1) by advancing its epoch. When the
+// epoch wraps, every stamp is cleared so no chunk written 2^32 resets
+// ago can alias the new epoch.
+func (o *ownerIndex) reset() {
+	o.epoch++
+	if o.epoch != 0 {
+		return
 	}
-	return c
+	for i := range o.spans {
+		for j := range o.spans[i].chunks {
+			o.spans[i].chunks[j].epoch = 0
+		}
+	}
+	o.epoch = 1
 }
 
-// get returns the start of the instruction covering addr.
-func (o *ownerMap) get(addr uint64) (uint64, bool) {
-	if o.m != nil {
-		s, ok := o.m[addr]
-		return s, ok
-	}
+// span returns the span containing addr, or nil.
+func (o *ownerIndex) span(addr uint64) *ownerSpan {
 	for i := range o.spans {
 		sp := &o.spans[i]
 		if addr < sp.base {
 			break // spans are sorted; no later span can match
 		}
-		if d := addr - sp.base; d < uint64(sp.size) {
-			c := sp.chunks[d>>ownerChunkShift]
-			if c == nil {
-				return 0, false
-			}
-			if v := c[d&ownerChunkMask]; v != 0 {
-				return sp.base + uint64(v-1), true
-			}
-			return 0, false
+		if addr-sp.base < sp.size {
+			return sp
 		}
+	}
+	return nil
+}
+
+// chunk returns the live chunk for span offset d, allocating it on its
+// first write (charged to alloc) or clearing it on its first write in a
+// new epoch.
+func (o *ownerIndex) chunk(sp *ownerSpan, d uint64) *[ownerChunkLen]uint8 {
+	c := &sp.chunks[d>>ownerChunkShift]
+	if c.epoch != o.epoch {
+		if c.b == nil {
+			c.b = new([ownerChunkLen]uint8)
+			o.alloc += ownerChunkLen
+		} else {
+			*c.b = [ownerChunkLen]uint8{}
+		}
+		c.epoch = o.epoch
+	}
+	return c.b
+}
+
+// get returns the start of the instruction covering addr. A nil index
+// (a result whose walk returned its borrowed workspace) covers nothing.
+func (o *ownerIndex) get(addr uint64) (uint64, bool) {
+	if o == nil {
+		return 0, false
+	}
+	sp := o.span(addr)
+	if sp == nil {
+		return 0, false
+	}
+	d := addr - sp.base
+	c := &sp.chunks[d>>ownerChunkShift]
+	if c.epoch != o.epoch {
+		return 0, false
+	}
+	if v := c.b[d&ownerChunkMask]; v != 0 {
+		return addr - uint64(v-1), true
 	}
 	return 0, false
 }
 
 // setRange marks the n bytes starting at addr as owned by the
-// instruction at addr. Instruction bytes never cross a section end
-// (decode windows are section-bounded), so the run stays in one span.
-func (o *ownerMap) setRange(addr uint64, n int) {
-	if o.m != nil {
-		for b := addr; b < addr+uint64(n); b++ {
-			o.m[b] = addr
-		}
-		return
+// instruction at addr; n must not exceed maxOwnedInstLen. Instruction
+// bytes never cross a section end (decode windows are section-bounded),
+// so the run stays in one span, though it may straddle two chunks.
+func (o *ownerIndex) setRange(addr uint64, n int) {
+	if sp := o.span(addr); sp != nil {
+		o.fill(sp, addr-sp.base, n)
 	}
-	for i := range o.spans {
-		sp := &o.spans[i]
-		if addr < sp.base {
-			break
-		}
-		if d := addr - sp.base; d < uint64(sp.size) {
-			v := int32(d) + 1
-			for k := d; k < d+uint64(n); k++ {
-				o.chunk(sp, k)[k&ownerChunkMask] = v
-			}
-			return
-		}
+}
+
+// fill marks the n bytes at offset d of sp as owned by the instruction
+// starting at d.
+func (o *ownerIndex) fill(sp *ownerSpan, d uint64, n int) {
+	for k := 0; k < n; k++ {
+		dk := d + uint64(k)
+		o.chunk(sp, dk)[dk&ownerChunkMask] = uint8(k + 1)
 	}
 }

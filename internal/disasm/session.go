@@ -33,29 +33,30 @@ type Stats struct {
 	// and probe walks.
 	FixedPointPasses int
 
-	// PeakAuxBytes is the high-water accounted estimate of one pass's
-	// auxiliary memory: owner-index chunk allocations plus the decode
-	// cache and sparse-owner entries at documented per-entry costs. It
-	// is an accounting of data-structure growth (deterministic for a
-	// given call sequence), not a heap measurement; like the decode
-	// counters it is an execution trace, so StripSchedule zeroes it.
+	// PeakAuxBytes is the high-water accounted estimate of the
+	// auxiliary memory held at the end of any one pass: that pass's own
+	// owner-index chunks (committed passes only), the chunks of the
+	// owner workspace shared by Probe and WalkLocal walks for as long
+	// as the session holds them, and the decode cache at a documented
+	// per-entry cost. It is an accounting of data-structure growth
+	// (deterministic for a given call sequence), not a heap
+	// measurement; like the decode counters it is an execution trace,
+	// so StripSchedule zeroes it.
 	PeakAuxBytes int64
 }
 
-// Accounted per-entry costs behind PeakAuxBytes: a decode-cache entry
-// is a map slot plus a heap arch.Inst; a sparse-owner entry is one
-// uint64→uint64 map slot.
-const (
-	decodeEntryCost = 160
-	sparseOwnerCost = 16
-)
+// decodeEntryCost is the accounted cost behind PeakAuxBytes of one
+// decode-cache entry: a map slot plus a heap arch.Inst.
+const decodeEntryCost = 160
 
 // notePassMem folds one finished pass's data-structure footprint into
-// the PeakAuxBytes high-water mark.
+// the PeakAuxBytes high-water mark. A walk-scoped pass has returned its
+// workspace by now (res.owner is nil), so only the workspace's own
+// total is charged for it.
 func (s *Session) notePassMem(res *Result) {
-	aux := res.owner.alloc + int64(len(s.cache))*decodeEntryCost
-	if res.owner.m != nil {
-		aux += int64(len(res.owner.m)) * sparseOwnerCost
+	aux := s.ws.alloc + int64(len(s.cache))*decodeEntryCost
+	if res.owner != nil {
+		aux += res.owner.alloc
 	}
 	if aux > s.stats.PeakAuxBytes {
 		s.stats.PeakAuxBytes = aux
@@ -109,12 +110,12 @@ type Session struct {
 	stats *Stats
 	seeds []uint64
 	res   *Result
-	// ownerProto is the executable-section layout (sorted by base) the
-	// dense owner index is allocated from.
-	ownerProto []struct {
-		base uint64
-		size int
-	}
+	// layout is the executable-section layout (sorted by base) every
+	// owner index reserves its spans from.
+	layout []Range
+	// ws is the owner workspace that Probe and WalkLocal walks borrow.
+	// Forks share it, as they share the decode cache.
+	ws *ownerIndex
 	// obs, when set, observes every committed pass (Extend, Retract,
 	// Rerun); probes and forks never report. observing gates the hook to
 	// committed exec calls only.
@@ -147,55 +148,51 @@ func NewSession(img *elfx.Image, opts Options) *Session {
 		stats: &Stats{ColdStarts: 1},
 	}
 	for _, sec := range img.ExecSections() {
-		s.ownerProto = append(s.ownerProto, struct {
-			base uint64
-			size int
-		}{sec.Addr, int(sec.Size())})
+		s.layout = append(s.layout, Range{Start: sec.Addr, End: sec.End()})
 	}
+	s.ws = newOwnerIndex(s.layout)
 	return s
 }
 
-// maxDenseOwnerSection bounds the dense owner representation: offsets
-// are stored as int32(offset)+1, so sections at or beyond 2 GiB must
-// use the sparse map to avoid wrap-around.
-const maxDenseOwnerSection = 1 << 31
+// borrowOwner lends the session's workspace index, empty, to one walk.
+// Walks never nest, so a second borrow before the first is returned is
+// a bug.
+func (s *Session) borrowOwner() *ownerIndex {
+	ws := s.ws
+	if ws.borrowed {
+		panic("disasm: owner workspace borrowed while another walk holds it")
+	}
+	ws.reset()
+	ws.borrowed = true
+	return ws
+}
 
-// newOwner picks the owner representation for one pass: dense arrays
-// for unbounded re-walks, a sparse map for short capped probes (where
-// clearing text-sized arrays would dominate) and for images whose
-// sections exceed the dense offset range.
-func (s *Session) newOwner(opts Options) ownerMap {
-	if opts.MaxInsts > 0 {
-		return ownerMap{m: make(map[uint64]uint64)}
-	}
-	for _, p := range s.ownerProto {
-		if p.size >= maxDenseOwnerSection {
-			return ownerMap{m: make(map[uint64]uint64)}
-		}
-	}
-	spans := make([]ownerSpan, len(s.ownerProto))
-	for i, p := range s.ownerProto {
-		spans[i] = newOwnerSpan(p.base, p.size)
-	}
-	return ownerMap{spans: spans}
+// returnOwner ends a walk's borrow and detaches the workspace from the
+// walk's result, which then carries no coverage index.
+func (s *Session) returnOwner(res *Result) {
+	s.ws.borrowed = false
+	res.owner = nil
 }
 
 // Fork returns a cheap copy-on-write view of the session: the decode
-// cache and stats are shared (new decodes made by the fork benefit the
-// parent and vice versa — decodes are pure, so this is safe), while
-// the committed seed list and result are the fork's own. Use a fork to
-// probe speculative decodes, e.g. §IV-E candidate validation, without
-// corrupting the main state. A fork is serial like its parent.
+// cache, stats and owner workspace are shared (new decodes made by the
+// fork benefit the parent and vice versa — decodes are pure, so this is
+// safe), while the committed seed list and result are the fork's own.
+// Use a fork to probe speculative decodes, e.g. §IV-E candidate
+// validation, without corrupting the main state. A fork is serial like
+// its parent.
 func (s *Session) Fork() *Session {
 	s.stats.Forks++
 	return &Session{
-		img:   s.img,
-		isa:   s.isa,
-		opts:  s.opts,
-		cache: s.cache,
-		stats: s.stats,
-		seeds: append([]uint64(nil), s.seeds...),
-		res:   s.res,
+		img:    s.img,
+		isa:    s.isa,
+		opts:   s.opts,
+		cache:  s.cache,
+		stats:  s.stats,
+		seeds:  append([]uint64(nil), s.seeds...),
+		res:    s.res,
+		layout: s.layout,
+		ws:     s.ws,
 	}
 }
 
@@ -257,7 +254,7 @@ func (s *Session) Rerun(seeds []uint64) *Result {
 // committed calls) stay silent.
 func (s *Session) execCommitted(seeds []uint64, opts Options) *Result {
 	s.observing = true
-	res := s.exec(seeds, opts)
+	res := s.exec(seeds, opts, false)
 	s.observing = false
 	return res
 }
@@ -266,21 +263,32 @@ func (s *Session) execCommitted(seeds []uint64, opts Options) *Result {
 // the committed seed list or result. Candidate validation and
 // jump-table resolution use it (through a Fork) for speculative
 // decodes.
+//
+// The walk records coverage in the session's owner workspace and
+// returns it when done, so the result carries no coverage index:
+// Covered and InstStartAt report nothing on it. Every other field is
+// byte-identical to Recursive(img, seeds, opts).
 func (s *Session) Probe(seeds []uint64, opts Options) *Result {
 	s.stats.Probes++
-	return s.exec(seeds, opts)
+	return s.exec(seeds, opts, true)
 }
 
 // exec runs the full Recursive fixed point from the given seeds with
 // cached decoding. Knowledge always restarts from empty so the
 // iteration trajectory — and therefore the result — matches a
-// from-scratch run exactly.
-func (s *Session) exec(seeds []uint64, opts Options) *Result {
+// from-scratch run exactly. A scoped exec's passes borrow the owner
+// workspace; the others allocate an owner index per pass.
+func (s *Session) exec(seeds []uint64, opts Options, scoped bool) *Result {
 	nonRet := map[uint64]bool{}
 	condNonRet := map[uint64]bool{}
 	var res *Result
 	for iter := 0; iter < 6; iter++ {
-		res = s.pass(seeds, opts, nonRet, condNonRet)
+		if scoped {
+			res = s.pass(seeds, opts, nonRet, condNonRet, s.borrowOwner())
+			s.returnOwner(res)
+		} else {
+			res = s.pass(seeds, opts, nonRet, condNonRet, newOwnerIndex(s.layout))
+		}
 		s.notePassMem(res)
 		if s.observing && s.obs != nil {
 			s.obs.OnPass(nonRet, condNonRet, res)
@@ -328,9 +336,10 @@ func (s *Session) decode(addr uint64) decodeEntry {
 
 // pass performs one full recursive descent with the current
 // non-return knowledge, identical to the historical from-scratch pass
-// except that instruction decodes come from the session cache.
+// except that instruction decodes come from the session cache. It
+// records coverage in own, which must be empty.
 func (s *Session) pass(seeds []uint64, opts Options,
-	nonRet, condNonRet map[uint64]bool) *Result {
+	nonRet, condNonRet map[uint64]bool, own *ownerIndex) *Result {
 
 	s.stats.FixedPointPasses++
 	img := s.img
@@ -344,7 +353,7 @@ func (s *Session) pass(seeds []uint64, opts Options,
 		CondNonRet: condNonRet,
 		JTTargets:  make(map[uint64][]uint64),
 		TableBases: make(map[uint64]bool),
-		owner:      s.newOwner(opts),
+		owner:      own,
 	}
 
 	type workItem struct {
@@ -395,7 +404,7 @@ func (s *Session) pass(seeds []uint64, opts Options,
 			if _, seen := res.Insts[addr]; seen {
 				break
 			}
-			if owner, mid := res.owner.get(addr); mid && owner != addr {
+			if owner, mid := own.get(addr); mid && owner != addr {
 				// The walk's one order-sensitive rule that leaves no
 				// trace in the instruction set: record that it fired
 				// so delta re-analysis refuses to reuse this walk.
@@ -418,7 +427,7 @@ func (s *Session) pass(seeds []uint64, opts Options,
 			}
 			in := e.inst
 			res.Insts[addr] = in
-			res.owner.setRange(addr, int(in.Len))
+			own.setRange(addr, int(in.Len))
 			for _, c := range e.consts {
 				res.Constants[c] = true
 			}

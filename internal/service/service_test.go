@@ -295,10 +295,14 @@ func TestMethodDiscipline(t *testing.T) {
 
 // TestBoundedInFlight drives many concurrent distinct uploads through
 // a MaxInFlight=1 server and asserts the high-water mark of concurrent
-// analyses never exceeded the bound.
+// analyses never exceeded the bound. The queue holds every upload, so
+// none is refused: with a shorter queue, a 429 would be correct
+// admission behaviour, not a violation of the bound.
 func TestBoundedInFlight(t *testing.T) {
-	svc, ts := newTestServer(t, 1)
 	const n = 6
+	svc := newAdmissionServer(t, Config{MaxInFlight: 1, MaxQueued: n})
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
