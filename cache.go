@@ -157,18 +157,8 @@ func HashBinary(data []byte) [sha256.Size]byte {
 // populates the entries it serves. The Result is freshly decoded and
 // owned by the caller.
 func (c *Cache) Get(sum [sha256.Size]byte, opts ...Option) (*Result, bool) {
-	o := buildOptions(opts)
-	blob, ok := c.rc.Get(cacheKey(sum, o.Strategy))
-	if !ok {
-		return nil, false
-	}
-	res, err := DecodeResult(blob)
-	if err != nil {
-		// An undecodable entry (e.g. written by a newer build within
-		// the same schema version) is a miss, not an error.
-		return nil, false
-	}
-	return res, true
+	res, _, ok := c.lookup(cacheKey(sum, buildOptions(opts).Strategy))
+	return res, ok
 }
 
 // Analyze is Analyze-with-WithCache plus hit observability: it runs
@@ -193,17 +183,19 @@ func (c *Cache) AnalyzeFile(path string, opts ...Option) (res *Result, cached bo
 	return analyzeFilePath(path, o)
 }
 
-// lookup returns the decoded entry for a key, if present and valid.
-func (c *Cache) lookup(k resultcache.Key) (*Result, bool) {
+// lookup returns the decoded entry for a key and its stored encoding,
+// if present and valid. An undecodable entry (e.g. written by a newer
+// build within the same schema version) is a miss, not an error.
+func (c *Cache) lookup(k resultcache.Key) (*Result, []byte, bool) {
 	blob, ok := c.rc.Get(k)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	res, err := DecodeResult(blob)
 	if err != nil {
-		return nil, false
+		return nil, nil, false
 	}
-	return res, true
+	return res, blob, true
 }
 
 // store serializes and saves an analysis result under a key. Encoding
@@ -331,27 +323,31 @@ func (c *Cache) fnRangeBytes(start uint64, sum [sha256.Size]byte) []byte {
 
 // tryDelta attempts to serve a whole-binary miss by delta re-analysis:
 // find a recorded trace with the same residue, verify the changed
-// ranges are analysis-equivalent, and serve the recorded result. The
-// bool reports success; on failure the DeltaOutcome carries the
-// fallback reason (zero value when the attempt never got to
-// verification).
-func (c *Cache) tryDelta(img *elfx.Image, sec *ehframe.Section, o Options) (*Result, core.DeltaOutcome, bool) {
+// ranges are analysis-equivalent, and serve the recorded result. On
+// success it returns the decoded result and the recorded entry's
+// stored encoding, which the caller re-stores as-is under the new
+// binary's key. The bool reports success; on failure the DeltaOutcome
+// carries the fallback reason (zero value when the attempt never got
+// to verification).
+func (c *Cache) tryDelta(img *elfx.Image, sec *ehframe.Section, o Options) (*Result, []byte, core.DeltaOutcome, bool) {
 	var zero core.DeltaOutcome
 	if !c.delta || img == nil || sec == nil {
-		return nil, zero, false
+		return nil, nil, zero, false
 	}
-	sum, ok := core.DeltaKey(img, sec)
+	sum, roster, ok := core.DeltaKey(img, sec)
 	if !ok {
-		return nil, zero, false
+		return nil, nil, zero, false
 	}
 	tr, ok := c.loadTrace(sum, o.Strategy)
 	if !ok {
-		return nil, zero, false
+		return nil, nil, zero, false
 	}
 	outcome := core.ReplayDelta(core.DeltaInput{
 		Img:      img,
 		Sec:      sec,
 		Trace:    tr,
+		Roster:   roster,
+		Residue:  sum,
 		Strategy: o.Strategy,
 		OldRangeBytes: func(i int) []byte {
 			return c.fnRangeBytes(tr.Roster[i].Start, tr.Roster[i].Hash)
@@ -359,16 +355,16 @@ func (c *Cache) tryDelta(img *elfx.Image, sec *ehframe.Section, o Options) (*Res
 	})
 	if !outcome.OK {
 		c.deltaFallbacks.Add(1)
-		return nil, outcome, false
+		return nil, nil, outcome, false
 	}
-	res, ok := c.lookup(cacheKey(tr.BinSHA, o.Strategy))
+	res, blob, ok := c.lookup(cacheKey(tr.BinSHA, o.Strategy))
 	if !ok {
 		// The recorded result itself was evicted; nothing to serve.
 		c.deltaFallbacks.Add(1)
 		outcome.OK = false
 		outcome.Reason = "recorded result evicted"
-		return nil, outcome, false
+		return nil, nil, outcome, false
 	}
 	c.deltaHits.Add(1)
-	return res, outcome, true
+	return res, blob, outcome, true
 }

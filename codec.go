@@ -182,26 +182,26 @@ func EncodeResult(res *Result) ([]byte, error) {
 // fields and unknown schema versions are errors, never silently
 // dropped, so a consumer cannot misread an encoding produced by a
 // different codec version.
+//
+// A well-formed document is parsed once. Only a failed or
+// wrong-schema decode pays a second, lenient parse, which finds the
+// error to report: a syntax error first, then a schema mismatch, and
+// only then whatever the strict decode rejected.
 func DecodeResult(data []byte) (*Result, error) {
-	var probe struct {
-		Schema int `json:"schema"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("fetch: decoding result: %w", err)
-	}
-	if probe.Schema != ResultSchemaVersion {
-		return nil, fmt.Errorf("fetch: result schema version %d, want %d",
-			probe.Schema, ResultSchemaVersion)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var jr jsonResult
-	if err := dec.Decode(&jr); err != nil {
-		return nil, fmt.Errorf("fetch: decoding result: %w", err)
-	}
-	var extra json.RawMessage
-	if err := dec.Decode(&extra); err != io.EOF {
-		return nil, fmt.Errorf("fetch: trailing data after result document")
+	err := decodeStrict(data, &jr)
+	if err != nil || jr.Schema != ResultSchemaVersion {
+		var probe struct {
+			Schema int `json:"schema"`
+		}
+		if perr := json.Unmarshal(data, &probe); perr != nil {
+			return nil, fmt.Errorf("fetch: decoding result: %w", perr)
+		}
+		if probe.Schema != ResultSchemaVersion {
+			return nil, fmt.Errorf("fetch: result schema version %d, want %d",
+				probe.Schema, ResultSchemaVersion)
+		}
+		return nil, err
 	}
 	res := &Result{
 		FunctionStarts:       fromHexSlice(jr.FunctionStarts),
@@ -244,4 +244,19 @@ func DecodeResult(data []byte) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// decodeStrict decodes exactly one jsonResult document from data,
+// rejecting unknown fields and trailing data.
+func decodeStrict(data []byte, jr *jsonResult) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(jr); err != nil {
+		return fmt.Errorf("fetch: decoding result: %w", err)
+	}
+	var extra json.RawMessage
+	if err := dec.Decode(&extra); err != io.EOF {
+		return fmt.Errorf("fetch: trailing data after result document")
+	}
+	return nil
 }

@@ -128,6 +128,53 @@ func TestDecodeRejectsWrongSchemaAndUnknownFields(t *testing.T) {
 	}
 }
 
+// TestDecodeErrorsUnchangedByParseOnce pins the error DecodeResult
+// reports now that a well-formed document is parsed once: a wrong
+// schema still wins over an unknown field, and every malformed input
+// reports what the schema probe followed by the strict decode reported
+// before.
+func TestDecodeErrorsUnchangedByParseOnce(t *testing.T) {
+	blob, err := EncodeResult(codecSample(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := fmt.Sprintf(`"schema": %d`, ResultSchemaVersion)
+	both := strings.Replace(string(blob), schema, `"schema": 4, "surprise": 1`, 1)
+	if _, err := DecodeResult([]byte(both)); err == nil ||
+		err.Error() != fmt.Sprintf("fetch: result schema version 4, want %d", ResultSchemaVersion) {
+		t.Fatalf("wrong schema and unknown field: %v", err)
+	}
+
+	// probeThenDecode is the two-parse decoder DecodeResult replaced.
+	probeThenDecode := func(data []byte) error {
+		var probe struct {
+			Schema int `json:"schema"`
+		}
+		if err := json.Unmarshal(data, &probe); err != nil {
+			return fmt.Errorf("fetch: decoding result: %w", err)
+		}
+		if probe.Schema != ResultSchemaVersion {
+			return fmt.Errorf("fetch: result schema version %d, want %d", probe.Schema, ResultSchemaVersion)
+		}
+		var jr jsonResult
+		return decodeStrict(data, &jr)
+	}
+	for _, in := range []string{
+		"", "{", "[]", "null", `{"schema": "5"}`, both,
+		strings.Replace(string(blob), schema, schema+`, "surprise": 1`, 1),
+		string(blob) + "{" + schema + "}",
+		string(blob) + "}",
+		"{" + schema + `, "fde_starts": ["zz"]}`,
+		"{" + schema + `, "stats": {"passes": 3}}`,
+	} {
+		_, got := DecodeResult([]byte(in))
+		want := probeThenDecode([]byte(in))
+		if got == nil || want == nil || got.Error() != want.Error() {
+			t.Errorf("DecodeResult(%.40q) error %v, want %v", in, got, want)
+		}
+	}
+}
+
 // TestCodecGolden pins the serialized schema byte-for-byte: any codec
 // change that alters the wire form fails here and must come with a
 // ResultSchemaVersion bump plus a docs/API.md update. Refresh with

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -237,6 +238,74 @@ func TestDeltaFnTierCorruption(t *testing.T) {
 // trace must fail to load — counted as a manifest miss — and the next
 // build must run cold, never replay against the planted coverage.
 func TestDeltaTraceImpossibleInstLen(t *testing.T) {
+	requirePlantedTraceMisses(t, func(tr *core.Trace) []byte {
+		if len(tr.GlobalInsts) == 0 {
+			t.Fatal("trace has no instruction facts")
+		}
+		tr.GlobalInsts[len(tr.GlobalInsts)/2].Len = 256
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(tr); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	})
+}
+
+// TestDeltaTraceTruncatedRoster stores a manifest whose packed roster
+// is cut short by one byte, with every other field intact. The roster
+// must fail to decode, so the trace counts as a manifest miss and the
+// next build runs cold.
+func TestDeltaTraceTruncatedRoster(t *testing.T) {
+	requirePlantedTraceMisses(t, func(tr *core.Trace) []byte {
+		roster, err := tr.Roster.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return encodeTraceWithRoster(t, tr, roster[:len(roster)-1])
+	})
+}
+
+// rawGob is a gob field whose encoding is its bytes verbatim.
+type rawGob []byte
+
+func (r rawGob) GobEncode() ([]byte, error) { return r, nil }
+
+// encodeTraceWithRoster gob-encodes tr with the Roster field's packed
+// bytes replaced by roster. It encodes a mirror struct of core.Trace,
+// field for field, whose Roster is a rawGob: gob matches fields by
+// name, so the mirror decodes as a core.Trace.
+func encodeTraceWithRoster(t *testing.T, tr *core.Trace, roster []byte) []byte {
+	t.Helper()
+	v := reflect.ValueOf(tr).Elem()
+	fields := make([]reflect.StructField, v.NumField())
+	for i := range fields {
+		f := v.Type().Field(i)
+		fields[i] = reflect.StructField{Name: f.Name, Type: f.Type}
+		if f.Name == "Roster" {
+			fields[i].Type = reflect.TypeOf(rawGob(nil))
+		}
+	}
+	mirror := reflect.New(reflect.StructOf(fields)).Elem()
+	for i := range fields {
+		if fields[i].Name == "Roster" {
+			mirror.Field(i).Set(reflect.ValueOf(rawGob(roster)))
+			continue
+		}
+		mirror.Field(i).Set(v.Field(i))
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(mirror.Addr().Interface()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// requirePlantedTraceMisses records the base build's trace, replaces
+// the manifest the next build will look up with plant's encoding of a
+// damaged copy, and requires that the next build counts one manifest
+// miss, takes no delta path, and still equals a cold analysis.
+func requirePlantedTraceMisses(t *testing.T, plant func(*core.Trace) []byte) {
+	t.Helper()
 	baseRaw, nextRaw, coldEnc := deltaPair(t)
 	img, err := elfx.LoadELF(nextRaw)
 	if err != nil {
@@ -251,7 +320,7 @@ func TestDeltaTraceImpossibleInstLen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, ok := core.DeltaKey(simg, sec)
+	sum, _, ok := core.DeltaKey(simg, sec)
 	if !ok {
 		t.Fatal("no delta key")
 	}
@@ -272,15 +341,7 @@ func TestDeltaTraceImpossibleInstLen(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&tr); err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.GlobalInsts) == 0 {
-		t.Fatal("trace has no instruction facts")
-	}
-	tr.GlobalInsts[len(tr.GlobalInsts)/2].Len = 256
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&tr); err != nil {
-		t.Fatal(err)
-	}
-	cache.rc.Put(key, buf.Bytes())
+	cache.rc.Put(key, plant(&tr))
 
 	before := cache.Stats()
 	res, err := Analyze(nextRaw, WithCache(cache))
@@ -295,7 +356,7 @@ func TestDeltaTraceImpossibleInstLen(t *testing.T) {
 		t.Fatal("served result differs from cold analysis")
 	}
 	if res.Stats.DeltaPath {
-		t.Fatal("delta path replayed a trace with an impossible instruction length")
+		t.Fatal("delta path replayed a damaged trace")
 	}
 	after := cache.Stats()
 	if got := after.ManifestMisses - before.ManifestMisses; got != 1 {

@@ -260,7 +260,7 @@ func analyzeCached(data []byte, o Options) (*Result, bool, error) {
 		return res, false, err
 	}
 	key := cacheKey(resultcache.HashBytes(data), o.Strategy)
-	if res, ok := o.Cache.lookup(key); ok {
+	if res, _, ok := o.Cache.lookup(key); ok {
 		return res, true, nil
 	}
 	img, err := elfx.LoadELF(data)
@@ -289,7 +289,7 @@ func analyzeFilePath(path string, o Options) (*Result, bool, error) {
 		return nil, false, fmt.Errorf("fetch: %w", err)
 	}
 	key := cacheKey(sum, o.Strategy)
-	if res, ok := o.Cache.lookup(key); ok {
+	if res, _, ok := o.Cache.lookup(key); ok {
 		return res, true, nil
 	}
 	img, err := elfx.LoadELFFile(path)
@@ -310,12 +310,14 @@ func analyzeImageCached(key resultcache.Key, img *elfx.Image, o Options) (*Resul
 	if eh, ok := simg.Section(".eh_frame"); ok {
 		sec, _ = ehframe.Decode(eh.Bytes(), eh.Addr)
 	}
-	res, outcome, served := o.Cache.tryDelta(simg, sec, o)
+	res, blob, outcome, served := o.Cache.tryDelta(simg, sec, o)
 	if served {
-		// Store the canonical (delta-stat-free) result under the new
+		// Store the canonical (delta-stat-free) encoding under the new
 		// binary's key first, so the next identical request is a plain
-		// hit; only the returned copy carries the delta markers.
-		o.Cache.store(key, res)
+		// hit; only the returned copy carries the delta markers. The
+		// recorded entry is that encoding already, so it is stored
+		// as-is rather than re-encoded.
+		o.Cache.rc.Put(key, blob)
 		res.Stats.DeltaPath = true
 		res.Stats.DeltaDirtyRanges = outcome.DirtyRanges
 		res.Stats.DeltaTotalRanges = outcome.TotalRanges

@@ -79,13 +79,14 @@ func writeHugeBinary(tb testing.TB, textMiB int) (string, int64) {
 
 // hugePeakCeiling is the enforced memory budget of the huge-binary
 // benchmark, in peak bytes per byte of executable text. The file-backed
-// path holds no dense per-text-byte array — the decode cache is
-// per-reachable-instruction, the owner index (one byte per text byte)
-// allocates 64 KiB chunks only where coverage lands, the image serves
+// path holds no eager per-text-byte array — the owner index (one byte
+// per text byte), the decode index and the two walk-mark sets (four
+// bytes per text byte each) allocate 64 KiB chunks only where the walks
+// land, decode entries are per reachable instruction, the image serves
 // sections from mmap — so an analysis of mostly-cold text sits far
 // below this. Any dense allocation regression (an eagerly allocated
-// owner index is ratio 1.0, and so is a materialized text copy) fails
-// the run outright.
+// owner index is ratio 1.0, an eager decode index or mark set 4.0, and
+// a materialized text copy 1.0) fails the run outright.
 const hugePeakCeiling = 0.125
 
 // BenchmarkHugeBinary analyzes a synthesized binary with ≥64 MiB of

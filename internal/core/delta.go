@@ -56,15 +56,17 @@ const envEnumCap = 5
 
 // DeltaKey computes the residue hash that addresses a binary's delta
 // trace: equal keys mean the binaries differ at most inside their
-// (identical) FDE-delimited roster ranges. ok=false means the binary
-// admits no sound range decomposition and the delta path does not
-// apply.
-func DeltaKey(img *elfx.Image, sec *ehframe.Section) ([32]byte, bool) {
+// (identical) FDE-delimited roster ranges. It also returns the roster
+// the hash covers (range hashes unset), which ReplayDelta accepts as
+// DeltaInput.Roster instead of rebuilding it. ok=false means the
+// binary admits no sound range decomposition and the delta path does
+// not apply.
+func DeltaKey(img *elfx.Image, sec *ehframe.Section) ([32]byte, []RangeInfo, bool) {
 	roster, ok := buildRoster(img, sec)
 	if !ok || len(roster) == 0 {
-		return [32]byte{}, false
+		return [32]byte{}, nil, false
 	}
-	return residueHash(img, roster), true
+	return residueHash(img, roster), roster, true
 }
 
 // RangeBytes returns the bytes of one roster range — the
@@ -80,6 +82,10 @@ type DeltaInput struct {
 	Sec *ehframe.Section
 	// Trace is the recorded trace whose residue hash matched.
 	Trace *Trace
+	// Roster and Residue are the new binary's roster and residue hash
+	// as DeltaKey returned them.
+	Roster  []RangeInfo
+	Residue [32]byte
 	// OldRangeBytes returns the recorded bytes of roster range i (the
 	// function-tier payload), or nil when unavailable; unavailable
 	// bytes for a changed range force a fallback.
@@ -109,10 +115,7 @@ func ReplayDelta(in DeltaInput) DeltaOutcome {
 		return DeltaOutcome{Reason: fmt.Sprintf(format, args...), TotalRanges: len(tr.Roster)}
 	}
 
-	roster, ok := buildRoster(in.Img, in.Sec)
-	if !ok {
-		return fail("roster: no sound range decomposition")
-	}
+	roster := in.Roster
 	if len(roster) != len(tr.Roster) {
 		return fail("roster: range count %d != recorded %d", len(roster), len(tr.Roster))
 	}
@@ -121,7 +124,7 @@ func ReplayDelta(in DeltaInput) DeltaOutcome {
 			return fail("roster: geometry mismatch at range %d", i)
 		}
 	}
-	if residueHash(in.Img, roster) != tr.ResidueHash {
+	if in.Residue != tr.ResidueHash {
 		return fail("residue: hash mismatch")
 	}
 
@@ -493,27 +496,24 @@ func verifyTailJumps(img *elfx.Image, sec *ehframe.Section, tr *Trace, dirty []i
 // with the fresh local coverage: the committed coverage the new
 // binary's pipeline would hold.
 func substituteCoverage(tr *Trace, dirty []int, freshFacts map[int]*disasm.LocalFacts) []disasm.InstFact {
-	inDirty := func(a uint64) bool {
-		for _, i := range dirty {
-			if a >= tr.Roster[i].Start && a < tr.Roster[i].End {
-				return true
-			}
-		}
-		return false
-	}
 	// Both inputs are address-sorted (the recorded skeleton by
 	// construction, the fresh facts because dirty ranges are disjoint
 	// and ascending), so a linear merge keeps the output sorted —
 	// BuildCoverage depends on that to build its dense form directly.
+	// The same order lets one cursor track the first dirty range not
+	// yet passed.
 	var fresh []disasm.InstFact
 	for _, i := range dirty {
 		fresh = append(fresh, freshFacts[i].Insts...)
 	}
 	out := make([]disasm.InstFact, 0, len(tr.GlobalInsts)+len(fresh))
-	k := 0
+	k, d := 0, 0
 	for _, f := range tr.GlobalInsts {
-		if inDirty(f.Addr) {
-			continue
+		for d < len(dirty) && tr.Roster[dirty[d]].End <= f.Addr {
+			d++
+		}
+		if d < len(dirty) && f.Addr >= tr.Roster[dirty[d]].Start {
+			continue // inside a dirty range
 		}
 		for k < len(fresh) && fresh[k].Addr < f.Addr {
 			out = append(out, fresh[k])

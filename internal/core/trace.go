@@ -3,6 +3,8 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash"
 	"sort"
 
@@ -78,6 +80,74 @@ type RangeInfo struct {
 	Foreign bool
 }
 
+// Roster is a persistable range roster. It carries a packed gob form,
+// like disasm.InstFacts: the generic gob path decodes each [32]byte
+// hash one byte at a time, which dominates trace decode time on
+// binaries with thousands of FDEs.
+type Roster []RangeInfo
+
+var errBadRoster = errors.New("core: malformed roster")
+
+// rosterEntryMin is the smallest packed range: two one-byte uvarints,
+// the flag byte, and the hash.
+const rosterEntryMin = 3 + 32
+
+// GobEncode packs the roster as a uvarint count, then per range: Start
+// and End-Start as uvarints, a Foreign byte (0 or 1), and the 32-byte
+// hash.
+func (r Roster) GobEncode() ([]byte, error) {
+	buf := make([]byte, 0, binary.MaxVarintLen64+len(r)*(2*binary.MaxVarintLen64+1+32))
+	buf = binary.AppendUvarint(buf, uint64(len(r)))
+	for _, ri := range r {
+		if ri.End < ri.Start {
+			return nil, fmt.Errorf("core: roster range %#x ends before it starts", ri.Start)
+		}
+		buf = binary.AppendUvarint(buf, ri.Start)
+		buf = binary.AppendUvarint(buf, ri.End-ri.Start)
+		var foreign byte
+		if ri.Foreign {
+			foreign = 1
+		}
+		buf = append(buf, foreign)
+		buf = append(buf, ri.Hash[:]...)
+	}
+	return buf, nil
+}
+
+// GobDecode unpacks the GobEncode form. Truncated, overlong or
+// otherwise malformed input is an error, so a damaged manifest fails
+// to load rather than replaying against a wrong roster.
+func (r *Roster) GobDecode(b []byte) error {
+	rd := func() (uint64, bool) {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			return 0, false
+		}
+		b = b[n:]
+		return v, true
+	}
+	n, ok := rd()
+	if !ok || n > uint64(len(b)/rosterEntryMin) {
+		return errBadRoster
+	}
+	out := make(Roster, n)
+	for i := range out {
+		start, ok1 := rd()
+		size, ok2 := rd()
+		if !ok1 || !ok2 || start+size < start || len(b) < 1+32 || b[0] > 1 {
+			return errBadRoster
+		}
+		out[i] = RangeInfo{Start: start, End: start + size, Foreign: b[0] == 1}
+		copy(out[i].Hash[:], b[1:1+32])
+		b = b[1+32:]
+	}
+	if len(b) != 0 {
+		return errBadRoster
+	}
+	*r = out
+	return nil
+}
+
 // XrefRec is one recorded pointer-candidate validation, in the exact
 // order Detect's sequential accept loop consulted verdicts.
 type XrefRec struct {
@@ -128,7 +198,7 @@ type Trace struct {
 	ResidueHash [32]byte
 	// Roster is the FDE-delimited range set, sorted by Start,
 	// non-overlapping.
-	Roster []RangeInfo
+	Roster Roster
 
 	// UNonRet and UCondNonRet are the unions of every non-return /
 	// conditional-non-return environment any committed pass or

@@ -9,7 +9,8 @@ import (
 
 // FuzzSessionExtend differentially fuzzes the incremental session: an
 // arbitrary byte blob becomes an executable section, a handful of
-// blob-derived offsets become seeds, and one warm session commits them
+// blob-derived offsets (and one address past the section) become
+// seeds, and one warm session commits them
 // as Extend(first half), Extend(second half), then Retract(every third
 // seed). Its result must equal a fresh Recursive over the surviving
 // seeds exactly — references included, in discovery order. A fork then
@@ -39,13 +40,15 @@ func FuzzSessionExtend(f *testing.F) {
 				Flags: elfx.FlagAlloc | elfx.FlagExec,
 			}},
 		}
-		// Derive 8..40 seed offsets from the blob.
+		// Derive 8..40 seed offsets from the blob; the last seed lies
+		// past the section, outside the executable layout.
 		n := int(nseeds%33) + 8
 		seeds := make([]uint64, 0, n)
-		for i := 0; i < n; i++ {
+		for i := 0; i < n-1; i++ {
 			off := (i * 7919) % len(code)
 			seeds = append(seeds, base+uint64((off+int(code[off]))%len(code)))
 		}
+		seeds = append(seeds, base+uint64(len(code))+uint64(nseeds))
 		drop := map[uint64]bool{}
 		var retract []uint64
 		for i := 0; i < len(seeds); i += 3 {

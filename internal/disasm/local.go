@@ -214,6 +214,9 @@ type LocalWalk struct {
 	rng   FuncRange
 	res   *Result
 	facts *LocalFacts
+	// seen is the session's pushed mark set, the verdict evaluators'
+	// visited set once the walk is done.
+	seen *walkMarks
 }
 
 // Facts returns the walk's cross-visible facts.
@@ -255,15 +258,16 @@ func (s *Session) WalkLocal(rng FuncRange, entries []uint64,
 		rdi  rdiState
 	}
 	var work []workItem
-	pushed := map[uint64]bool{}
+	pushed, decoded := s.pushed, s.decoded
+	pushed.next()
+	decoded.next()
 	push := func(addr uint64, rdi rdiState) {
 		// Out-of-range pushes become facts; in-range pushes are walked.
 		if !inRange(addr) {
 			facts.Pushes = append(facts.Pushes, addr)
 			return
 		}
-		if !pushed[addr] {
-			pushed[addr] = true
+		if pushed.add(addr) {
 			work = append(work, workItem{addr, rdi})
 		}
 	}
@@ -274,11 +278,7 @@ func (s *Session) WalkLocal(rng FuncRange, entries []uint64,
 
 	for _, sd := range entries {
 		res.Funcs[sd] = true
-		if !inRange(sd) {
-			continue
-		}
-		if !pushed[sd] {
-			pushed[sd] = true
+		if inRange(sd) && pushed.add(sd) {
 			work = append(work, workItem{sd, rdiUnknown})
 		}
 	}
@@ -296,7 +296,7 @@ func (s *Session) WalkLocal(rng FuncRange, entries []uint64,
 				facts.Flags |= LocalEscape
 				break
 			}
-			if _, seen := res.Insts[addr]; seen {
+			if decoded.has(addr) {
 				break
 			}
 			if owner, mid := own.get(addr); mid && owner != addr {
@@ -319,6 +319,7 @@ func (s *Session) WalkLocal(rng FuncRange, entries []uint64,
 				break
 			}
 			res.Insts[addr] = in
+			decoded.add(addr)
 			own.setRange(addr, int(in.Len))
 			for _, c := range e.consts {
 				res.Constants[c] = true
@@ -411,7 +412,7 @@ func (s *Session) WalkLocal(rng FuncRange, entries []uint64,
 	facts.TableReads = append(facts.TableReads, res.tableReads...)
 	sort.Slice(facts.JmpOut, func(i, j int) bool { return facts.JmpOut[i].Addr < facts.JmpOut[j].Addr })
 
-	return &LocalWalk{rng: rng, res: res, facts: facts}
+	return &LocalWalk{rng: rng, res: res, facts: facts, seen: pushed}
 }
 
 func sortedDistinct(in []uint64) []uint64 {
@@ -443,13 +444,14 @@ func (lw *LocalWalk) EntryReturns(entry uint64,
 	res := lw.res
 	inRange := func(a uint64) bool { return a >= lw.rng.Start && a < lw.rng.End }
 	query := func(t uint64) { queried = append(queried, t) }
-	seen := map[uint64]bool{}
+	seen := lw.seen
+	seen.next()
 	stack := []uint64{entry}
 	for len(stack) > 0 {
 		a := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for {
-			if seen[a] {
+			if !seen.add(a) {
 				break
 			}
 			in, found := res.Insts[a]
@@ -459,7 +461,6 @@ func (lw *LocalWalk) EntryReturns(entry uint64,
 				}
 				return false, queried, false // escaped
 			}
-			seen[a] = true
 			switch in.Op {
 			case arch.OpRet:
 				return true, queried, true
@@ -529,13 +530,14 @@ func (lw *LocalWalk) CondFacts(entry uint64, isFunc func(uint64) bool) (hasTest 
 		return false, nil, nil, true
 	}
 
-	seen := map[uint64]bool{}
+	seen := lw.seen
+	seen.next()
 	stack := []uint64{entry}
 	for len(stack) > 0 {
 		a := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for {
-			if seen[a] {
+			if !seen.add(a) {
 				break
 			}
 			in, found := res.Insts[a]
@@ -545,7 +547,6 @@ func (lw *LocalWalk) CondFacts(entry uint64, isFunc func(uint64) bool) (hasTest 
 				}
 				return false, nil, nil, false // escaped
 			}
-			seen[a] = true
 			if in.Op == arch.OpCall {
 				bodyCalls = append(bodyCalls, in.Target)
 				a = in.Next()

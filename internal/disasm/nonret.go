@@ -14,7 +14,10 @@ import (
 // It additionally classifies error/error_at_line-style functions
 // (§IV-C): functions that do return, but whose body contains an entry
 // test of the first argument guarding a path into a non-returning call.
-func inferNonReturning(res *Result) (map[uint64]bool, map[uint64]bool) {
+//
+// Each per-function walk uses seen as its visited set; the inference
+// runs between passes, while no walk holds the marks.
+func inferNonReturning(res *Result, seen *walkMarks) (map[uint64]bool, map[uint64]bool) {
 	funcs := res.SortedFuncs()
 	// Optimistic greatest fixed point, as in DYNINST: every function
 	// is presumed returning until no path to a ret remains under the
@@ -31,7 +34,7 @@ func inferNonReturning(res *Result) (map[uint64]bool, map[uint64]bool) {
 			if !returns[f] {
 				continue
 			}
-			if !funcReturns(res, f, returns) {
+			if !funcReturns(res, f, returns, seen) {
 				returns[f] = false
 				changed = true
 			}
@@ -45,7 +48,7 @@ func inferNonReturning(res *Result) (map[uint64]bool, map[uint64]bool) {
 	}
 	cond := map[uint64]bool{}
 	for _, f := range funcs {
-		if returns[f] && isCondNonRet(res, f, nonRet) {
+		if returns[f] && isCondNonRet(res, f, nonRet, seen) {
 			cond[f] = true
 		}
 	}
@@ -54,21 +57,22 @@ func inferNonReturning(res *Result) (map[uint64]bool, map[uint64]bool) {
 
 // funcReturns walks the intra-procedural instructions of f (as decoded
 // so far) looking for a reachable ret, delegating through tail jumps.
-func funcReturns(res *Result, f uint64, returns map[uint64]bool) bool {
-	seen := map[uint64]bool{}
+// Marking an address before knowing it holds an instruction is safe:
+// either way the path ends there.
+func funcReturns(res *Result, f uint64, returns map[uint64]bool, seen *walkMarks) bool {
+	seen.next()
 	stack := []uint64{f}
 	for len(stack) > 0 {
 		a := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for {
-			if seen[a] {
+			if !seen.add(a) {
 				break
 			}
 			in, ok := res.Insts[a]
 			if !ok {
 				break
 			}
-			seen[a] = true
 			switch in.Op {
 			case arch.OpRet:
 				return true
@@ -112,7 +116,7 @@ func funcReturns(res *Result, f uint64, returns map[uint64]bool) bool {
 // isCondNonRet matches the error/error_at_line shape: an entry-block
 // test of the first argument register, a returning path, and a path
 // into a non-returning call.
-func isCondNonRet(res *Result, f uint64, nonRet map[uint64]bool) bool {
+func isCondNonRet(res *Result, f uint64, nonRet map[uint64]bool, seen *walkMarks) bool {
 	// Entry test within the first three instructions.
 	a := f
 	gate := res.isa.GateReg()
@@ -135,20 +139,19 @@ func isCondNonRet(res *Result, f uint64, nonRet map[uint64]bool) bool {
 		return false
 	}
 	// A call into a non-returning function somewhere in the body.
-	seen := map[uint64]bool{}
+	seen.next()
 	stack := []uint64{f}
 	for len(stack) > 0 {
 		a := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for {
-			if seen[a] {
+			if !seen.add(a) {
 				break
 			}
 			in, ok := res.Insts[a]
 			if !ok {
 				break
 			}
-			seen[a] = true
 			if in.Op == arch.OpCall && nonRet[in.Target] {
 				return true
 			}

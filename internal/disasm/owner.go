@@ -161,10 +161,13 @@ func (o *ownerIndex) setRange(addr uint64, n int) {
 }
 
 // fill marks the n bytes at offset d of sp as owned by the instruction
-// starting at d.
+// starting at d, looking up each chunk the run touches once.
 func (o *ownerIndex) fill(sp *ownerSpan, d uint64, n int) {
-	for k := 0; k < n; k++ {
-		dk := d + uint64(k)
-		o.chunk(sp, dk)[dk&ownerChunkMask] = uint8(k + 1)
+	for k := 0; k < n; {
+		c := o.chunk(sp, d+uint64(k))
+		for off := (d + uint64(k)) & ownerChunkMask; k < n && off < ownerChunkLen; off++ {
+			k++
+			c[off] = uint8(k)
+		}
 	}
 }

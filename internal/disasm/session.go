@@ -1,6 +1,8 @@
 package disasm
 
 import (
+	"math"
+
 	"fetch/internal/arch"
 	"fetch/internal/elfx"
 )
@@ -36,25 +38,29 @@ type Stats struct {
 	// PeakAuxBytes is the high-water accounted estimate of the
 	// auxiliary memory held at the end of any one pass: that pass's own
 	// owner-index chunks (committed passes only), the chunks of the
-	// owner workspace shared by Probe and WalkLocal walks for as long
-	// as the session holds them, and the decode cache at a documented
-	// per-entry cost. It is an accounting of data-structure growth
-	// (deterministic for a given call sequence), not a heap
+	// owner workspace shared by Probe and WalkLocal walks, the chunks of
+	// the decode index and of the two walk-mark sets, and the decode
+	// arena at decodeEntryCost per entry — all of them for as long as
+	// the session holds them. It is an accounting of data-structure
+	// growth (deterministic for a given call sequence), not a heap
 	// measurement; like the decode counters it is an execution trace,
 	// so StripSchedule zeroes it.
 	PeakAuxBytes int64
 }
 
 // decodeEntryCost is the accounted cost behind PeakAuxBytes of one
-// decode-cache entry: a map slot plus a heap arch.Inst.
-const decodeEntryCost = 160
+// decode-cache entry: its 48-byte arena slot plus the 80-byte heap
+// arch.Inst it points to. The index slot that locates it is charged
+// with the index chunks.
+const decodeEntryCost = 128
 
 // notePassMem folds one finished pass's data-structure footprint into
 // the PeakAuxBytes high-water mark. A walk-scoped pass has returned its
 // workspace by now (res.owner is nil), so only the workspace's own
 // total is charged for it.
 func (s *Session) notePassMem(res *Result) {
-	aux := s.ws.alloc + int64(len(s.cache))*decodeEntryCost
+	aux := s.ws.alloc + s.cache.index.alloc + int64(len(s.cache.entries))*decodeEntryCost +
+		s.pushed.tab.alloc + s.decoded.tab.alloc
 	if res.owner != nil {
 		aux += res.owner.alloc
 	}
@@ -106,7 +112,7 @@ type Session struct {
 	img   *elfx.Image
 	isa   arch.ISA
 	opts  Options
-	cache map[uint64]decodeEntry
+	cache *decodeCache
 	stats *Stats
 	seeds []uint64
 	res   *Result
@@ -116,6 +122,10 @@ type Session struct {
 	// ws is the owner workspace that Probe and WalkLocal walks borrow.
 	// Forks share it, as they share the decode cache.
 	ws *ownerIndex
+	// pushed and decoded are the walk marks: the worklist's enqueued
+	// addresses and the current walk's instruction starts. Forks share
+	// them too.
+	pushed, decoded *walkMarks
 	// obs, when set, observes every committed pass (Extend, Retract,
 	// Rerun); probes and forks never report. observing gates the hook to
 	// committed exec calls only.
@@ -144,13 +154,15 @@ func NewSession(img *elfx.Image, opts Options) *Session {
 		img:   img,
 		isa:   img.ISA(),
 		opts:  opts,
-		cache: make(map[uint64]decodeEntry),
 		stats: &Stats{ColdStarts: 1},
 	}
 	for _, sec := range img.ExecSections() {
 		s.layout = append(s.layout, Range{Start: sec.Addr, End: sec.End()})
 	}
+	s.cache = &decodeCache{index: newByteTable[int32](s.layout)}
 	s.ws = newOwnerIndex(s.layout)
+	s.pushed = newWalkMarks(s.layout)
+	s.decoded = newWalkMarks(s.layout)
 	return s
 }
 
@@ -175,7 +187,7 @@ func (s *Session) returnOwner(res *Result) {
 }
 
 // Fork returns a cheap copy-on-write view of the session: the decode
-// cache, stats and owner workspace are shared (new decodes made by the
+// cache, stats, owner workspace and walk marks are shared (new decodes made by the
 // fork benefit the parent and vice versa — decodes are pure, so this is
 // safe), while the committed seed list and result are the fork's own.
 // Use a fork to probe speculative decodes, e.g. §IV-E candidate
@@ -184,15 +196,17 @@ func (s *Session) returnOwner(res *Result) {
 func (s *Session) Fork() *Session {
 	s.stats.Forks++
 	return &Session{
-		img:    s.img,
-		isa:    s.isa,
-		opts:   s.opts,
-		cache:  s.cache,
-		stats:  s.stats,
-		seeds:  append([]uint64(nil), s.seeds...),
-		res:    s.res,
-		layout: s.layout,
-		ws:     s.ws,
+		img:     s.img,
+		isa:     s.isa,
+		opts:    s.opts,
+		cache:   s.cache,
+		stats:   s.stats,
+		seeds:   append([]uint64(nil), s.seeds...),
+		res:     s.res,
+		layout:  s.layout,
+		ws:      s.ws,
+		pushed:  s.pushed,
+		decoded: s.decoded,
 	}
 }
 
@@ -296,7 +310,7 @@ func (s *Session) exec(seeds []uint64, opts Options, scoped bool) *Result {
 		if !opts.NonReturning {
 			return res
 		}
-		newNonRet, newCond := inferNonReturning(res)
+		newNonRet, newCond := inferNonReturning(res, s.pushed)
 		if setsEqual(newNonRet, nonRet) && setsEqual(newCond, condNonRet) {
 			break
 		}
@@ -308,11 +322,14 @@ func (s *Session) exec(seeds []uint64, opts Options, scoped bool) *Result {
 }
 
 // decode memoizes the pure part of instruction decoding: the section
-// window fetch and the x64 decode at addr.
+// window fetch and the backend decode at addr. An address outside the
+// executable layout has no index slot and is decoded afresh each time.
 func (s *Session) decode(addr uint64) decodeEntry {
-	if e, ok := s.cache[addr]; ok {
+	c := s.cache
+	slot := c.index.slot(addr)
+	if slot != nil && *slot != 0 {
 		s.stats.InstsReused++
-		return e
+		return c.entries[*slot-1]
 	}
 	s.stats.InstsDecoded++
 	var e decodeEntry
@@ -324,13 +341,16 @@ func (s *Session) decode(addr uint64) decodeEntry {
 	} else {
 		inst := in
 		e = decodeEntry{inst: &inst, kind: decodeOK, rdi: s.isa.GateEffect(&inst)}
-		for _, c := range inst.Constants() {
-			if s.img.IsMapped(c) {
-				e.consts = append(e.consts, c)
+		for _, cv := range inst.Constants() {
+			if s.img.IsMapped(cv) {
+				e.consts = append(e.consts, cv)
 			}
 		}
 	}
-	s.cache[addr] = e
+	if slot != nil && len(c.entries) < math.MaxInt32 {
+		c.entries = append(c.entries, e)
+		*slot = int32(len(c.entries))
+	}
 	return e
 }
 
@@ -361,10 +381,11 @@ func (s *Session) pass(seeds []uint64, opts Options,
 		rdi  rdiState
 	}
 	var work []workItem
-	pushed := map[uint64]bool{}
+	pushed, decoded := s.pushed, s.decoded
+	pushed.next()
+	decoded.next()
 	push := func(addr uint64, rdi rdiState) {
-		if !pushed[addr] {
-			pushed[addr] = true
+		if pushed.add(addr) {
 			work = append(work, workItem{addr, rdi})
 		}
 	}
@@ -401,7 +422,7 @@ func (s *Session) pass(seeds []uint64, opts Options,
 			if opts.MaxInsts > 0 && len(res.Insts) >= opts.MaxInsts {
 				return res
 			}
-			if _, seen := res.Insts[addr]; seen {
+			if decoded.has(addr) {
 				break
 			}
 			if owner, mid := own.get(addr); mid && owner != addr {
@@ -427,6 +448,7 @@ func (s *Session) pass(seeds []uint64, opts Options,
 			}
 			in := e.inst
 			res.Insts[addr] = in
+			decoded.add(addr)
 			own.setRange(addr, int(in.Len))
 			for _, c := range e.consts {
 				res.Constants[c] = true

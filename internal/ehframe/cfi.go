@@ -270,7 +270,13 @@ func encodeCFIs(prog []CFI, codeAlign uint64, dataAlign int64) ([]byte, error) {
 
 // decodeCFIs parses a CFI byte program.
 func decodeCFIs(b []byte, codeAlign uint64, dataAlign int64) ([]CFI, error) {
-	var prog []CFI
+	return appendCFIs(nil, b, codeAlign, dataAlign)
+}
+
+// appendCFIs parses a CFI byte program, appending its instructions to
+// prog. Decode uses it to give every FDE program of a section one
+// shared backing store.
+func appendCFIs(prog []CFI, b []byte, codeAlign uint64, dataAlign int64) ([]CFI, error) {
 	i := 0
 	for i < len(b) {
 		op := b[i]

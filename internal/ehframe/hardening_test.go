@@ -2,6 +2,7 @@ package ehframe
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -45,6 +46,45 @@ func TestDecodeGarbageReturnsErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeFDELongProgramAllocation pins that FDE programs share
+// arena blocks without reserving memory in proportion to an FDE's
+// length: a 1 MiB program whose first opcode is unsupported must be
+// rejected without allocating anything near 64 bytes per program byte,
+// while short programs still decode, each capped at its own length.
+func TestDecodeFDELongProgramAllocation(t *testing.T) {
+	cie := NewDefaultCIE()
+	fdeBody := func(prog []byte) []byte {
+		b := []byte{0, 0, 0, 0, 0x40, 0, 0, 0, 0} // PC begin rel, range, no augmentation
+		return append(b, prog...)
+	}
+	long := fdeBody(make([]byte, 1<<20))
+	long[9] = 0x1F // the first opcode: not one the codec knows
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeFDE(long, cie, 0x500000, new([]CFI))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("decodeFDE = %v, want ErrUnsupported", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<19 {
+		t.Fatalf("rejecting a 1 MiB program allocated %d bytes", got)
+	}
+
+	var arena []CFI
+	a, err := decodeFDE(fdeBody([]byte{0x41, 0x0E, 0x10}), cie, 0x500000, &arena) // advance 1; def_cfa_offset 16
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := decodeFDE(fdeBody([]byte{0x42}), cie, 0x500000, &arena) // advance 2
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(arena) != 3 || len(a.Program) != 2 || cap(a.Program) != 2 || len(b.Program) != 1 ||
+		&a.Program[0] != &arena[0] || &b.Program[0] != &arena[2] {
+		t.Fatalf("programs %v / %v do not share one block, each capped at its length", a.Program, b.Program)
+	}
+}
+
 // TestDecodeFDEHugeAugLen drives the FDE-body bound directly: an
 // augmentation length ULEB larger than the body must error instead of
 // wrapping negative through int.
@@ -54,7 +94,7 @@ func TestDecodeFDEHugeAugLen(t *testing.T) {
 		0, 0, 0, 0, 0x40, 0, 0, 0, // PC begin rel, range
 		0xFF, 0xFF, 0xFF, 0xFF, 0x7F, // augmentation length: huge
 	}
-	if _, err := decodeFDE(body, cie, 0x500000); !errors.Is(err, ErrTruncated) {
+	if _, err := decodeFDE(body, cie, 0x500000, new([]CFI)); !errors.Is(err, ErrTruncated) {
 		t.Errorf("decodeFDE = %v, want ErrTruncated", err)
 	}
 }

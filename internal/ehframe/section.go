@@ -235,6 +235,10 @@ func Decode(data []byte, addr uint64) (*Section, error) {
 	// CIE that was skipped as unsupported, so its FDEs skip too rather
 	// than failing as orphans.
 	cies := make(map[int]*CIE)
+	// arena backs the FDE programs: a few large blocks instead of one
+	// allocation per program. Programs never grow after decoding, and
+	// each is capped at its own length, so sharing a block is invisible.
+	var arena []CFI
 	i := 0
 	for i+4 <= len(data) {
 		length := uint64(binary.LittleEndian.Uint32(data[i:]))
@@ -303,7 +307,7 @@ func Decode(data []byte, addr uint64) (*Section, error) {
 			continue
 		}
 		pcFieldAddr := addr + uint64(i-len(body)) + uint64(idSize)
-		fde, err := decodeFDE(body[idSize:], cie, pcFieldAddr)
+		fde, err := decodeFDE(body[idSize:], cie, pcFieldAddr, &arena)
 		switch {
 		case errors.Is(err, ErrUnsupported):
 			s.Stats.SkippedFDEs++
@@ -475,8 +479,10 @@ func readEncodedPC(b []byte, enc byte, fieldAddr uint64) (uint64, int, error) {
 }
 
 // decodeFDE parses an FDE body; pcFieldAddr is the virtual address of
-// the PC Begin field (needed for pcrel encodings).
-func decodeFDE(b []byte, cie *CIE, pcFieldAddr uint64) (*FDE, error) {
+// the PC Begin field (needed for pcrel encodings). The program is
+// appended to *arena; an FDE that fails to decode leaves no trace
+// there.
+func decodeFDE(b []byte, cie *CIE, pcFieldAddr uint64, arena *[]CFI) (*FDE, error) {
 	f := &FDE{CIE: cie}
 	begin, n, err := readEncodedPC(b, cie.FDEEnc, pcFieldAddr)
 	if err != nil {
@@ -510,9 +516,34 @@ func decodeFDE(b []byte, cie *CIE, pcFieldAddr uint64) (*FDE, error) {
 		return nil, ErrTruncated
 	}
 	i += int(augLen)
-	f.Program, err = decodeCFIs(b[i:], cie.CodeAlign, cie.DataAlign)
+	body := b[i:]
+	if len(body) > cfiArenaBlock {
+		// Too long to reserve room for up front (the bytes come from
+		// the binary): decode into its own slice, grown as it goes.
+		if f.Program, err = decodeCFIs(body, cie.CodeAlign, cie.DataAlign); err != nil {
+			return nil, err
+		}
+		return f, nil
+	}
+	// Every CFI instruction takes at least one byte, so the program
+	// needs at most len(body) slots: with that much room reserved, the
+	// append below never reallocates the block earlier programs share.
+	if cap(*arena)-len(*arena) < len(body) {
+		*arena = make([]CFI, 0, cfiArenaBlock)
+	}
+	start := len(*arena)
+	prog, err := appendCFIs(*arena, body, cie.CodeAlign, cie.DataAlign)
 	if err != nil {
 		return nil, err
 	}
+	*arena = prog
+	if end := len(prog); end > start {
+		f.Program = prog[start:end:end]
+	}
 	return f, nil
 }
+
+// cfiArenaBlock is the CFI capacity of one program arena block (32
+// KiB), and so the longest program body, in bytes, that decodes into
+// the arena.
+const cfiArenaBlock = 512

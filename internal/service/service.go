@@ -242,12 +242,12 @@ func jsonError(w http.ResponseWriter, status int, format string, args ...any) {
 	})
 }
 
-// writeJSON writes v as a JSON 200 response.
+// writeJSON writes v as a compact JSON 200 response. An embedded
+// EncodeResult document is compacted too: indentation would add about
+// 60% to the body for no reader's benefit.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 // optionsFromQuery maps the strategy query parameters shared by the

@@ -163,6 +163,79 @@ func TestAnalyzeUploadThenCachedPaths(t *testing.T) {
 	}
 }
 
+// TestResponsesAreCompact pins the wire form of every result-bearing
+// body: /v1/analyze, /v1/result and a finished job are compact JSON —
+// no newline or indentation inside the document — and the embedded
+// result decodes to the same Result a library analysis produces.
+func TestResponsesAreCompact(t *testing.T) {
+	_, ts := newTestServer(t, 2)
+	bin := sampleELF(t, 73)
+	sum := fetch.HashBinary(bin)
+	hexSum := hex.EncodeToString(sum[:])
+	want, err := fetch.Analyze(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEnc, err := fetch.EncodeResult(fetch.StripSchedule(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	body := func(method, path string, payload []byte) []byte {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s %s: status %d: %s", method, path, resp.StatusCode, raw)
+		}
+		doc, ok := bytes.CutSuffix(raw, []byte("\n"))
+		if !ok || bytes.Contains(doc, []byte("\n")) {
+			t.Fatalf("%s %s: body is not one compact line:\n%s", method, path, raw)
+		}
+		return raw
+	}
+	requireResult := func(path string, raw []byte) {
+		t.Helper()
+		var env struct {
+			Result json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatal(err)
+		}
+		res, err := fetch.DecodeResult(env.Result)
+		if err != nil {
+			t.Fatalf("%s: compact result does not decode: %v", path, err)
+		}
+		enc, err := fetch.EncodeResult(fetch.StripSchedule(res))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, wantEnc) {
+			t.Fatalf("%s: served result differs from a library analysis", path)
+		}
+	}
+
+	requireResult("/v1/analyze", body("POST", "/v1/analyze", bin))
+	requireResult("/v1/result", body("GET", "/v1/result/"+hexSum, nil))
+	var jr jobResponse
+	if err := json.Unmarshal(body("POST", "/v1/jobs", bin), &jr); err != nil {
+		t.Fatal(err)
+	}
+	pollJob(t, ts, jr.JobID, 10*time.Second)
+	requireResult("/v1/jobs", body("GET", "/v1/jobs/"+jr.JobID, nil))
+}
+
 func TestResultMissAndBadHash(t *testing.T) {
 	_, ts := newTestServer(t, 2)
 	unknown := strings.Repeat("ab", 32)
