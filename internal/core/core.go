@@ -200,7 +200,7 @@ func Analyze(img *elfx.Image, strat Strategy) (*Report, error) {
 // unrecorded run. The trace is nil when the binary admits no sound
 // range decomposition (no usable FDE extents, or overlapping ones).
 func AnalyzeRecorded(img *elfx.Image, cfg Config) (*Report, *Trace, error) {
-	rec := newRecorder()
+	rec := newRecorder(img.ISA().MaxInstLen())
 	rep, sess, err := analyzeWith(img, cfg, rec)
 	if err != nil {
 		return nil, nil, err

@@ -231,6 +231,12 @@ func ReplayDelta(in DeltaInput) DeltaOutcome {
 	// re-validation and the map is never materialized.
 	if in.Strategy.Xref {
 		var cov *disasm.Result
+		coverage := func() *disasm.Result {
+			if cov == nil {
+				cov = disasm.BuildCoverage(substituteCoverage(tr, dirty, freshFacts))
+			}
+			return cov
+		}
 		var krPre, krPost []disasm.FuncRange
 		built := false
 		for _, rec := range tr.XrefRecs {
@@ -246,7 +252,6 @@ func ReplayDelta(in DeltaInput) DeltaOutcome {
 			}
 			if !built {
 				built = true
-				cov = disasm.BuildCoverage(substituteCoverage(tr, dirty, freshFacts))
 				krPre = deltaFDERanges(in.Sec, nil)
 				krPost = deltaFDERanges(in.Sec, toSet(tr.Removed))
 			}
@@ -254,17 +259,8 @@ func ReplayDelta(in DeltaInput) DeltaOutcome {
 			if rec.Post {
 				kr = krPost
 			}
-			v, okv := xref.ValidateCandidate(in.Img, cov, rec.C, xref.Options{KnownRanges: kr}, newSess)
-			if okv != rec.OK {
-				return fail("candidate %#x: verdict changed", rec.C)
-			}
-			if okv {
-				if xref.ContiguousEnd(v, rec.C) != rec.End {
-					return fail("candidate %#x: extent changed", rec.C)
-				}
-				if !u64Equal(sortedKeys(v.Constants), rec.Consts) {
-					return fail("candidate %#x: constants changed", rec.C)
-				}
+			if reason := revalidateXref(in.Img, rec, kr, newSess, coverage); reason != "" {
+				return fail("%s", reason)
 			}
 		}
 	}
@@ -287,6 +283,37 @@ func ReplayDelta(in DeltaInput) DeltaOutcome {
 
 	out.OK = true
 	return out
+}
+
+// revalidateXref re-runs one recorded pointer-candidate validation on
+// the new image and returns a fallback reason when its outcome changed.
+// coverage supplies the substituted committed coverage. Coverage feeds
+// only rule (ii), which only rejects, so a recorded rejection is first
+// re-checked against no coverage at all: when the other rules still
+// reject, the verdict holds whatever the coverage, and the map is never
+// asked for.
+func revalidateXref(img *elfx.Image, rec XrefRec, known []disasm.FuncRange,
+	sess *disasm.Session, coverage func() *disasm.Result) string {
+
+	opts := xref.Options{KnownRanges: known}
+	if !rec.OK {
+		if _, ok := xref.ValidateCandidate(img, disasm.BuildCoverage(nil), rec.C, opts, sess); !ok {
+			return ""
+		}
+	}
+	v, ok := xref.ValidateCandidate(img, coverage(), rec.C, opts, sess)
+	if ok != rec.OK {
+		return fmt.Sprintf("candidate %#x: verdict changed", rec.C)
+	}
+	if ok {
+		if xref.ContiguousEnd(v, rec.C) != rec.End {
+			return fmt.Sprintf("candidate %#x: extent changed", rec.C)
+		}
+		if !u64Equal(sortedKeys(v.Constants), rec.Consts) {
+			return fmt.Sprintf("candidate %#x: constants changed", rec.C)
+		}
+	}
+	return ""
 }
 
 // verifyRange proves one changed range analysis-equivalent to its old

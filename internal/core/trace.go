@@ -160,9 +160,9 @@ type XrefRec struct {
 	// the pool-refresh contribution; meaningful only when OK.
 	Consts []uint64
 	// Extent are the byte intervals the verdict depends on: the walked
-	// instruction spans, the jump-table reads, and the
-	// calling-convention window. A change outside every interval
-	// cannot alter the verdict.
+	// instruction spans, the jump-table reads, the bytes at the walk's
+	// error, and the calling-convention window. A change outside every
+	// interval cannot alter the verdict.
 	Extent []disasm.Interval
 	// Post marks records from the post-CFI-recovery re-run, whose
 	// jump-into-function ranges exclude the removed FDEs.
@@ -251,14 +251,19 @@ type recorder struct {
 	convRecs []ConvRec
 	convSeen map[uint64]bool
 	jumpRecs []JumpRec
+
+	// maxInstLen is the ISA's longest instruction: the bytes a failed
+	// decode at a walk's error address may have read.
+	maxInstLen uint64
 }
 
-func newRecorder() *recorder {
+func newRecorder(maxInstLen int) *recorder {
 	return &recorder{
-		uNonRet:  map[uint64]bool{},
-		uCond:    map[uint64]bool{},
-		ev:       map[uint64]bool{},
-		convSeen: map[uint64]bool{},
+		uNonRet:    map[uint64]bool{},
+		uCond:      map[uint64]bool{},
+		ev:         map[uint64]bool{},
+		convSeen:   map[uint64]bool{},
+		maxInstLen: uint64(maxInstLen),
 	}
 }
 
@@ -300,14 +305,18 @@ const convWindow = 48 * 15
 func (r *recorder) onXref(c uint64, ok bool, v *disasm.Result) {
 	rec := XrefRec{C: c, OK: ok, Post: r.post}
 	// The verdict reads the candidate's own bytes, the convention
-	// window, and — when a walk happened — every walked instruction
-	// and jump-table read.
+	// window, and — when a walk happened, whatever its verdict — every
+	// walked instruction and jump-table read, plus the bytes at the
+	// walk's error: an invalid opcode lies in no decoded instruction.
 	rec.Extent = append(rec.Extent, disasm.Interval{Lo: c, Hi: c + convWindow})
 	if v != nil {
 		for _, f := range v.InstFacts() {
 			rec.Extent = append(rec.Extent, disasm.Interval{Lo: f.Addr, Hi: f.Addr + uint64(f.Len)})
 		}
 		rec.Extent = append(rec.Extent, v.TableReads()...)
+		for _, e := range v.Errors {
+			rec.Extent = append(rec.Extent, disasm.Interval{Lo: e.At, Hi: e.At + r.maxInstLen})
+		}
 	}
 	rec.Extent = coalesce(rec.Extent)
 	if ok && v != nil {

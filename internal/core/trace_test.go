@@ -6,6 +6,10 @@ import (
 	"encoding/gob"
 	"reflect"
 	"testing"
+
+	"fetch/internal/disasm"
+	"fetch/internal/elfx"
+	"fetch/internal/xref"
 )
 
 // TestRosterGobRoundTrip round-trips a roster through its packed form,
@@ -82,4 +86,65 @@ func mustEncode(t *testing.T, r Roster) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestXrefRecordCoversRejectingWalk records a candidate whose
+// validation walk leaves the convention window and then fails on an
+// invalid opcode. The record's extent must cover every instruction the
+// walk decoded and the bytes at the error, which no decoded
+// instruction covers: a recompile that changes any of them must
+// re-validate the candidate instead of replaying the stale rejection.
+func TestXrefRecordCoversRejectingWalk(t *testing.T) {
+	const base, far = 0x401000, 0x402000
+	code := make([]byte, 0x1100)
+	for i := range code {
+		code[i] = 0x90 // nop
+	}
+	// base: jmp far, past the convention window.
+	copy(code, []byte{0xE9})
+	binary.LittleEndian.PutUint32(code[1:], far-(base+5))
+	// far: je far+5; nop; nop; ret; then an invalid opcode at far+5.
+	copy(code[far-base:], []byte{0x74, 0x03, 0x90, 0x90, 0xC3, 0x06})
+	img := &elfx.Image{
+		Entry: base,
+		Sections: []*elfx.Section{{
+			Name: ".text", Addr: base, Data: code,
+			Flags: elfx.FlagAlloc | elfx.FlagExec,
+		}},
+	}
+	if far-base < convWindow {
+		t.Fatalf("the walk must leave the %d-byte convention window", convWindow)
+	}
+
+	v, ok := xref.ValidateCandidate(img, disasm.BuildCoverage(nil), base, xref.Options{}, nil)
+	if ok || v == nil {
+		t.Fatalf("validation = %v with result %v, want a walk-rejected verdict", ok, v != nil)
+	}
+	if len(v.Errors) != 1 || v.Errors[0].Kind != disasm.ErrInvalidOpcode || v.Errors[0].At != far+5 {
+		t.Fatalf("walk errors = %+v, want one invalid opcode at %#x", v.Errors, far+5)
+	}
+	if len(v.Insts) != 5 {
+		t.Fatalf("walk decoded %d instructions, want 5", len(v.Insts))
+	}
+
+	rec := newRecorder(img.ISA().MaxInstLen())
+	rec.onXref(base, ok, v)
+	ext := rec.xrefRecs[0].Extent
+	covered := func(lo, hi uint64) bool {
+		for _, iv := range ext {
+			if iv.Lo <= lo && hi <= iv.Hi {
+				return true
+			}
+		}
+		return false
+	}
+	for _, f := range v.InstFacts() {
+		if !covered(f.Addr, f.Addr+uint64(f.Len)) {
+			t.Errorf("extent %+v misses the walked instruction at %#x", ext, f.Addr)
+		}
+	}
+	at := v.Errors[0].At
+	if !covered(at, at+uint64(img.ISA().MaxInstLen())) {
+		t.Errorf("extent %+v misses the bytes at the error %#x", ext, at)
+	}
 }

@@ -109,11 +109,13 @@ type decodeCache struct {
 // clears.
 //
 // A session owns two mark sets — pushed (the worklist's enqueued
-// addresses) and decoded (the instruction starts of the current walk) —
-// and the inference walks that run between passes reuse pushed as
-// their visited set. That sharing is sound only because walks never
-// nest; the owner workspace's borrow check enforces it for Probe and
-// WalkLocal.
+// addresses) and decoded (the instruction starts of the current walk).
+// The non-return inference that exec runs after a pass reuses both:
+// pushed as its visited set, and decoded as the pass's instruction set
+// (see Session.passInst). That sharing is sound only because walks
+// never nest — the owner workspace's borrow check enforces it for
+// Probe and WalkLocal — and because exec runs the inference straight
+// after the pass, before any other walk resets the marks.
 type walkMarks struct {
 	tab byteTable[uint32]
 	// epoch is the live stamp. It is never 0, so slots in fresh chunks

@@ -55,7 +55,10 @@ type Options struct {
 	// NonReturning enables the fixed-point non-returning analysis; when
 	// off, every call is assumed to return.
 	NonReturning bool
-	// Strict records §IV-E validation errors and stops faulting paths.
+	// Strict records §IV-E validation errors and ends the walk at the
+	// first one. A walk's path never depends on Strict: a strict walk
+	// visits the instructions a non-strict walk over the same seeds
+	// visits, in the same order, up to its first error.
 	Strict bool
 	// KnownRanges are previously detected function extents for the
 	// jump-into-function check (strict mode).
@@ -88,7 +91,8 @@ type Result struct {
 	// pointer detection must not treat them as function-pointer
 	// candidates (they are known data).
 	TableBases map[uint64]bool
-	// Errors holds strict-mode validation errors.
+	// Errors holds the strict-mode validation error that ended the
+	// walk: at most one, and none for a non-strict walk.
 	Errors []Error
 	// owner maps every byte of decoded instructions to the
 	// instruction start covering it. It is nil on Probe and WalkLocal

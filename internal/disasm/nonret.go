@@ -4,20 +4,22 @@ import (
 	"fetch/internal/arch"
 )
 
-// inferNonReturning computes the non-returning function set over a
-// disassembly result by monotone fixed point: a function returns when
-// some intra-procedural path reaches a ret (call fall-through is only
-// taken past callees already known to return; tail jumps delegate to
-// the target). Functions never proven returning are non-returning —
-// the conservative direction for stopping fall-through decode.
+// inferNonReturning computes the non-returning function set over the
+// result of the session's last pass by monotone fixed point: a function
+// returns when some intra-procedural path reaches a ret (call
+// fall-through is only taken past callees already known to return; tail
+// jumps delegate to the target). Functions never proven returning are
+// non-returning — the conservative direction for stopping fall-through
+// decode.
 //
 // It additionally classifies error/error_at_line-style functions
 // (§IV-C): functions that do return, but whose body contains an entry
 // test of the first argument guarding a path into a non-returning call.
 //
-// Each per-function walk uses seen as its visited set; the inference
-// runs between passes, while no walk holds the marks.
-func inferNonReturning(res *Result, seen *walkMarks) (map[uint64]bool, map[uint64]bool) {
+// The per-function walks read the pass's instructions through passInst
+// and use pushed as their visited set, so exec calls this straight
+// after the pass (see walkMarks).
+func (s *Session) inferNonReturning(res *Result) (map[uint64]bool, map[uint64]bool) {
 	funcs := res.SortedFuncs()
 	// Optimistic greatest fixed point, as in DYNINST: every function
 	// is presumed returning until no path to a ret remains under the
@@ -34,7 +36,7 @@ func inferNonReturning(res *Result, seen *walkMarks) (map[uint64]bool, map[uint6
 			if !returns[f] {
 				continue
 			}
-			if !funcReturns(res, f, returns, seen) {
+			if !s.funcReturns(res, f, returns) {
 				returns[f] = false
 				changed = true
 			}
@@ -48,18 +50,36 @@ func inferNonReturning(res *Result, seen *walkMarks) (map[uint64]bool, map[uint6
 	}
 	cond := map[uint64]bool{}
 	for _, f := range funcs {
-		if returns[f] && isCondNonRet(res, f, nonRet, seen) {
+		if returns[f] && s.isCondNonRet(res, f, nonRet) {
 			cond[f] = true
 		}
 	}
 	return nonRet, cond
 }
 
+// passInst answers res.Insts[addr] for the result res of the session's
+// last pass from the pass's dense state: membership from the decoded
+// marks, the decoding from the decode arena. An address the arena did
+// not memoize (outside the executable layout, or past the arena's
+// int32 bound) falls back to res.Insts. The marks describe the last
+// pass only until the next walk resets them.
+func (s *Session) passInst(res *Result, addr uint64) (*arch.Inst, bool) {
+	if !s.decoded.has(addr) {
+		return nil, false
+	}
+	if p := s.cache.index.at(addr); p != nil && *p != 0 {
+		return s.cache.entries[*p-1].inst, true
+	}
+	in, ok := res.Insts[addr]
+	return in, ok
+}
+
 // funcReturns walks the intra-procedural instructions of f (as decoded
 // so far) looking for a reachable ret, delegating through tail jumps.
 // Marking an address before knowing it holds an instruction is safe:
 // either way the path ends there.
-func funcReturns(res *Result, f uint64, returns map[uint64]bool, seen *walkMarks) bool {
+func (s *Session) funcReturns(res *Result, f uint64, returns map[uint64]bool) bool {
+	seen := s.pushed
 	seen.next()
 	stack := []uint64{f}
 	for len(stack) > 0 {
@@ -69,7 +89,7 @@ func funcReturns(res *Result, f uint64, returns map[uint64]bool, seen *walkMarks
 			if !seen.add(a) {
 				break
 			}
-			in, ok := res.Insts[a]
+			in, ok := s.passInst(res, a)
 			if !ok {
 				break
 			}
@@ -116,13 +136,13 @@ func funcReturns(res *Result, f uint64, returns map[uint64]bool, seen *walkMarks
 // isCondNonRet matches the error/error_at_line shape: an entry-block
 // test of the first argument register, a returning path, and a path
 // into a non-returning call.
-func isCondNonRet(res *Result, f uint64, nonRet map[uint64]bool, seen *walkMarks) bool {
+func (s *Session) isCondNonRet(res *Result, f uint64, nonRet map[uint64]bool) bool {
 	// Entry test within the first three instructions.
 	a := f
 	gate := res.isa.GateReg()
 	sawTest := false
 	for k := 0; k < 3; k++ {
-		in, ok := res.Insts[a]
+		in, ok := s.passInst(res, a)
 		if !ok {
 			return false
 		}
@@ -139,6 +159,7 @@ func isCondNonRet(res *Result, f uint64, nonRet map[uint64]bool, seen *walkMarks
 		return false
 	}
 	// A call into a non-returning function somewhere in the body.
+	seen := s.pushed
 	seen.next()
 	stack := []uint64{f}
 	for len(stack) > 0 {
@@ -148,7 +169,7 @@ func isCondNonRet(res *Result, f uint64, nonRet map[uint64]bool, seen *walkMarks
 			if !seen.add(a) {
 				break
 			}
-			in, ok := res.Insts[a]
+			in, ok := s.passInst(res, a)
 			if !ok {
 				break
 			}

@@ -139,6 +139,12 @@ type Session struct {
 // trajectory a cold run traversed; replay verifies changed functions
 // against exactly these environments. The maps are live session state —
 // observers must copy what they keep and must not mutate anything.
+//
+// OnPass runs between the pass and the non-return inference that
+// follows it, which reads the pass's instructions from the session's
+// walk marks: an observer must not walk the session or any of its
+// forks (Probe, WalkLocal, Extend, …), or the inference would read the
+// marks of that walk instead.
 type ExecObserver interface {
 	OnPass(nonRet, condNonRet map[uint64]bool, res *Result)
 }
@@ -310,7 +316,7 @@ func (s *Session) exec(seeds []uint64, opts Options, scoped bool) *Result {
 		if !opts.NonReturning {
 			return res
 		}
-		newNonRet, newCond := inferNonReturning(res, s.pushed)
+		newNonRet, newCond := s.inferNonReturning(res)
 		if setsEqual(newNonRet, nonRet) && setsEqual(newCond, condNonRet) {
 			break
 		}
@@ -420,6 +426,11 @@ func (s *Session) pass(seeds []uint64, opts Options,
 
 		for {
 			if opts.MaxInsts > 0 && len(res.Insts) >= opts.MaxInsts {
+				return res
+			}
+			if len(res.Errors) > 0 {
+				// A strict walk ends at its first error: every rule
+				// only rejects, so walking on cannot change a verdict.
 				return res
 			}
 			if decoded.has(addr) {

@@ -8,6 +8,15 @@
 // previously detected functions, and (iv) calling-convention
 // violations. Accepted pointers become function starts and their
 // disassembly refreshes the candidate pool.
+//
+// A candidate is accepted only when all four rules hold, so validation
+// runs the cheap rules first: the seed forms of (iii) and (ii), which
+// test the candidate itself against known function extents and the
+// committed disassembly, then (iv), a bounded straight-line read at the
+// entry. Only a candidate that passes them is walked: the strict walk
+// checks (i)-(iii) along its control flow and stops at its first error,
+// and its instructions are then checked against the committed
+// disassembly (rule (ii)).
 package xref
 
 import (
@@ -163,7 +172,10 @@ type Options struct {
 	// DisableRule turns individual §IV-E validation rules off for
 	// ablation: [0] invalid opcodes / strict walk, [1] mid-instruction
 	// landings, [2] transfers into function interiors, [3] calling
-	// conventions.
+	// conventions. Setting [0] drops every error of the walk, the
+	// mid-instruction and into-function errors it meets on its way
+	// included; the walk then runs in full, and [1]'s check of its
+	// instructions against the committed disassembly still applies.
 	DisableRule [4]bool
 	// Session, when set, supplies the incremental disassembly state:
 	// candidate validation walks run on a fork of it, so every probe
@@ -176,10 +188,13 @@ type Options struct {
 	Index *DataIndex
 	// Observer, when set, receives every candidate validation in the
 	// exact order the sequential accept loop consults verdicts: the
-	// candidate, the verdict, and the validation walk's result (nil
-	// when the candidate was rejected before walking). The delta-
-	// analysis recorder uses it to capture each verdict together with
-	// the byte extent it depends on. Observers must not mutate v.
+	// candidate, the verdict, and the validation walk's result. v is
+	// nil exactly when the candidate was rejected before walking (by a
+	// seed-form rule or rule (iv)); otherwise it is the walk whatever
+	// the verdict, and a walk that met an error ends there (v.Errors).
+	// The delta-analysis recorder uses it to capture each verdict
+	// together with the byte extent it depends on. Observers must not
+	// mutate v.
 	Observer func(c uint64, ok bool, v *disasm.Result)
 }
 
@@ -298,8 +313,14 @@ func ValidateCandidate(img *elfx.Image, res *disasm.Result, c uint64, opts Optio
 	return validate(img, res, c, opts, probe)
 }
 
-// validate applies rules (i)-(iv) to one candidate. A non-nil probe
-// session runs the validation walk with cached decoding.
+// validate applies rules (i)-(iv) to one candidate: first every rule
+// that needs no walk — the seed forms of (iii) and (ii), then (iv) —
+// and only then the walk forms of (i)-(iii). A verdict holds only when
+// every rule does, so the order changes the work, never the verdict.
+// The result is the validation walk's: nil when the candidate was
+// rejected before walking, else the walk (cut at its first error on a
+// strict rejection) whatever the verdict. A non-nil probe session runs
+// the walk with cached decoding.
 func validate(img *elfx.Image, res *disasm.Result, c uint64, opts Options, probe *disasm.Session) (*disasm.Result, bool) {
 	// Rule (iii), seed form: the candidate itself must not point into
 	// a previously detected function's interior.
@@ -317,14 +338,21 @@ func validate(img *elfx.Image, res *disasm.Result, c uint64, opts Options, probe
 			return nil, false
 		}
 	}
+	// Rule (iv): calling convention at the candidate entry — a bounded
+	// straight-line read, far cheaper than the walk.
+	if !opts.DisableRule[3] && !callconv.Validate(img, c) {
+		return nil, false
+	}
 	// Rules (i)-(iii), walk form: conservative recursive disassembly.
+	// With rule (i) off the walk records no errors; its path, and so
+	// its instructions, are the same either way.
 	ranges := opts.KnownRanges
 	if opts.DisableRule[2] {
 		ranges = nil
 	}
 	vopts := disasm.Options{
 		ResolveJumpTables: true,
-		Strict:            true,
+		Strict:            !opts.DisableRule[0],
 		KnownRanges:       ranges,
 		MaxInsts:          opts.MaxValidationInsts,
 	}
@@ -334,8 +362,8 @@ func validate(img *elfx.Image, res *disasm.Result, c uint64, opts Options, probe
 	} else {
 		v = disasm.Recursive(img, []uint64{c}, vopts)
 	}
-	if !opts.DisableRule[0] && len(v.Errors) > 0 {
-		return nil, false
+	if len(v.Errors) > 0 {
+		return v, false
 	}
 	// Rule (ii) against the pre-existing disassembly: any instruction
 	// decoded by the validation walk that overlaps a previously
@@ -343,13 +371,9 @@ func validate(img *elfx.Image, res *disasm.Result, c uint64, opts Options, probe
 	if !opts.DisableRule[1] {
 		for addr := range v.Insts {
 			if start, covered := res.InstStartAt(addr); covered && start != addr {
-				return nil, false
+				return v, false
 			}
 		}
-	}
-	// Rule (iv): calling convention at the candidate entry.
-	if !opts.DisableRule[3] && !callconv.Validate(img, c) {
-		return nil, false
 	}
 	return v, true
 }
