@@ -2,10 +2,12 @@ package fetch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -101,6 +103,85 @@ func deltaTierFiles(t *testing.T, dir, family string) []string {
 		t.Fatalf("no %q entries in %s", family, dir)
 	}
 	return out
+}
+
+// TestDeltaUnmappedCallNeverReturns pins delta replay's non-return
+// verdicts to the committed inference's: a call to a non-executable
+// address does not return. G (entry point, FDE) runs `call F; call H;
+// ret`, and H (`ret`) has no FDE, so only G's fall-through past F finds
+// it. In the base build F (FDE) runs `call 0x300000; ret` with the
+// target unmapped, so F never returns and H stays undetected; the
+// recompile makes F `nop×5; ret`, which returns and brings H in. A
+// verdict walk that let the unmapped call return would judge F
+// returning in both builds and serve the base result, without H.
+func TestDeltaUnmappedCallNeverReturns(t *testing.T) {
+	const g, f, h, ehAddr = 0x401000, 0x401100, 0x401200, 0x402000
+	call := func(at, target uint64) []byte {
+		b := []byte{0xE8, 0, 0, 0, 0}
+		binary.LittleEndian.PutUint32(b[1:], uint32(int32(int64(target)-int64(at+5))))
+		return b
+	}
+	build := func(fBody []byte) []byte {
+		t.Helper()
+		gBody := append(append(call(g, f), call(g+5, h)...), 0xC3)
+		text := bytes.Repeat([]byte{0xCC}, h+1-g)
+		copy(text, gBody)
+		copy(text[f-g:], fBody)
+		text[h-g] = 0xC3
+		cie := ehframe.NewDefaultCIE()
+		eh, err := (&ehframe.Section{Addr: ehAddr, FDEs: []*ehframe.FDE{
+			{CIE: cie, PCBegin: g, PCRange: uint64(len(gBody))},
+			{CIE: cie, PCBegin: f, PCRange: uint64(len(fBody))},
+		}}).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := elfx.WriteELF(&elfx.Image{Entry: g, Sections: []*elfx.Section{
+			{Name: ".text", Addr: g, Data: text, Flags: elfx.FlagAlloc | elfx.FlagExec},
+			{Name: ".eh_frame", Addr: ehAddr, Data: eh, Flags: elfx.FlagAlloc},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	baseRaw := build(append(call(f, 0x300000), 0xC3))
+	nextRaw := build([]byte{0x90, 0x90, 0x90, 0x90, 0x90, 0xC3})
+
+	cold, err := Analyze(nextRaw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(cold.FunctionStarts, h) {
+		t.Fatalf("cold analysis of the recompile misses H: %#x", cold.FunctionStarts)
+	}
+	coldEnc, err := EncodeResult(StripSchedule(cold))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cache, err := NewCache(CacheConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Analyze(baseRaw, WithCache(cache)); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.DeltaPuts == 0 {
+		t.Fatalf("base analysis recorded no delta trace: %+v", st)
+	}
+	res, err := Analyze(nextRaw, WithCache(cache))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := EncodeResult(StripSchedule(res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, coldEnc) {
+		t.Fatalf("served result differs from cold analysis (delta path %v): starts %#x, cold %#x",
+			res.Stats.DeltaPath, res.FunctionStarts, cold.FunctionStarts)
+	}
 }
 
 // TestDeltaFnTierCorruption mirrors the whole-binary corruption test

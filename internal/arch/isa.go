@@ -45,8 +45,7 @@ type JumpTableCtx interface {
 	RecordTableRead(lo, hi uint64)
 	// RecordTableBase records a proven table base address so pointer
 	// detection does not treat it as a function-pointer candidate.
-	// Resolvers call it exactly where the historical x64 analysis did
-	// (PIC tables); the caller handles the remaining idioms itself.
+	// Resolvers call it for every table they resolve.
 	RecordTableBase(table uint64)
 }
 

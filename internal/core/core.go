@@ -308,9 +308,9 @@ func (p *pipeline) runRecursive() error {
 
 // fdeRanges returns the FDE extents minus the excluded starts, for the
 // §IV-E jump-into-function rule.
-func (p *pipeline) fdeRanges(exclude map[uint64]bool) []disasm.FuncRange {
+func fdeRanges(sec *ehframe.Section, exclude map[uint64]bool) []disasm.FuncRange {
 	var out []disasm.FuncRange
-	for _, f := range p.rep.Sec.FDEs {
+	for _, f := range sec.FDEs {
 		if exclude != nil && exclude[f.PCBegin] {
 			continue
 		}
@@ -365,7 +365,7 @@ func (p *pipeline) xrefIterBound() int {
 // where the historical cap of 3 truncated silently.
 func (p *pipeline) runXref(exclude map[uint64]bool) {
 	opts := xref.Options{
-		KnownRanges: p.fdeRanges(exclude),
+		KnownRanges: fdeRanges(p.rep.Sec, exclude),
 		Session:     p.sess,
 		Index:       p.dataIndex(),
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fetch/internal/callconv"
@@ -93,8 +94,6 @@ type DeltaInput struct {
 	// Strategy must equal the recorded run's strategy (the cache keys
 	// traces by strategy variant, so this is structural).
 	Strategy Strategy
-	// MaxDirtyFraction overrides DefaultMaxDirtyFraction when > 0.
-	MaxDirtyFraction float64
 }
 
 // DeltaOutcome reports a ReplayDelta verification.
@@ -158,11 +157,7 @@ func ReplayDelta(in DeltaInput) DeltaOutcome {
 		out.OK = true
 		return out
 	}
-	maxFrac := in.MaxDirtyFraction
-	if maxFrac <= 0 {
-		maxFrac = DefaultMaxDirtyFraction
-	}
-	if totalBytes == 0 || float64(dirtyBytes)/float64(totalBytes) > maxFrac {
+	if totalBytes == 0 || float64(dirtyBytes)/float64(totalBytes) > DefaultMaxDirtyFraction {
 		return fail("dirty fraction %.2f over budget", float64(dirtyBytes)/float64(totalBytes))
 	}
 
@@ -252,8 +247,8 @@ func ReplayDelta(in DeltaInput) DeltaOutcome {
 			}
 			if !built {
 				built = true
-				krPre = deltaFDERanges(in.Sec, nil)
-				krPost = deltaFDERanges(in.Sec, toSet(tr.Removed))
+				krPre = fdeRanges(in.Sec, nil)
+				krPost = fdeRanges(in.Sec, toSet(tr.Removed))
 			}
 			kr := krPre
 			if rec.Post {
@@ -309,7 +304,7 @@ func revalidateXref(img *elfx.Image, rec XrefRec, known []disasm.FuncRange,
 		if xref.ContiguousEnd(v, rec.C) != rec.End {
 			return fmt.Sprintf("candidate %#x: extent changed", rec.C)
 		}
-		if !u64Equal(sortedKeys(v.Constants), rec.Consts) {
+		if !slices.Equal(sortedKeys(v.Constants), rec.Consts) {
 			return fmt.Sprintf("candidate %#x: constants changed", rec.C)
 		}
 	}
@@ -400,7 +395,7 @@ func verifyRange(oldSess, newSess *disasm.Session, rng disasm.FuncRange,
 		wlOld := oldSess.WalkLocal(rng, entries, envNR, envCNR)
 		wlNew := newSess.WalkLocal(rng, entries, envNR, envCNR)
 		fo, fn := wlOld.Facts(), wlNew.Facts()
-		if fo.Flags != 0 || fn.Flags != 0 {
+		if fo.Unfaithful || fn.Unfaithful {
 			return "local walk escaped the range"
 		}
 		if !fo.Equal(fn) {
@@ -414,11 +409,9 @@ func verifyRange(oldSess, newSess *disasm.Session, rng disasm.FuncRange,
 				verdictEntries = append(verdictEntries, t)
 			}
 		}
-		returnsOf := func(t uint64) bool { return !envNR[t] }
-		isFunc := func(t uint64) bool { return funcs[t] }
 		for _, e := range verdictEntries {
-			vo, qo, oko := wlOld.EntryReturns(e, returnsOf, isFunc)
-			vn, qn, okn := wlNew.EntryReturns(e, returnsOf, isFunc)
+			vo, qo, oko := wlOld.EntryReturns(e, envNR, funcs)
+			vn, qn, okn := wlNew.EntryReturns(e, envNR, funcs)
 			if !oko || !okn {
 				return "verdict walk escaped the range"
 			}
@@ -428,12 +421,12 @@ func verifyRange(oldSess, newSess *disasm.Session, rng disasm.FuncRange,
 			if reason := checkQueried(qo, qn, tset, uNR, uCNR, ev); reason != "" {
 				return reason
 			}
-			ho, bo, qo2, oko2 := wlOld.CondFacts(e, isFunc)
-			hn, bn, qn2, okn2 := wlNew.CondFacts(e, isFunc)
+			ho, bo, qo2, oko2 := wlOld.CondFacts(e, funcs)
+			hn, bn, qn2, okn2 := wlNew.CondFacts(e, funcs)
 			if !oko2 || !okn2 {
 				return "conditional-verdict walk escaped the range"
 			}
-			if ho != hn || !u64Equal(bo, bn) {
+			if ho != hn || !slices.Equal(bo, bn) {
 				return "conditional-non-return facts differ"
 			}
 			if reason := checkQueried(qo2, qn2, tset, uNR, uCNR, ev); reason != "" {
@@ -445,7 +438,7 @@ func verifyRange(oldSess, newSess *disasm.Session, rng disasm.FuncRange,
 	if reason := walk(0); reason != "" {
 		return nil, reason
 	}
-	if fresh.Flags != 0 || !wlOldFinal.Facts().Equal(fresh) {
+	if fresh.Unfaithful || !wlOldFinal.Facts().Equal(fresh) {
 		// The final projection is covered by the enumeration, but keep
 		// the explicit check: these facts substitute into the global
 		// coverage.
@@ -552,19 +545,6 @@ func substituteCoverage(tr *Trace, dirty []int, freshFacts map[int]*disasm.Local
 	return out
 }
 
-// deltaFDERanges mirrors pipeline.fdeRanges for re-validation: every
-// FDE extent, minus the excluded starts.
-func deltaFDERanges(sec *ehframe.Section, exclude map[uint64]bool) []disasm.FuncRange {
-	var out []disasm.FuncRange
-	for _, f := range sec.FDEs {
-		if exclude != nil && exclude[f.PCBegin] {
-			continue
-		}
-		out = append(out, disasm.FuncRange{Start: f.PCBegin, End: f.End()})
-	}
-	return out
-}
-
 // patchImage builds the recorded binary's image: the new image with
 // the old bytes written back into the changed ranges. Section data is
 // copied; the input image is never mutated.
@@ -608,16 +588,4 @@ func toSet(in []uint64) map[uint64]bool {
 		out[a] = true
 	}
 	return out
-}
-
-func u64Equal(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

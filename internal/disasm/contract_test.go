@@ -276,7 +276,7 @@ func TestInferenceMatchesMapReference(t *testing.T) {
 func TestPassInstFallsBackToInsts(t *testing.T) {
 	img, _, sec := buildBinary(t, 21, nil)
 	sess := NewSession(img, defaultOpts())
-	res := sess.pass(sec.FunctionStarts(), defaultOpts(), map[uint64]bool{}, map[uint64]bool{}, newOwnerIndex(sess.layout))
+	res := sess.pass(sec.FunctionStarts(), defaultOpts(), map[uint64]bool{}, map[uint64]bool{}, newOwnerIndex(sess.layout), nil)
 	if len(res.Insts) == 0 {
 		t.Fatal("pass decoded nothing")
 	}

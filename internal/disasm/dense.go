@@ -110,12 +110,15 @@ type decodeCache struct {
 //
 // A session owns two mark sets — pushed (the worklist's enqueued
 // addresses) and decoded (the instruction starts of the current walk).
-// The non-return inference that exec runs after a pass reuses both:
-// pushed as its visited set, and decoded as the pass's instruction set
-// (see Session.passInst). That sharing is sound only because walks
-// never nest — the owner workspace's borrow check enforces it for
-// Probe and WalkLocal — and because exec runs the inference straight
-// after the pass, before any other walk resets the marks.
+// The non-return verdict walks reuse both after a pass — exec's
+// inference after each committed or probe pass, a LocalWalk's verdicts
+// after its bounded pass: pushed as their visited set, and decoded as
+// the pass's instruction set (see Session.passInst). That sharing is
+// sound only because walks never nest — the owner workspace's borrow
+// check enforces it for probes and bounded walks — and because the
+// verdicts run before any other walk resets the marks: exec runs the
+// inference straight after the pass, and a LocalWalk checks the
+// decoded epoch its walk left.
 type walkMarks struct {
 	tab byteTable[uint32]
 	// epoch is the live stamp. It is never 0, so slots in fresh chunks

@@ -47,6 +47,9 @@ type FuncRange struct {
 	End   uint64
 }
 
+// contains reports whether addr lies in the range.
+func (r FuncRange) contains(addr uint64) bool { return addr >= r.Start && addr < r.End }
+
 // Options configure a recursive disassembly run.
 type Options struct {
 	// ResolveJumpTables enables the bounded DYNINST-style jump-table
@@ -95,8 +98,8 @@ type Result struct {
 	// walk: at most one, and none for a non-strict walk.
 	Errors []Error
 	// owner maps every byte of decoded instructions to the
-	// instruction start covering it. It is nil on Probe and WalkLocal
-	// results, whose walks returned the borrowed workspace.
+	// instruction start covering it. It is nil on the results of
+	// probes and bounded walks, which returned the borrowed workspace.
 	owner *ownerIndex
 	// tableReads records the data intervals consulted by jump-table
 	// resolution during this walk. A cached verdict derived from the

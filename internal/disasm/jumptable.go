@@ -51,7 +51,8 @@ func (c jtCtx) RecordTableBase(table uint64) { c.res.TableBases[table] = true }
 // prevInstIn returns the start of the decoded instruction that ends
 // exactly at addr, scanning back at most isa's longest instruction. It
 // runs mid-walk, while the walk still holds its owner index: its own
-// for a committed pass, the borrowed workspace for Probe and WalkLocal.
+// for a committed pass, the borrowed workspace for probes and bounded
+// walks.
 func prevInstIn(res *Result, isa arch.ISA, addr uint64) (uint64, bool) {
 	for back := uint64(1); back <= uint64(isa.MaxInstLen()); back++ {
 		start, ok := res.owner.get(addr - back)

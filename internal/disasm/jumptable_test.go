@@ -76,8 +76,15 @@ func TestJumpTableResolvedBounded(t *testing.T) {
 			t.Fatalf("resolved %d entries, want 3 (bound+1)", len(targets))
 		}
 	}
-	if len(res.TableBases) != 1 {
+	if len(res.TableBases) != 1 || !res.TableBases[0x402000] {
 		t.Fatalf("TableBases = %v", res.TableBases)
+	}
+	// The bounded walk of delta replay records the same base.
+	text, _ := img.Section(".text")
+	lw := NewSession(img, Options{ResolveJumpTables: true}).
+		WalkLocal(FuncRange{Start: start, End: text.End()}, []uint64{start}, nil, nil)
+	if got := lw.Facts().TableBases; len(got) != 1 || got[0] != 0x402000 {
+		t.Fatalf("bounded walk TableBases = %#x, want [0x402000]", got)
 	}
 }
 

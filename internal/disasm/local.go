@@ -3,24 +3,27 @@ package disasm
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"fetch/internal/arch"
 )
 
-// This file implements the function-local replay machinery behind
-// delta re-analysis (ROADMAP item 3): re-running the committed-pass
-// walk restricted to one FDE-delimited byte range, and evaluating the
-// non-return verdicts of that range's entries, against an explicit
-// verdict environment. The delta path analyzes only the ranges whose
-// bytes changed between two builds and compares the local facts
-// against the recorded ones; everything here therefore mirrors the
-// committed pass (Session.pass) and the inference walks (funcReturns,
-// isCondNonRet) instruction for instruction. Any situation the local
-// model cannot reproduce faithfully — a run crossing the range
-// boundary, an instruction straddling the range end, a mid-instruction
-// arrival — is reported as a flag, and the caller falls back to a cold
-// run: fidelity gaps cost time, never correctness.
+// This file holds the function-local replay surface behind delta
+// re-analysis: the persisted instruction facts, and the bounded walk
+// the delta verifier runs over one FDE-delimited byte range against an
+// explicit verdict environment. The bounded walk is the engine's own
+// pass (Session.pass with a walkBound), and its verdicts are the
+// committed inference's own walks (funcReturns, condCalls) scoped to
+// the range, so local replay cannot drift from the committed analysis.
+// The delta path analyzes only the ranges whose bytes changed between
+// two builds and compares the local facts against the recorded ones.
+// Any situation the local model cannot reproduce faithfully — a run
+// crossing the range boundary, an instruction straddling the range
+// end, a mid-instruction arrival, a verdict walk leaving the range — is
+// reported, and the caller falls back to a cold run: fidelity gaps cost
+// time, never correctness.
 
 // InstFact is the persisted skeleton of one decoded instruction:
 // enough to rebuild coverage (owner) queries without re-decoding.
@@ -113,26 +116,8 @@ type JumpFact struct {
 	Jcc    bool
 }
 
-// LocalFlags mark walk events the local model cannot replay soundly.
-type LocalFlags uint8
-
-// Local walk fidelity flags.
-const (
-	// LocalEscape: a fall-through run reached the range end, or an
-	// instruction straddles the range boundary — the walk's
-	// continuation depends on bytes outside the range.
-	LocalEscape LocalFlags = 1 << iota
-	// LocalSawMid: the walk arrived mid-instruction; the union-of-walks
-	// order-independence argument no longer holds.
-	LocalSawMid
-	// LocalVerdictEscape: a verdict evaluation (funcReturns /
-	// isCondNonRet mirror) stepped outside the range through an edge
-	// the global walk would have followed into foreign code.
-	LocalVerdictEscape
-)
-
-// LocalFacts are the cross-range-visible outputs of one restricted
-// walk under one verdict environment. Two builds whose changed ranges
+// LocalFacts are the cross-range-visible outputs of one bounded walk
+// under one verdict environment. Two builds whose changed ranges
 // produce equal LocalFacts (per environment) are indistinguishable to
 // every other function's analysis.
 type LocalFacts struct {
@@ -159,8 +144,12 @@ type LocalFacts struct {
 	// JmpOut lists jmp/jcc instructions targeting outside the range,
 	// in address order (the tail-call sweep's per-FDE inputs).
 	JmpOut []JumpFact
-	// Flags are the fidelity flags of the walk itself.
-	Flags LocalFlags
+	// Unfaithful marks a walk the local model cannot replay soundly:
+	// a fall-through run reached the range end or an instruction
+	// straddles it (the continuation depends on bytes outside the
+	// range), or the walk arrived mid-instruction (the union-of-walks
+	// order-independence argument no longer holds).
+	Unfaithful bool
 }
 
 // Equal reports whether two fact sets are indistinguishable to the
@@ -170,65 +159,45 @@ type LocalFacts struct {
 // that delta replay separately substitutes fresh coverage for changed
 // ranges.
 func (f *LocalFacts) Equal(g *LocalFacts) bool {
-	if f.Flags != g.Flags {
+	if f.Unfaithful != g.Unfaithful {
 		return false
 	}
-	if !u64SlicesEqual(f.Calls, g.Calls) || !u64SlicesEqual(f.Pushes, g.Pushes) ||
-		!u64SlicesEqual(f.Consts, g.Consts) || !u64SlicesEqual(f.TableBases, g.TableBases) {
+	if !slices.Equal(f.Calls, g.Calls) || !slices.Equal(f.Pushes, g.Pushes) ||
+		!slices.Equal(f.Consts, g.Consts) || !slices.Equal(f.TableBases, g.TableBases) {
 		return false
 	}
-	if len(f.RefCounts) != len(g.RefCounts) {
+	if !maps.Equal(f.RefCounts, g.RefCounts) {
 		return false
 	}
-	for t, n := range f.RefCounts {
-		if g.RefCounts[t] != n {
-			return false
-		}
-	}
-	if len(f.JmpOut) != len(g.JmpOut) {
-		return false
-	}
-	for i := range f.JmpOut {
-		if f.JmpOut[i].Target != g.JmpOut[i].Target || f.JmpOut[i].Jcc != g.JmpOut[i].Jcc {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(f.JmpOut, g.JmpOut, func(a, b JumpFact) bool {
+		return a.Target == b.Target && a.Jcc == b.Jcc
+	})
 }
 
-func u64SlicesEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// LocalWalk is the result of one restricted walk: the public facts
-// plus the private instruction state the verdict evaluators run over.
+// LocalWalk is the result of one bounded walk: the public facts plus
+// the walk's private instruction state the verdict evaluators run
+// over. The evaluators read that state from the session's walk marks,
+// so they are valid only until the session (or any fork of it) walks
+// again; calling one after that panics.
 type LocalWalk struct {
+	s     *Session
 	rng   FuncRange
 	res   *Result
 	facts *LocalFacts
-	// seen is the session's pushed mark set, the verdict evaluators'
-	// visited set once the walk is done.
-	seen *walkMarks
+	// epoch is the decoded marks' epoch the walk left behind.
+	epoch uint32
 }
 
 // Facts returns the walk's cross-visible facts.
 func (lw *LocalWalk) Facts() *LocalFacts { return lw.facts }
 
-// WalkLocal runs the committed-pass recursive descent restricted to
-// [rng.Start, rng.End), from the given entry addresses, under the
-// given non-return environment. It mirrors Session.pass exactly —
-// same gate rules, same rdi tracking, same jump-table analysis — but
-// records pushes that leave the range as facts instead of following
-// them, exactly as the global walk's contribution of this range would
-// appear to every other range. Decodes go through the session cache.
+// WalkLocal runs the committed pass restricted to [rng.Start, rng.End),
+// from the given entry addresses (which lie in the range), under the
+// given non-return environment: the session's own pass with a walk
+// bound, so pushes that leave the range are recorded as facts instead
+// of followed, exactly as the global walk's contribution of this range
+// would appear to every other range. Decodes go through the session
+// cache.
 //
 // Like Probe, the walk records coverage in the session's owner
 // workspace and returns it when done: the walk's private result carries
@@ -236,342 +205,89 @@ func (lw *LocalWalk) Facts() *LocalFacts { return lw.facts }
 func (s *Session) WalkLocal(rng FuncRange, entries []uint64,
 	nonRet, condNonRet map[uint64]bool) *LocalWalk {
 
-	img := s.img
-	facts := &LocalFacts{RefCounts: make(map[uint64]int)}
-	own := s.borrowOwner()
-	res := &Result{
-		isa:        s.isa,
-		Insts:      make(map[uint64]*arch.Inst),
-		Funcs:      make(map[uint64]bool),
-		Refs:       make(map[uint64][]uint64),
-		Constants:  make(map[uint64]bool),
-		NonRet:     nonRet,
-		CondNonRet: condNonRet,
-		JTTargets:  make(map[uint64][]uint64),
-		TableBases: make(map[uint64]bool),
-		owner:      own,
-	}
-	inRange := func(a uint64) bool { return a >= rng.Start && a < rng.End }
-
-	type workItem struct {
-		addr uint64
-		rdi  rdiState
-	}
-	var work []workItem
-	pushed, decoded := s.pushed, s.decoded
-	pushed.next()
-	decoded.next()
-	push := func(addr uint64, rdi rdiState) {
-		// Out-of-range pushes become facts; in-range pushes are walked.
-		if !inRange(addr) {
-			facts.Pushes = append(facts.Pushes, addr)
-			return
-		}
-		if pushed.add(addr) {
-			work = append(work, workItem{addr, rdi})
-		}
-	}
-	addRef := func(target, from uint64) {
-		res.Refs[target] = append(res.Refs[target], from)
-		facts.RefCounts[target]++
-	}
-
-	for _, sd := range entries {
-		res.Funcs[sd] = true
-		if inRange(sd) && pushed.add(sd) {
-			work = append(work, workItem{sd, rdiUnknown})
-		}
-	}
-
-	for len(work) > 0 {
-		item := work[len(work)-1]
-		work = work[:len(work)-1]
-		addr := item.addr
-		rdi := item.rdi
-
-		for {
-			if !inRange(addr) {
-				// A fall-through run reached the boundary: the global
-				// walk would continue into the neighbor's bytes.
-				facts.Flags |= LocalEscape
-				break
-			}
-			if decoded.has(addr) {
-				break
-			}
-			if owner, mid := own.get(addr); mid && owner != addr {
-				res.sawMid = true
-				facts.Flags |= LocalSawMid
-				break
-			}
-			if !img.IsExec(addr) {
-				break
-			}
-			e := s.decode(addr)
-			if e.kind != decodeOK {
-				break
-			}
-			in := e.inst
-			if in.Next() > rng.End {
-				// Straddles the range end: the decode itself reads
-				// neighbor bytes.
-				facts.Flags |= LocalEscape
-				break
-			}
-			res.Insts[addr] = in
-			decoded.add(addr)
-			own.setRange(addr, int(in.Len))
-			for _, c := range e.consts {
-				res.Constants[c] = true
-			}
-
-			switch e.rdi {
-			case arch.GateSetUnknown:
-				rdi = rdiUnknown
-			case arch.GateSetZero:
-				rdi = rdiZero
-			case arch.GateSetNonZero:
-				rdi = rdiNonZero
-			}
-
-			switch in.Op {
-			case arch.OpCall:
-				t := in.Target
-				if !img.IsExec(t) {
-					break // falls through below, like the global walk
-				}
-				addRef(t, in.Addr)
-				res.Funcs[t] = true
-				facts.Calls = append(facts.Calls, t)
-				push(t, rdiUnknown)
-				if nonRet[t] {
-					goto pathDone
-				}
-				if condNonRet[t] && rdi != rdiZero {
-					goto pathDone
-				}
-				rdi = rdiUnknown
-				addr = in.Next()
-				continue
-			case arch.OpJcc:
-				t := in.Target
-				if img.IsExec(t) {
-					addRef(t, in.Addr)
-					push(t, rdiUnknown)
-				}
-				if !inRange(t) {
-					facts.JmpOut = append(facts.JmpOut, JumpFact{in.Addr, t, true})
-				}
-				addr = in.Next()
-				continue
-			case arch.OpJmp:
-				t := in.Target
-				if img.IsExec(t) {
-					addRef(t, in.Addr)
-					push(t, rdiUnknown)
-				}
-				if !inRange(t) {
-					facts.JmpOut = append(facts.JmpOut, JumpFact{in.Addr, t, false})
-				}
-				goto pathDone
-			case arch.OpJmpInd:
-				targets := s.isa.ResolveJumpTable(jtCtx{img: img, isa: s.isa, res: res}, in, maxJumpTableEntries)
-				if len(targets) > 0 {
-					res.JTTargets[in.Addr] = targets
-				}
-				for _, t := range targets {
-					addRef(t, in.Addr)
-					push(t, rdiUnknown)
-				}
-				goto pathDone
-			case arch.OpRet, arch.OpUd2, arch.OpHlt, arch.OpInt3:
-				goto pathDone
-			}
-			addr = in.Next()
-		}
-	pathDone:
-	}
+	b := &walkBound{FuncRange: rng}
+	res := s.pass(entries, s.opts, nonRet, condNonRet, s.borrowOwner(), b)
 	s.returnOwner(res)
 
-	// Project the private result into the sorted fact lists.
-	facts.Insts = make([]InstFact, 0, len(res.Insts))
-	for a, in := range res.Insts {
-		facts.Insts = append(facts.Insts, InstFact{a, uint16(in.Len)})
+	facts := &LocalFacts{
+		Insts:      res.InstFacts(),
+		Pushes:     sortedDistinct(b.exits),
+		RefCounts:  make(map[uint64]int, len(res.Refs)),
+		Consts:     sortedKeys(res.Constants),
+		TableBases: sortedKeys(res.TableBases),
+		TableReads: res.TableReads(),
+		Unfaithful: b.escaped || res.sawMid,
 	}
-	sort.Slice(facts.Insts, func(i, j int) bool { return facts.Insts[i].Addr < facts.Insts[j].Addr })
+	for t, from := range res.Refs {
+		facts.RefCounts[t] = len(from)
+	}
+	for _, f := range facts.Insts {
+		in := res.Insts[f.Addr]
+		switch in.Op {
+		case arch.OpCall:
+			if s.img.IsExec(in.Target) {
+				facts.Calls = append(facts.Calls, in.Target)
+			}
+		case arch.OpJcc, arch.OpJmp:
+			if !rng.contains(in.Target) {
+				facts.JmpOut = append(facts.JmpOut, JumpFact{in.Addr, in.Target, in.Op == arch.OpJcc})
+			}
+		}
+	}
 	facts.Calls = sortedDistinct(facts.Calls)
-	facts.Pushes = sortedDistinct(facts.Pushes)
-	for c := range res.Constants {
-		facts.Consts = append(facts.Consts, c)
-	}
-	sort.Slice(facts.Consts, func(i, j int) bool { return facts.Consts[i] < facts.Consts[j] })
-	for b := range res.TableBases {
-		facts.TableBases = append(facts.TableBases, b)
-	}
-	sort.Slice(facts.TableBases, func(i, j int) bool { return facts.TableBases[i] < facts.TableBases[j] })
-	facts.TableReads = append(facts.TableReads, res.tableReads...)
-	sort.Slice(facts.JmpOut, func(i, j int) bool { return facts.JmpOut[i].Addr < facts.JmpOut[j].Addr })
-
-	return &LocalWalk{rng: rng, res: res, facts: facts, seen: pushed}
+	return &LocalWalk{s: s, rng: rng, res: res, facts: facts, epoch: s.decoded.epoch}
 }
 
 func sortedDistinct(in []uint64) []uint64 {
-	if len(in) == 0 {
-		return nil
+	slices.Sort(in)
+	return slices.Compact(in)
+}
+
+// sortedKeys returns a set's members in ascending order, nil when empty.
+func sortedKeys(set map[uint64]bool) []uint64 {
+	var out []uint64
+	for a := range set {
+		out = append(out, a)
 	}
-	sort.Slice(in, func(i, j int) bool { return in[i] < in[j] })
-	out := in[:1]
-	for _, v := range in[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
-// EntryReturns mirrors funcReturns for one entry of the walked range
-// against an explicit returns assignment for foreign functions.
-// returnsOf answers "does function t return" for delegated call and
-// tail-jump targets; isFunc answers global function-set membership
-// (the tail-jump gate). queried collects every target whose returnsOf
-// or isFunc answer influenced the outcome, so the caller can reject
-// environments where those answers were iteration-dependent. ok=false
-// means the evaluation escaped the range and the verdict cannot be
-// derived locally.
-func (lw *LocalWalk) EntryReturns(entry uint64,
-	returnsOf func(uint64) bool, isFunc func(uint64) bool) (verdict bool, queried []uint64, ok bool) {
-
-	res := lw.res
-	inRange := func(a uint64) bool { return a >= lw.rng.Start && a < lw.rng.End }
-	query := func(t uint64) { queried = append(queried, t) }
-	seen := lw.seen
-	seen.next()
-	stack := []uint64{entry}
-	for len(stack) > 0 {
-		a := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for {
-			if !seen.add(a) {
-				break
-			}
-			in, found := res.Insts[a]
-			if !found {
-				if inRange(a) {
-					break // no coverage here, same as the global walk
-				}
-				return false, queried, false // escaped
-			}
-			switch in.Op {
-			case arch.OpRet:
-				return true, queried, true
-			case arch.OpJcc:
-				stack = append(stack, in.Target)
-				a = in.Next()
-				continue
-			case arch.OpJmp:
-				t := in.Target
-				query(t)
-				if isFunc(t) && t != entry {
-					if returnsOf(t) {
-						return true, queried, true
-					}
-				} else {
-					stack = append(stack, t)
-				}
-			case arch.OpJmpInd:
-				for _, t := range res.JTTargets[a] {
-					stack = append(stack, t)
-				}
-			case arch.OpCall:
-				query(in.Target)
-				if returnsOf(in.Target) {
-					a = in.Next()
-					continue
-				}
-			case arch.OpUd2, arch.OpHlt, arch.OpInt3:
-				// Terminal.
-			default:
-				a = in.Next()
-				continue
-			}
-			break
-		}
+// scope returns the verdict scope of the walk's range, panicking when
+// the session has walked since: the walk's instructions are gone.
+func (lw *LocalWalk) scope(funcs map[uint64]bool, log *[]uint64) *verdictScope {
+	if lw.s.decoded.epoch != lw.epoch {
+		panic("disasm: LocalWalk verdict read after its session walked again")
 	}
-	return false, queried, true
+	return &verdictScope{res: lw.res, funcs: funcs, rng: &lw.rng, log: log}
 }
 
-// CondFacts mirrors isCondNonRet's environment-independent skeleton
-// for one entry: whether the entry block tests the first argument, and
-// the set of call targets reachable by the body walk (which ignores
-// gates). The verdict under any environment is then
-// hasTest && (targets ∩ nonRet ≠ ∅). queried collects function-set
-// membership queries; ok=false means the walk escaped the range.
-func (lw *LocalWalk) CondFacts(entry uint64, isFunc func(uint64) bool) (hasTest bool, bodyCalls []uint64, queried []uint64, ok bool) {
-	res := lw.res
-	inRange := func(a uint64) bool { return a >= lw.rng.Start && a < lw.rng.End }
+// EntryReturns evaluates the committed inference's returns verdict
+// (funcReturns) for one entry of the walked range under the
+// non-returning set nonRet, with funcs as the function set tail jumps
+// delegate to. queried collects every call and tail-jump target whose
+// answer influenced the outcome, so the caller can reject environments
+// where those answers were iteration-dependent. ok=false means the
+// evaluation escaped the range and the verdict cannot be derived
+// locally.
+func (lw *LocalWalk) EntryReturns(entry uint64, nonRet, funcs map[uint64]bool) (verdict bool, queried []uint64, ok bool) {
+	verdict, ok = lw.s.funcReturns(lw.scope(funcs, &queried), entry, nonRet)
+	return verdict, queried, ok
+}
 
-	a := entry
-	gate := res.isa.GateReg()
-	for k := 0; k < 3; k++ {
-		in, found := res.Insts[a]
-		if !found {
-			return false, nil, nil, true
-		}
-		if arch.IsGateTest(in, gate) {
-			hasTest = true
-			break
-		}
-		if in.IsBranch() || in.IsCall() {
-			return false, nil, nil, true
-		}
-		a = in.Next()
+// CondFacts evaluates the committed inference's environment-independent
+// conditional-non-return skeleton (condCalls) for one entry: whether the
+// entry block tests the first argument, and the sorted set of call
+// targets reachable by the body walk (which ignores gates). The verdict
+// under any environment is then hasTest && (bodyCalls ∩ nonRet ≠ ∅).
+// queried collects function-set membership queries; ok=false means the
+// walk escaped the range.
+func (lw *LocalWalk) CondFacts(entry uint64, funcs map[uint64]bool) (hasTest bool, bodyCalls []uint64, queried []uint64, ok bool) {
+	hasTest, bodyCalls, ok = lw.s.condCalls(lw.scope(funcs, &queried), entry)
+	if !ok {
+		return false, nil, nil, false
 	}
-	if !hasTest {
-		return false, nil, nil, true
-	}
-
-	seen := lw.seen
-	seen.next()
-	stack := []uint64{entry}
-	for len(stack) > 0 {
-		a := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for {
-			if !seen.add(a) {
-				break
-			}
-			in, found := res.Insts[a]
-			if !found {
-				if inRange(a) {
-					break
-				}
-				return false, nil, nil, false // escaped
-			}
-			if in.Op == arch.OpCall {
-				bodyCalls = append(bodyCalls, in.Target)
-				a = in.Next()
-				continue
-			}
-			if in.Op == arch.OpJcc {
-				stack = append(stack, in.Target)
-				a = in.Next()
-				continue
-			}
-			if in.Op == arch.OpJmp {
-				queried = append(queried, in.Target)
-				if !isFunc(in.Target) {
-					stack = append(stack, in.Target)
-				}
-				break
-			}
-			if in.Terminates() || in.Op == arch.OpInt3 {
-				break
-			}
-			a = in.Next()
-			continue
-		}
-	}
-	return true, sortedDistinct(bodyCalls), queried, true
+	return hasTest, sortedDistinct(bodyCalls), queried, true
 }
 
 // BuildCoverage constructs a coverage-only Result from persisted

@@ -2,8 +2,11 @@ package disasm
 
 import (
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"testing"
+
+	"fetch/internal/elfx"
 )
 
 // TestInstFactsGobLengths round-trips every length the owner index
@@ -34,4 +37,181 @@ func TestInstFactsGobLengths(t *testing.T) {
 			t.Errorf("length %d accepted as %v", l, got)
 		}
 	}
+}
+
+// boundedCounts tallies what a differential run compared, so the tests
+// can tell when their inputs stop exercising a path.
+type boundedCounts struct {
+	walks, unfaithful, tableBases, verdicts, nonReturning, escaped, condEscaped, gateTests int
+}
+
+// requireBoundedMatch walks rng from entries under one environment with
+// the bounded pass (on sess) and with the former mirror (on ref), and
+// requires identical facts, and identical verdicts, queried lists and
+// ok flags for the range's start, its entries and every in-range call
+// target, with funcs as the function set.
+func requireBoundedMatch(t *testing.T, label string, sess, ref *Session, rng FuncRange, entries []uint64,
+	nonRet, cond, funcs map[uint64]bool, n *boundedCounts) {
+	t.Helper()
+	lw := sess.WalkLocal(rng, entries, nonRet, cond)
+	rw := refWalkLocal(ref, rng, entries, nonRet, cond)
+	rf := rw.Facts()
+	want := LocalFacts{
+		Insts: rf.Insts, Calls: rf.Calls, Pushes: rf.Pushes, RefCounts: rf.RefCounts,
+		Consts: rf.Consts, TableBases: rf.TableBases, TableReads: rf.TableReads,
+		JmpOut: rf.JmpOut, Unfaithful: rf.Flags != 0,
+	}
+	if got := lw.Facts(); !reflect.DeepEqual(*got, want) {
+		t.Fatalf("%s: bounded walk facts\n%+v\nreference\n%+v", label, *got, want)
+	}
+	n.walks++
+	if want.Unfaithful {
+		n.unfaithful++
+	}
+	if len(want.TableBases) > 0 {
+		n.tableBases++
+	}
+
+	returnsOf := func(t uint64) bool { return !nonRet[t] }
+	isFunc := func(t uint64) bool { return funcs[t] }
+	verdictEntries := append([]uint64{rng.Start}, entries...)
+	for _, c := range want.Calls {
+		if rng.contains(c) {
+			verdictEntries = append(verdictEntries, c)
+		}
+	}
+	for _, e := range verdictEntries {
+		v, q, ok := lw.EntryReturns(e, nonRet, funcs)
+		rv, rq, rok := rw.EntryReturns(e, returnsOf, isFunc)
+		if v != rv || ok != rok || !reflect.DeepEqual(q, rq) {
+			t.Fatalf("%s entry %#x: EntryReturns = %v %#x %v, reference %v %#x %v", label, e, v, q, ok, rv, rq, rok)
+		}
+		h, b, q2, ok2 := lw.CondFacts(e, funcs)
+		rh, rb, rq2, rok2 := rw.CondFacts(e, isFunc)
+		if h != rh || ok2 != rok2 || !reflect.DeepEqual(b, rb) || !reflect.DeepEqual(q2, rq2) {
+			t.Fatalf("%s entry %#x: CondFacts = %v %#x %#x %v, reference %v %#x %#x %v",
+				label, e, h, b, q2, ok2, rh, rb, rq2, rok2)
+		}
+		n.verdicts++
+		switch {
+		case !ok:
+			n.escaped++
+		case !v:
+			n.nonReturning++
+		}
+		switch {
+		case !ok2:
+			n.condEscaped++
+		case h:
+			n.gateTests++
+		}
+	}
+}
+
+// requireBoundedMatchAllEnvs runs requireBoundedMatch under the empty
+// environment, then with each call target of the range made
+// non-returning, then conditionally non-returning, one target at a time.
+func requireBoundedMatchAllEnvs(t *testing.T, label string, sess, ref *Session, rng FuncRange, entries []uint64,
+	funcs map[uint64]bool, n *boundedCounts) {
+	t.Helper()
+	none := map[uint64]bool{}
+	requireBoundedMatch(t, label, sess, ref, rng, entries, none, none, funcs, n)
+	for _, c := range sess.WalkLocal(rng, entries, none, none).Facts().Calls {
+		one := map[uint64]bool{c: true}
+		requireBoundedMatch(t, fmt.Sprintf("%s nonret %#x", label, c), sess, ref, rng, entries, one, none, funcs, n)
+		requireBoundedMatch(t, fmt.Sprintf("%s cond %#x", label, c), sess, ref, rng, entries, none, one, funcs, n)
+	}
+}
+
+// TestBoundedWalkMatchesMirror compares delta replay's bounded walk and
+// verdicts — the engine's own pass and inference walks — with the
+// former hand-kept mirrors (localref_test.go) over every FDE range
+// of the adversarial profiles on both ISAs, and over every union of two
+// adjacent FDE ranges (where a conditionally non-returning function's
+// body walk stays in range), with the committed function set as the
+// tail-edge set.
+func TestBoundedWalkMatchesMirror(t *testing.T) {
+	opts := Options{ResolveJumpTables: true, NonReturning: true}
+	var n boundedCounts
+	for _, p := range contractProfiles(t) {
+		funcs := Recursive(p.img, p.sec.FunctionStarts(), opts).Funcs
+		sess, ref := NewSession(p.img, opts), NewSession(p.img, opts)
+		for i, f := range p.sec.FDEs {
+			rng := FuncRange{Start: f.PCBegin, End: f.End()}
+			requireBoundedMatchAllEnvs(t, fmt.Sprintf("%s range %#x", p.name, rng.Start), sess, ref, rng,
+				[]uint64{rng.Start}, funcs, &n)
+			if i+1 < len(p.sec.FDEs) && p.sec.FDEs[i+1].End() > rng.End {
+				rng.End = p.sec.FDEs[i+1].End()
+				requireBoundedMatchAllEnvs(t, fmt.Sprintf("%s ranges %#x+1", p.name, rng.Start), sess, ref, rng,
+					[]uint64{rng.Start}, funcs, &n)
+			}
+		}
+	}
+	if testing.Verbose() {
+		t.Logf("%+v", n)
+	}
+	if n.unfaithful == 0 || n.tableBases == 0 || n.nonReturning == 0 || n.escaped == 0 ||
+		n.condEscaped == 0 || n.gateTests == 0 {
+		t.Fatalf("compared %+v: the profiles no longer exercise every path", n)
+	}
+}
+
+// FuzzBoundedWalk runs the bounded-walk differential on arbitrary code:
+// the fuzz bytes become a .text section, lo and hi pick a range (which
+// may run past the section end) and entry an address in it, and the
+// function set is the committed one from the section start and entry.
+func FuzzBoundedWalk(f *testing.F) {
+	f.Add([]byte{0x55, 0x48, 0x89, 0xE5, 0xC3, 0xE8, 0xF6, 0xFF, 0xFF, 0xFF}, uint16(5), uint16(10), uint16(0))
+	// A call to an unmapped target, then ret.
+	f.Add([]byte{0xE8, 0xFB, 0xEF, 0xEF, 0xFF, 0xC3}, uint16(0), uint16(6), uint16(0))
+	f.Add([]byte{0x48, 0x83, 0xF8, 0x03, 0x77, 0x02, 0xEB, 0x00, 0xC3}, uint16(0), uint16(6), uint16(1))
+	// Jumps into instruction interiors, then an invalid opcode.
+	f.Add([]byte{0xEB, 0x01, 0x48, 0x31, 0xC0, 0xC3, 0x74, 0xFC, 0xC3, 0x06, 0x90}, uint16(0), uint16(11), uint16(0))
+	// test rdi, rdi; jz; call; ret — the gate shape.
+	f.Add([]byte{0x48, 0x85, 0xFF, 0x74, 0x05, 0xE8, 0x00, 0x00, 0x00, 0x00, 0xC3}, uint16(0), uint16(11), uint16(0))
+	f.Fuzz(func(t *testing.T, code []byte, lo, hi, entry uint16) {
+		if len(code) == 0 || len(code) > 1<<10 {
+			return
+		}
+		const base = 0x401000
+		img := &elfx.Image{
+			Entry: base,
+			Sections: []*elfx.Section{{
+				Name: ".text", Addr: base, Data: code,
+				Flags: elfx.FlagAlloc | elfx.FlagExec,
+			}},
+		}
+		start := uint64(lo) % uint64(len(code))
+		end := start + 1 + uint64(hi)%(uint64(len(code))+16-start)
+		rng := FuncRange{Start: base + start, End: base + end}
+		e := rng.Start + uint64(entry)%(end-start)
+		opts := Options{ResolveJumpTables: true, NonReturning: true}
+		funcs := Recursive(img, []uint64{base, e}, opts).Funcs
+		var n boundedCounts
+		requireBoundedMatchAllEnvs(t, "fuzz", NewSession(img, opts), NewSession(img, opts), rng, []uint64{e}, funcs, &n)
+	})
+}
+
+// TestLocalWalkStaleVerdictPanics pins the LocalWalk contract: its
+// verdicts read the session's walk marks, so asking for one after the
+// session — here through a fork — walks again must panic instead of
+// reading the other walk's instructions.
+func TestLocalWalkStaleVerdictPanics(t *testing.T) {
+	img, start := tableImage(t, 2, []uint64{0, 0, 0}, true)
+	text, _ := img.Section(".text")
+	sess := NewSession(img, Options{ResolveJumpTables: true, NonReturning: true})
+	lw := sess.WalkLocal(FuncRange{Start: start, End: text.End()}, []uint64{start}, nil, nil)
+	if v, _, ok := lw.EntryReturns(start, nil, nil); !v || !ok {
+		t.Fatalf("EntryReturns = %v, ok %v; want a returning verdict", v, ok)
+	}
+	if _, _, _, ok := lw.CondFacts(start, nil); !ok {
+		t.Fatal("CondFacts escaped the range")
+	}
+	sess.Fork().Probe([]uint64{start}, Options{})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a verdict read after another walk did not panic")
+		}
+	}()
+	lw.EntryReturns(start, nil, nil)
 }

@@ -1,8 +1,43 @@
 package disasm
 
 import (
+	"slices"
+
 	"fetch/internal/arch"
 )
+
+// verdictScope is what a non-return verdict walk (funcReturns,
+// condCalls) runs against. The committed inference scopes a verdict to
+// its own pass: the pass's function set, no range, no log. Delta replay
+// scopes one to a bounded walk (see LocalWalk): the recorded function
+// set, the walk's range and a query log.
+type verdictScope struct {
+	// res is the walk whose instructions the verdict reads, through
+	// passInst: it must be the session's last walk.
+	res *Result
+	// funcs is the function set a tail edge is tested against.
+	funcs map[uint64]bool
+	// rng, when set, is the only place the walk decoded: reaching an
+	// undecoded address outside it makes the verdict underivable.
+	rng *FuncRange
+	// log, when set, collects every call and tail-jump target whose
+	// function-set membership or non-return state the verdict consulted.
+	log *[]uint64
+}
+
+// query logs a consulted target.
+func (sc *verdictScope) query(t uint64) {
+	if sc.log != nil {
+		*sc.log = append(*sc.log, t)
+	}
+}
+
+// escapes reports whether the undecoded address a lies outside the
+// scope's range, where the walk's absence of an instruction says
+// nothing about the unbounded walk.
+func (sc *verdictScope) escapes(a uint64) bool {
+	return sc.rng != nil && !sc.rng.contains(a)
+}
 
 // inferNonReturning computes the non-returning function set over the
 // result of the session's last pass by monotone fixed point: a function
@@ -21,36 +56,32 @@ import (
 // after the pass (see walkMarks).
 func (s *Session) inferNonReturning(res *Result) (map[uint64]bool, map[uint64]bool) {
 	funcs := res.SortedFuncs()
+	sc := &verdictScope{res: res, funcs: res.Funcs}
 	// Optimistic greatest fixed point, as in DYNINST: every function
 	// is presumed returning until no path to a ret remains under the
 	// current knowledge. (A pessimistic least fixed point would
 	// deadlock on mutual recursion, wrongly marking the whole cycle
 	// non-returning.)
-	returns := make(map[uint64]bool, len(funcs))
-	for _, f := range funcs {
-		returns[f] = true
-	}
+	nonRet := map[uint64]bool{}
 	for changed := true; changed; {
 		changed = false
 		for _, f := range funcs {
-			if !returns[f] {
+			if nonRet[f] {
 				continue
 			}
-			if !s.funcReturns(res, f, returns) {
-				returns[f] = false
+			if returns, _ := s.funcReturns(sc, f, nonRet); !returns {
+				nonRet[f] = true
 				changed = true
 			}
 		}
 	}
-	nonRet := map[uint64]bool{}
-	for _, f := range funcs {
-		if !returns[f] {
-			nonRet[f] = true
-		}
-	}
+	isNonRet := func(t uint64) bool { return nonRet[t] }
 	cond := map[uint64]bool{}
 	for _, f := range funcs {
-		if returns[f] && s.isCondNonRet(res, f, nonRet) {
+		if nonRet[f] {
+			continue
+		}
+		if tests, calls, _ := s.condCalls(sc, f); tests && slices.ContainsFunc(calls, isNonRet) {
 			cond[f] = true
 		}
 	}
@@ -75,10 +106,15 @@ func (s *Session) passInst(res *Result, addr uint64) (*arch.Inst, bool) {
 }
 
 // funcReturns walks the intra-procedural instructions of f (as decoded
-// so far) looking for a reachable ret, delegating through tail jumps.
+// so far) looking for a reachable ret under the non-returning set
+// nonRet. A call falls through only when its target is a function of
+// the walk (sc.res.Funcs) not in nonRet; a tail jump to another
+// function of sc.funcs returns iff its target is not in nonRet. ok is
+// false when the walk reached an undecoded address outside sc.rng.
 // Marking an address before knowing it holds an instruction is safe:
 // either way the path ends there.
-func (s *Session) funcReturns(res *Result, f uint64, returns map[uint64]bool) bool {
+func (s *Session) funcReturns(sc *verdictScope, f uint64, nonRet map[uint64]bool) (returns, ok bool) {
+	res := sc.res
 	seen := s.pushed
 	seen.next()
 	stack := []uint64{f}
@@ -89,33 +125,37 @@ func (s *Session) funcReturns(res *Result, f uint64, returns map[uint64]bool) bo
 			if !seen.add(a) {
 				break
 			}
-			in, ok := s.passInst(res, a)
-			if !ok {
+			in, found := s.passInst(res, a)
+			if !found {
+				if sc.escapes(a) {
+					return false, false
+				}
 				break
 			}
 			switch in.Op {
 			case arch.OpRet:
-				return true
+				return true, true
 			case arch.OpJcc:
 				stack = append(stack, in.Target)
 				a = in.Next()
 				continue
 			case arch.OpJmp:
 				t := in.Target
-				if res.Funcs[t] && t != f {
+				sc.query(t)
+				if sc.funcs[t] && t != f {
 					// Tail edge: f returns iff the target does.
-					if returns[t] {
-						return true
+					if !nonRet[t] {
+						return true, true
 					}
 				} else {
 					stack = append(stack, t)
 				}
 			case arch.OpJmpInd:
-				for _, t := range res.JTTargets[a] {
-					stack = append(stack, t)
-				}
+				stack = append(stack, res.JTTargets[a]...)
 			case arch.OpCall:
-				if returns[in.Target] {
+				t := in.Target
+				sc.query(t)
+				if res.Funcs[t] && !nonRet[t] {
 					a = in.Next()
 					continue
 				}
@@ -130,35 +170,38 @@ func (s *Session) funcReturns(res *Result, f uint64, returns map[uint64]bool) bo
 			break
 		}
 	}
-	return false
+	return false, true
 }
 
-// isCondNonRet matches the error/error_at_line shape: an entry-block
-// test of the first argument register, a returning path, and a path
-// into a non-returning call.
-func (s *Session) isCondNonRet(res *Result, f uint64, nonRet map[uint64]bool) bool {
-	// Entry test within the first three instructions.
+// condCalls is the environment-independent skeleton of the §IV-C
+// error/error_at_line shape for f: whether f's entry block tests the
+// first-argument register within its first three instructions, and if
+// so the call targets the body walk reaches (with repeats). The walk
+// follows conditional branches and jumps to addresses outside sc.funcs,
+// and ignores gates. A returning f is conditionally non-returning under
+// nonRet iff it tests and one of calls is in nonRet. ok is false when
+// the body walk reached an undecoded address outside sc.rng.
+func (s *Session) condCalls(sc *verdictScope, f uint64) (tests bool, calls []uint64, ok bool) {
+	res := sc.res
 	a := f
 	gate := res.isa.GateReg()
-	sawTest := false
 	for k := 0; k < 3; k++ {
-		in, ok := s.passInst(res, a)
-		if !ok {
-			return false
+		in, found := s.passInst(res, a)
+		if !found {
+			return false, nil, true
 		}
 		if arch.IsGateTest(in, gate) {
-			sawTest = true
+			tests = true
 			break
 		}
 		if in.IsBranch() || in.IsCall() {
-			return false
+			return false, nil, true
 		}
 		a = in.Next()
 	}
-	if !sawTest {
-		return false
+	if !tests {
+		return false, nil, true
 	}
-	// A call into a non-returning function somewhere in the body.
 	seen := s.pushed
 	seen.next()
 	stack := []uint64{f}
@@ -169,12 +212,17 @@ func (s *Session) isCondNonRet(res *Result, f uint64, nonRet map[uint64]bool) bo
 			if !seen.add(a) {
 				break
 			}
-			in, ok := s.passInst(res, a)
-			if !ok {
+			in, found := s.passInst(res, a)
+			if !found {
+				if sc.escapes(a) {
+					return false, nil, false
+				}
 				break
 			}
-			if in.Op == arch.OpCall && nonRet[in.Target] {
-				return true
+			if in.Op == arch.OpCall {
+				calls = append(calls, in.Target)
+				a = in.Next()
+				continue
 			}
 			if in.Op == arch.OpJcc {
 				stack = append(stack, in.Target)
@@ -182,7 +230,8 @@ func (s *Session) isCondNonRet(res *Result, f uint64, nonRet map[uint64]bool) bo
 				continue
 			}
 			if in.Op == arch.OpJmp {
-				if !res.Funcs[in.Target] {
+				sc.query(in.Target)
+				if !sc.funcs[in.Target] {
 					stack = append(stack, in.Target)
 				}
 				break
@@ -191,8 +240,7 @@ func (s *Session) isCondNonRet(res *Result, f uint64, nonRet map[uint64]bool) bo
 				break
 			}
 			a = in.Next()
-			continue
 		}
 	}
-	return false
+	return true, calls, true
 }

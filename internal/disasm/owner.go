@@ -20,8 +20,9 @@ package disasm
 // only chunks stamped with the index's current epoch are live. reset
 // therefore empties the whole index in O(1), and a stale chunk is
 // cleared when it is next written. That is what lets the short walks
-// (Probe, WalkLocal) borrow one session-wide workspace index instead of
-// building coverage per walk; committed passes allocate their own.
+// (Probe, and WalkLocal's bounded pass) borrow one session-wide
+// workspace index instead of building coverage per walk; committed
+// passes allocate their own.
 type ownerIndex struct {
 	// spans are the reserved sections, sorted by base.
 	spans []ownerSpan

@@ -31,14 +31,14 @@ type Stats struct {
 	// jump-table resolution) that left committed state untouched.
 	Probes int
 	// FixedPointPasses counts individual recursive-descent passes,
-	// including the inner iterations of the non-returning fixed point
-	// and probe walks.
+	// including the inner iterations of the non-returning fixed point,
+	// probe walks and bounded walks.
 	FixedPointPasses int
 
 	// PeakAuxBytes is the high-water accounted estimate of the
 	// auxiliary memory held at the end of any one pass: that pass's own
 	// owner-index chunks (committed passes only), the chunks of the
-	// owner workspace shared by Probe and WalkLocal walks, the chunks of
+	// owner workspace shared by probes and bounded walks, the chunks of
 	// the decode index and of the two walk-mark sets, and the decode
 	// arena at decodeEntryCost per entry — all of them for as long as
 	// the session holds them. It is an accounting of data-structure
@@ -119,7 +119,7 @@ type Session struct {
 	// layout is the executable-section layout (sorted by base) every
 	// owner index reserves its spans from.
 	layout []Range
-	// ws is the owner workspace that Probe and WalkLocal walks borrow.
+	// ws is the owner workspace that probes and bounded walks borrow.
 	// Forks share it, as they share the decode cache.
 	ws *ownerIndex
 	// pushed and decoded are the walk marks: the worklist's enqueued
@@ -304,10 +304,10 @@ func (s *Session) exec(seeds []uint64, opts Options, scoped bool) *Result {
 	var res *Result
 	for iter := 0; iter < 6; iter++ {
 		if scoped {
-			res = s.pass(seeds, opts, nonRet, condNonRet, s.borrowOwner())
+			res = s.pass(seeds, opts, nonRet, condNonRet, s.borrowOwner(), nil)
 			s.returnOwner(res)
 		} else {
-			res = s.pass(seeds, opts, nonRet, condNonRet, newOwnerIndex(s.layout))
+			res = s.pass(seeds, opts, nonRet, condNonRet, newOwnerIndex(s.layout), nil)
 		}
 		s.notePassMem(res)
 		if s.observing && s.obs != nil {
@@ -360,12 +360,26 @@ func (s *Session) decode(addr uint64) decodeEntry {
 	return e
 }
 
+// walkBound confines a pass to one byte range: the bounded walk behind
+// delta replay (WalkLocal). A push that leaves the range is recorded as
+// an exit instead of walked, exactly as the unbounded walk's
+// contribution of this range would appear to every other range; a
+// fall-through run that leaves the range, or an instruction that
+// straddles its end, marks the walk escaped, since the unbounded walk
+// would go on to read bytes outside it.
+type walkBound struct {
+	FuncRange
+	exits   []uint64
+	escaped bool
+}
+
 // pass performs one full recursive descent with the current
 // non-return knowledge, identical to the historical from-scratch pass
 // except that instruction decodes come from the session cache. It
-// records coverage in own, which must be empty.
+// records coverage in own, which must be empty. bound, when non-nil,
+// confines the walk to one range; committed passes and probes pass nil.
 func (s *Session) pass(seeds []uint64, opts Options,
-	nonRet, condNonRet map[uint64]bool, own *ownerIndex) *Result {
+	nonRet, condNonRet map[uint64]bool, own *ownerIndex, bound *walkBound) *Result {
 
 	s.stats.FixedPointPasses++
 	img := s.img
@@ -391,6 +405,10 @@ func (s *Session) pass(seeds []uint64, opts Options,
 	pushed.next()
 	decoded.next()
 	push := func(addr uint64, rdi rdiState) {
+		if bound != nil && !bound.contains(addr) {
+			bound.exits = append(bound.exits, addr)
+			return
+		}
 		if pushed.add(addr) {
 			work = append(work, workItem{addr, rdi})
 		}
@@ -433,6 +451,10 @@ func (s *Session) pass(seeds []uint64, opts Options,
 				// only rejects, so walking on cannot change a verdict.
 				return res
 			}
+			if bound != nil && !bound.contains(addr) {
+				bound.escaped = true
+				break
+			}
 			if decoded.has(addr) {
 				break
 			}
@@ -458,6 +480,10 @@ func (s *Session) pass(seeds []uint64, opts Options,
 				break
 			}
 			in := e.inst
+			if bound != nil && in.Next() > bound.End {
+				bound.escaped = true
+				break
+			}
 			res.Insts[addr] = in
 			decoded.add(addr)
 			own.setRange(addr, int(in.Len))
@@ -533,9 +559,6 @@ func (s *Session) pass(seeds []uint64, opts Options,
 					targets := s.isa.ResolveJumpTable(jtCtx{img: img, isa: s.isa, res: res}, in, maxJumpTableEntries)
 					if len(targets) > 0 {
 						res.JTTargets[in.Addr] = targets
-						if m, ok := in.IndirectMem(); ok && m.Disp > 0 {
-							res.TableBases[uint64(m.Disp)] = true
-						}
 					}
 					for _, t := range targets {
 						addRef(t, in.Addr)

@@ -299,8 +299,8 @@ func emitFunc(spec *funcSpec, rng *rand.Rand) (*chunk, *chunk, error) {
 }
 
 // chainSpacerInsts pads each xref-chain link's body past the §IV-E
-// candidate-validation walk bound (xref.Options.MaxValidationInsts
-// defaults to 2000): the capped probe accepts the link without ever
+// candidate-validation walk bound (xref's maxValidationInsts, 2000
+// instructions): the capped probe accepts the link without ever
 // seeing the movabs that references the next one, so only the
 // committed extension of the accepted link surfaces it — forcing one
 // pointer-detection round per link.

@@ -154,6 +154,9 @@ func resolveAbsTable(ctx arch.JumpTableCtx, jmp *arch.Inst, mem MemRef, maxEntri
 		}
 		out = append(out, entry)
 	}
+	if len(out) > 0 {
+		ctx.RecordTableBase(table)
+	}
 	return out
 }
 

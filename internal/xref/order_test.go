@@ -49,7 +49,7 @@ func validateWalkFirst(img *elfx.Image, res *disasm.Result, c uint64, opts Optio
 		ResolveJumpTables: true,
 		Strict:            !opts.DisableRule[0],
 		KnownRanges:       ranges,
-		MaxInsts:          opts.MaxValidationInsts,
+		MaxInsts:          maxValidationInsts,
 	}
 	var v *disasm.Result
 	if probe != nil {
@@ -199,7 +199,7 @@ func TestValidateOrderMatchesWalkFirst(t *testing.T) {
 		cands := Candidates(in.img, in.res)
 		probe := in.sess.Fork()
 		for name, disable := range ruleSettings() {
-			opts := Options{KnownRanges: in.known, MaxValidationInsts: 2000, DisableRule: disable}
+			opts := Options{KnownRanges: in.known, DisableRule: disable}
 			accepted := 0
 			for _, c := range cands {
 				if requireSameVerdict(t, in.name+"/"+name, in.img, in.res, c, opts, probe) {
@@ -296,7 +296,7 @@ func TestWalkFormRejectionReturnsWalk(t *testing.T) {
 	if len(v.Errors) != 0 || v.Insts[base+1] == nil {
 		t.Fatalf("walk errors %+v, decoded base+1: %v; want an error-free walk through base+1", v.Errors, v.Insts[base+1] != nil)
 	}
-	if _, wok := validateWalkFirst(img, res, c, Options{MaxValidationInsts: 2000}, nil); wok {
+	if _, wok := validateWalkFirst(img, res, c, Options{}, nil); wok {
 		t.Fatal("the walk-first reference accepts the candidate")
 	}
 }
@@ -327,7 +327,7 @@ func FuzzValidateOrder(f *testing.F) {
 		res := disasm.Recursive(img, []uint64{base}, disasm.Options{ResolveJumpTables: true, NonReturning: true})
 		known := []disasm.FuncRange{{Start: base, End: base + uint64(len(code)+1)/2}}
 		for name, disable := range ruleSettings() {
-			opts := Options{KnownRanges: known, MaxValidationInsts: 2000, DisableRule: disable}
+			opts := Options{KnownRanges: known, DisableRule: disable}
 			for off := range code {
 				requireSameVerdict(t, name, img, res, base+uint64(off), opts, nil)
 			}

@@ -162,13 +162,14 @@ func DataRefCount(img *elfx.Image, addr uint64) int {
 	return n
 }
 
+// maxValidationInsts bounds each candidate's validation walk.
+const maxValidationInsts = 2000
+
 // Options configure a detection run.
 type Options struct {
 	// KnownRanges are detected function extents (FDE ranges): rule
 	// (iii) rejects candidates and transfers into their interiors.
 	KnownRanges []disasm.FuncRange
-	// MaxValidationInsts bounds each candidate's validation walk.
-	MaxValidationInsts int
 	// DisableRule turns individual §IV-E validation rules off for
 	// ablation: [0] invalid opcodes / strict walk, [1] mid-instruction
 	// landings, [2] transfers into function interiors, [3] calling
@@ -202,9 +203,6 @@ type Options struct {
 // returns the accepted new function starts, iterating as accepted
 // pointers contribute new constants (§IV-E's pool refresh).
 func Detect(img *elfx.Image, res *disasm.Result, funcs map[uint64]bool, opts Options) []uint64 {
-	if opts.MaxValidationInsts == 0 {
-		opts.MaxValidationInsts = 2000
-	}
 	// Speculative validation walks run on a copy-on-write fork: probe
 	// decodes land in the shared cache, committed state stays intact.
 	var probe *disasm.Session
@@ -303,9 +301,6 @@ func ContiguousEnd(v *disasm.Result, c uint64) uint64 {
 // non-nil sess provides cached decoding via a fork. The verdict is
 // identical to the one Detect would compute against the same state.
 func ValidateCandidate(img *elfx.Image, res *disasm.Result, c uint64, opts Options, sess *disasm.Session) (*disasm.Result, bool) {
-	if opts.MaxValidationInsts == 0 {
-		opts.MaxValidationInsts = 2000
-	}
 	var probe *disasm.Session
 	if sess != nil {
 		probe = sess.Fork()
@@ -354,7 +349,7 @@ func validate(img *elfx.Image, res *disasm.Result, c uint64, opts Options, probe
 		ResolveJumpTables: true,
 		Strict:            !opts.DisableRule[0],
 		KnownRanges:       ranges,
-		MaxInsts:          opts.MaxValidationInsts,
+		MaxInsts:          maxValidationInsts,
 	}
 	var v *disasm.Result
 	if probe != nil {
