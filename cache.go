@@ -29,12 +29,6 @@ type CacheConfig struct {
 	// evicted oldest-first until it holds again. Zero or negative
 	// means unbounded.
 	MaxDiskBytes int64
-	// DisableDelta turns off function-granular delta re-analysis: on a
-	// whole-binary miss the cache then always runs the cold pipeline,
-	// and stores no per-function entries or traces. The zero value
-	// (delta enabled) is the right choice for every workload that
-	// re-analyzes recompiled versions of the same binaries.
-	DisableDelta bool
 }
 
 // CacheStats is a snapshot of a Cache's operation counters. Hits and
@@ -91,8 +85,7 @@ type CacheStats struct {
 // schema misses cleanly. Attach one to an analysis with WithCache or
 // BatchOptions.Cache.
 type Cache struct {
-	rc    *resultcache.Cache
-	delta bool
+	rc *resultcache.Cache
 
 	manifestHits   atomic.Int64
 	manifestMisses atomic.Int64
@@ -104,7 +97,8 @@ type Cache struct {
 }
 
 // NewCache builds a result cache. The zero CacheConfig is valid:
-// memory-only with the default capacity, delta re-analysis enabled.
+// memory-only with the default capacity. Every cache runs the
+// function-granular delta tier.
 func NewCache(cfg CacheConfig) (*Cache, error) {
 	rc, err := resultcache.New(resultcache.Config{
 		MaxEntries: cfg.MaxEntries,
@@ -114,7 +108,7 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fetch: %w", err)
 	}
-	return &Cache{rc: rc, delta: !cfg.DisableDelta}, nil
+	return &Cache{rc: rc}, nil
 }
 
 // Stats returns a snapshot of the cache's counters.
@@ -170,7 +164,7 @@ func (c *Cache) Get(sum [sha256.Size]byte, opts ...Option) (*Result, bool) {
 func (c *Cache) Analyze(data []byte, opts ...Option) (res *Result, cached bool, err error) {
 	o := buildOptions(opts)
 	o.Cache = c
-	return analyzeCached(data, o)
+	return analyzeBytes(data, o)
 }
 
 // AnalyzeFile is Analyze for a binary on disk, through the file-backed
@@ -180,7 +174,7 @@ func (c *Cache) Analyze(data []byte, opts ...Option) (res *Result, cached bool, 
 func (c *Cache) AnalyzeFile(path string, opts ...Option) (res *Result, cached bool, err error) {
 	o := buildOptions(opts)
 	o.Cache = c
-	return analyzeFilePath(path, o)
+	return analyzeFile(path, o)
 }
 
 // lookup returns the decoded entry for a key and its stored encoding,
@@ -266,7 +260,7 @@ func fnKey(sum [sha256.Size]byte) resultcache.Key {
 // Failures drop entries silently — the delta tier is an accelerator,
 // never a correctness dependency.
 func (c *Cache) storeTrace(tr *core.Trace, img *elfx.Image, s core.Strategy) {
-	if tr == nil || !c.delta {
+	if tr == nil {
 		return
 	}
 	var buf bytes.Buffer
@@ -331,7 +325,7 @@ func (c *Cache) fnRangeBytes(start uint64, sum [sha256.Size]byte) []byte {
 // to verification).
 func (c *Cache) tryDelta(img *elfx.Image, sec *ehframe.Section, o Options) (*Result, []byte, core.DeltaOutcome, bool) {
 	var zero core.DeltaOutcome
-	if !c.delta || img == nil || sec == nil {
+	if img == nil || sec == nil {
 		return nil, nil, zero, false
 	}
 	sum, roster, ok := core.DeltaKey(img, sec)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"time"
 )
 
 // ResultSchemaVersion is the version of the serialized Result schema
@@ -31,7 +30,10 @@ import (
 // Version 5 removed the intra-binary sharding trace (stats.jobs,
 // stats.sharded_passes, stats.shard_fallbacks, stats.merge_wall_ns,
 // stats.shards).
-const ResultSchemaVersion = 5
+//
+// Version 6 removed the session-fork counter (stats.forks): candidate
+// validation probes the pipeline's one session directly.
+const ResultSchemaVersion = 6
 
 // hexAddr serializes a code address as a 0x-prefixed hex string. JSON
 // numbers are IEEE-754 doubles in most consumers, which silently
@@ -55,9 +57,10 @@ func (h *hexAddr) UnmarshalText(b []byte) error {
 	return nil
 }
 
-// jsonResult is the wire form of Result. Field names are the canonical
-// schema vocabulary shared by the JSON codec, the Summarize helper the
-// CLI prints through, and docs/API.md. No field uses omitempty: a nil
+// jsonResult is the wire form of Result; Stats is its own wire form,
+// through its JSON tags. Field names are the canonical schema
+// vocabulary shared by the JSON codec, the Summarize helper the CLI
+// prints through, and docs/API.md. No field uses omitempty: a nil
 // slice encodes as null and an empty one as [], so decoding restores
 // the exact value and round trips are reflect.DeepEqual-exact.
 type jsonResult struct {
@@ -69,37 +72,7 @@ type jsonResult struct {
 	MergedParts          map[hexAddr]hexAddr `json:"merged_parts"`
 	RemovedBogusFDEs     []hexAddr           `json:"removed_bogus_fdes"`
 	SkippedIncompleteCFI int                 `json:"skipped_incomplete_cfi"`
-	Stats                jsonStats           `json:"stats"`
-}
-
-// jsonStats is the wire form of Stats. Durations are integer
-// nanoseconds (the _ns suffix is the unit contract).
-type jsonStats struct {
-	Passes         []jsonPass `json:"passes"`
-	InstsDecoded   int64      `json:"insts_decoded"`
-	InstsReused    int64      `json:"insts_reused"`
-	ColdStarts     int        `json:"cold_starts"`
-	Extends        int        `json:"extends"`
-	Retracts       int        `json:"retracts"`
-	Forks          int        `json:"forks"`
-	Probes         int        `json:"probes"`
-	XrefIterations int        `json:"xref_iterations"`
-	XrefConverged  bool       `json:"xref_converged"`
-	Truncated      bool       `json:"truncated"`
-
-	DeltaPath           bool   `json:"delta_path"`
-	DeltaDirtyRanges    int    `json:"delta_dirty_ranges"`
-	DeltaTotalRanges    int    `json:"delta_total_ranges"`
-	DeltaFallbackReason string `json:"delta_fallback_reason"`
-
-	PeakImageBytes int64 `json:"peak_image_bytes"`
-	PeakAuxBytes   int64 `json:"peak_aux_bytes"`
-}
-
-// jsonPass is the wire form of PassStat.
-type jsonPass struct {
-	Name   string `json:"name"`
-	WallNS int64  `json:"wall_ns"`
+	Stats                Stats               `json:"stats"`
 }
 
 func toHexSlice(in []uint64) []hexAddr {
@@ -138,37 +111,12 @@ func EncodeResult(res *Result) ([]byte, error) {
 		NewFromTailCalls:     toHexSlice(res.NewFromTailCalls),
 		RemovedBogusFDEs:     toHexSlice(res.RemovedBogusFDEs),
 		SkippedIncompleteCFI: res.SkippedIncompleteCFI,
-		Stats: jsonStats{
-			InstsDecoded:   res.Stats.InstsDecoded,
-			InstsReused:    res.Stats.InstsReused,
-			ColdStarts:     res.Stats.ColdStarts,
-			Extends:        res.Stats.Extends,
-			Retracts:       res.Stats.Retracts,
-			Forks:          res.Stats.Forks,
-			Probes:         res.Stats.Probes,
-			XrefIterations: res.Stats.XrefIterations,
-			XrefConverged:  res.Stats.XrefConverged,
-			Truncated:      res.Stats.Truncated,
-
-			DeltaPath:           res.Stats.DeltaPath,
-			DeltaDirtyRanges:    res.Stats.DeltaDirtyRanges,
-			DeltaTotalRanges:    res.Stats.DeltaTotalRanges,
-			DeltaFallbackReason: res.Stats.DeltaFallbackReason,
-
-			PeakImageBytes: res.Stats.PeakImageBytes,
-			PeakAuxBytes:   res.Stats.PeakAuxBytes,
-		},
+		Stats:                res.Stats,
 	}
 	if res.MergedParts != nil {
 		jr.MergedParts = make(map[hexAddr]hexAddr, len(res.MergedParts))
 		for part, owner := range res.MergedParts {
 			jr.MergedParts[hexAddr(part)] = hexAddr(owner)
-		}
-	}
-	if res.Stats.Passes != nil {
-		jr.Stats.Passes = make([]jsonPass, len(res.Stats.Passes))
-		for i, ps := range res.Stats.Passes {
-			jr.Stats.Passes[i] = jsonPass{Name: ps.Name, WallNS: int64(ps.Wall)}
 		}
 	}
 	data, err := json.MarshalIndent(jr, "", "  ")
@@ -210,37 +158,12 @@ func DecodeResult(data []byte) (*Result, error) {
 		NewFromTailCalls:     fromHexSlice(jr.NewFromTailCalls),
 		RemovedBogusFDEs:     fromHexSlice(jr.RemovedBogusFDEs),
 		SkippedIncompleteCFI: jr.SkippedIncompleteCFI,
-		Stats: Stats{
-			InstsDecoded:   jr.Stats.InstsDecoded,
-			InstsReused:    jr.Stats.InstsReused,
-			ColdStarts:     jr.Stats.ColdStarts,
-			Extends:        jr.Stats.Extends,
-			Retracts:       jr.Stats.Retracts,
-			Forks:          jr.Stats.Forks,
-			Probes:         jr.Stats.Probes,
-			XrefIterations: jr.Stats.XrefIterations,
-			XrefConverged:  jr.Stats.XrefConverged,
-			Truncated:      jr.Stats.Truncated,
-
-			DeltaPath:           jr.Stats.DeltaPath,
-			DeltaDirtyRanges:    jr.Stats.DeltaDirtyRanges,
-			DeltaTotalRanges:    jr.Stats.DeltaTotalRanges,
-			DeltaFallbackReason: jr.Stats.DeltaFallbackReason,
-
-			PeakImageBytes: jr.Stats.PeakImageBytes,
-			PeakAuxBytes:   jr.Stats.PeakAuxBytes,
-		},
+		Stats:                jr.Stats,
 	}
 	if jr.MergedParts != nil {
 		res.MergedParts = make(map[uint64]uint64, len(jr.MergedParts))
 		for part, owner := range jr.MergedParts {
 			res.MergedParts[uint64(part)] = uint64(owner)
-		}
-	}
-	if jr.Stats.Passes != nil {
-		res.Stats.Passes = make([]PassStat, len(jr.Stats.Passes))
-		for i, ps := range jr.Stats.Passes {
-			res.Stats.Passes[i] = PassStat{Name: ps.Name, Wall: time.Duration(ps.WallNS)}
 		}
 	}
 	return res, nil

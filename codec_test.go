@@ -112,6 +112,15 @@ func TestDecodeRejectsWrongSchemaAndUnknownFields(t *testing.T) {
 	if _, err := DecodeResult([]byte(unknown)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+	// Stats decodes through its own tags: an unknown field inside it,
+	// here the counter schema 6 dropped, is rejected as well.
+	forks := strings.Replace(string(blob), `"probes":`, `"forks": 1, "probes":`, 1)
+	if forks == string(blob) {
+		t.Fatal("encoding lacks stats.probes")
+	}
+	if _, err := DecodeResult([]byte(forks)); err == nil {
+		t.Fatal("unknown stats field accepted")
+	}
 
 	if _, err := DecodeResult([]byte("{")); err == nil {
 		t.Fatal("truncated JSON accepted")
@@ -185,7 +194,7 @@ func TestCodecGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "result_v5.golden.json")
+	golden := filepath.Join("testdata", "result_v6.golden.json")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

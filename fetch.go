@@ -34,6 +34,7 @@ package fetch
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"time"
 
@@ -74,43 +75,44 @@ type Result struct {
 // only non-deterministic part of a Result.
 type PassStat struct {
 	// Name is the pass label: "fde", "recursive", "xref", "tailcall".
-	Name string
-	// Wall is the pass's elapsed time.
-	Wall time.Duration
+	Name string `json:"name"`
+	// Wall is the pass's elapsed time, encoded as integer nanoseconds
+	// (the _ns suffix is the unit contract).
+	Wall time.Duration `json:"wall_ns"`
 }
 
 // Stats makes the pipeline's incremental behavior observable: after
 // the initial recursive sweep, pointer-detection rounds re-analyze via
 // session Extend, §V-B CFI-error recovery via Retract, and candidate
-// validation via fork Probes — never a cold resweep (ColdStarts stays
-// 1). All fields except the pass wall times are deterministic.
+// validation via session Probes — never a cold resweep (ColdStarts
+// stays 1). All fields except the pass wall times are deterministic.
+// The JSON tags are the wire form EncodeResult emits under "stats".
 type Stats struct {
 	// Passes lists the executed pipeline passes in order.
-	Passes []PassStat
+	Passes []PassStat `json:"passes"`
 	// InstsDecoded and InstsReused count instruction-decode cache
 	// misses and hits across the whole analysis, including candidate
 	// validation probes.
-	InstsDecoded int64
-	InstsReused  int64
+	InstsDecoded int64 `json:"insts_decoded"`
+	InstsReused  int64 `json:"insts_reused"`
 	// ColdStarts counts disassembly sessions started with an empty
 	// decode cache; the incremental pipeline reports exactly 1.
-	ColdStarts int
-	// Extends, Retracts, Forks, and Probes count the session
-	// operations the pipeline performed.
-	Extends  int
-	Retracts int
-	Forks    int
-	Probes   int
+	ColdStarts int `json:"cold_starts"`
+	// Extends, Retracts, and Probes count the session operations the
+	// pipeline performed.
+	Extends  int `json:"extends"`
+	Retracts int `json:"retracts"`
+	Probes   int `json:"probes"`
 	// XrefIterations counts pointer-detection rounds run;
 	// XrefConverged reports whether every round sequence reached its
 	// fixed point rather than hitting the iteration safety bound.
-	XrefIterations int
-	XrefConverged  bool
+	XrefIterations int  `json:"xref_iterations"`
+	XrefConverged  bool `json:"xref_converged"`
 	// Truncated reports that pointer detection hit its iteration
 	// safety bound before converging. The historical hard cap of 3
 	// rounds truncated silently; the pipeline now iterates to
 	// convergence and records the pathological bound-hit here.
-	Truncated bool
+	Truncated bool `json:"truncated"`
 
 	// DeltaPath reports that the result was served by function-granular
 	// delta re-analysis: the binary missed the whole-binary cache, but a
@@ -124,10 +126,10 @@ type Stats struct {
 	// how the result was obtained, never what it is — a delta-served
 	// result is byte-identical to the cold recomputation after
 	// StripSchedule, which zeroes them.
-	DeltaPath           bool
-	DeltaDirtyRanges    int
-	DeltaTotalRanges    int
-	DeltaFallbackReason string
+	DeltaPath           bool   `json:"delta_path"`
+	DeltaDirtyRanges    int    `json:"delta_dirty_ranges"`
+	DeltaTotalRanges    int    `json:"delta_total_ranges"`
+	DeltaFallbackReason string `json:"delta_fallback_reason"`
 
 	// PeakImageBytes is the section content the analysis held on the
 	// Go heap: the whole binary for buffered images (Analyze), only
@@ -138,13 +140,13 @@ type Stats struct {
 	// documented per-entry costs. Both describe how the analysis ran,
 	// never what it found — buffered and file-backed runs differ here
 	// and nowhere else, so StripSchedule zeroes them.
-	PeakImageBytes int64
-	PeakAuxBytes   int64
+	PeakImageBytes int64 `json:"peak_image_bytes"`
+	PeakAuxBytes   int64 `json:"peak_aux_bytes"`
 }
 
 // StripSchedule returns a copy of the result with every field zeroed
 // that describes how the analysis ran rather than what it found: wall
-// times, decode/probe/fork traffic counters, the delta-serving trace,
+// times, decode/probe traffic counters, the delta-serving trace,
 // and the peak-memory accounting. What remains — the detected starts,
 // the corrections, and the deterministic pipeline counters (extends,
 // retracts, xref iterations, convergence, truncation) — is identical
@@ -159,7 +161,6 @@ func StripSchedule(r *Result) *Result {
 	}
 	cp.Stats.InstsDecoded = 0
 	cp.Stats.InstsReused = 0
-	cp.Stats.Forks = 0
 	cp.Stats.Probes = 0
 	cp.Stats.DeltaPath = false
 	cp.Stats.DeltaDirtyRanges = 0
@@ -220,7 +221,8 @@ func WithCache(c *Cache) Option {
 
 // Analyze runs the FETCH pipeline on an ELF binary given as bytes.
 func Analyze(elfData []byte, opts ...Option) (*Result, error) {
-	return analyzeData(elfData, buildOptions(opts))
+	res, _, err := analyzeBytes(elfData, buildOptions(opts))
+	return res, err
 }
 
 // AnalyzeFile runs the FETCH pipeline on an ELF binary on disk through
@@ -232,79 +234,66 @@ func Analyze(elfData []byte, opts ...Option) (*Result, error) {
 // Analyze over the same bytes after StripSchedule (only the
 // peak-memory accounting differs).
 func AnalyzeFile(path string, opts ...Option) (*Result, error) {
-	res, _, err := analyzeFilePath(path, buildOptions(opts))
+	res, _, err := analyzeFile(path, buildOptions(opts))
 	return res, err
 }
 
-// analyzeData is the shared analysis entry point under resolved
-// options.
-func analyzeData(data []byte, o Options) (*Result, error) {
-	res, _, err := analyzeCached(data, o)
-	return res, err
+// analyzeBytes runs analyze on an in-memory binary.
+func analyzeBytes(data []byte, o Options) (*Result, bool, error) {
+	return analyze(o,
+		func() ([sha256.Size]byte, error) { return resultcache.HashBytes(data), nil },
+		func() (*elfx.Image, error) { return elfx.LoadELF(data) })
 }
 
-// analyzeCached is the single lookup → delta → cold analysis → store
-// sequence behind Analyze, AnalyzeBatch, and Cache.Analyze: consult
-// the cache (when one is attached), on a whole-binary miss try
-// function-granular delta re-analysis against a recorded trace, and
-// only then run the cold pipeline — recording a fresh trace so the
-// next recompilation of this binary can take the delta path. A cached
-// or delta-served result is byte-for-byte the codec round trip of the
-// result the cold path produced — the oracle's CachedEqualsRecomputed
-// and DeltaEqualsCold checkers hold this equal (modulo the scheduling
-// trace, see StripSchedule) to a recomputation across every
-// adversarial profile.
-func analyzeCached(data []byte, o Options) (*Result, bool, error) {
-	if o.Cache == nil {
-		res, err := analyzeCold(data, o)
-		return res, false, err
-	}
-	key := cacheKey(resultcache.HashBytes(data), o.Strategy)
-	if res, _, ok := o.Cache.lookup(key); ok {
-		return res, true, nil
-	}
-	img, err := elfx.LoadELF(data)
-	if err != nil {
-		return nil, false, err
-	}
-	return analyzeImageCached(key, img, o)
+// analyzeFile runs analyze on an on-disk binary: the cache key comes
+// from a streaming hash (the file is never read whole) and a miss
+// loads the image file-backed.
+func analyzeFile(path string, o Options) (*Result, bool, error) {
+	return analyze(o,
+		func() ([sha256.Size]byte, error) { return resultcache.HashFile(path) },
+		func() (*elfx.Image, error) { return elfx.LoadELFFile(path) })
 }
 
-// analyzeFilePath is analyzeCached for on-disk binaries: the cache key
-// comes from a streaming hash (the file is never read whole), a miss
-// loads the image file-backed, and the backing is closed once the
-// pipeline finishes.
-func analyzeFilePath(path string, o Options) (*Result, bool, error) {
-	if o.Cache == nil {
-		img, err := elfx.LoadELFFile(path)
+// analyze is the single lookup → delta → cold analysis → store
+// sequence behind Analyze, AnalyzeFile, AnalyzeBatch, and the Cache
+// methods. hash returns the binary's content hash and is called only
+// when a cache is attached; load returns its image, which is closed
+// once the pipeline finishes. With a cache, analyze consults it, on a
+// whole-binary miss tries function-granular delta re-analysis against
+// a recorded trace, and only then runs the cold pipeline — recording a
+// fresh trace so the next recompilation of this binary can take the
+// delta path. A cached or delta-served result is byte-for-byte the
+// codec round trip of the result the cold path produced — the
+// oracle's CachedEqualsRecomputed and DeltaEqualsCold checkers hold
+// this equal (modulo the scheduling trace, see StripSchedule) to a
+// recomputation across every adversarial profile. The bool reports
+// whether the result came from a stored entry.
+func analyze(o Options, hash func() ([sha256.Size]byte, error), load func() (*elfx.Image, error)) (*Result, bool, error) {
+	var key resultcache.Key
+	if o.Cache != nil {
+		sum, err := hash()
 		if err != nil {
-			return nil, false, err
+			return nil, false, fmt.Errorf("fetch: %w", err)
 		}
-		defer img.Close()
-		res, err := analyzeImageCold(img, o)
-		return res, false, err
+		key = cacheKey(sum, o.Strategy)
+		if res, _, ok := o.Cache.lookup(key); ok {
+			return res, true, nil
+		}
 	}
-	sum, err := resultcache.HashFile(path)
-	if err != nil {
-		return nil, false, fmt.Errorf("fetch: %w", err)
-	}
-	key := cacheKey(sum, o.Strategy)
-	if res, _, ok := o.Cache.lookup(key); ok {
-		return res, true, nil
-	}
-	img, err := elfx.LoadELFFile(path)
+	img, err := load()
 	if err != nil {
 		return nil, false, err
 	}
 	defer img.Close()
-	return analyzeImageCached(key, img, o)
-}
-
-// analyzeImageCached is the shared post-lookup tail of the cached
-// paths: try delta replay, then run cold (recording a trace when the
-// delta tier is enabled) and store.
-func analyzeImageCached(key resultcache.Key, img *elfx.Image, o Options) (*Result, bool, error) {
 	simg := img.Strip()
+	cfg := core.Config{Strategy: o.Strategy}
+	if o.Cache == nil {
+		rep, err := core.AnalyzeConfig(simg, cfg)
+		if err != nil {
+			return nil, false, err
+		}
+		return reportToResult(rep), false, nil
+	}
 
 	var sec *ehframe.Section
 	if eh, ok := simg.Section(".eh_frame"); ok {
@@ -324,18 +313,9 @@ func analyzeImageCached(key resultcache.Key, img *elfx.Image, o Options) (*Resul
 		return res, true, nil
 	}
 
-	if !o.Cache.delta {
-		res, err := analyzeImageCold(img, o)
-		if err != nil {
-			return nil, false, err
-		}
-		o.Cache.store(key, res)
-		return res, false, nil
-	}
-
 	// Cold run with recording, so a future recompilation of this binary
 	// can be served by delta replay.
-	rep, tr, err := core.AnalyzeRecorded(simg, core.Config{Strategy: o.Strategy})
+	rep, tr, err := core.AnalyzeRecorded(simg, cfg)
 	if err != nil {
 		return nil, false, err
 	}
@@ -351,24 +331,6 @@ func analyzeImageCached(key resultcache.Key, img *elfx.Image, o Options) (*Resul
 	return cres, false, nil
 }
 
-// analyzeCold runs the full pipeline with no cache involvement.
-func analyzeCold(data []byte, o Options) (*Result, error) {
-	img, err := elfx.LoadELF(data)
-	if err != nil {
-		return nil, err
-	}
-	return analyzeImageCold(img, o)
-}
-
-// analyzeImageCold runs the pipeline over an already-loaded image.
-func analyzeImageCold(img *elfx.Image, o Options) (*Result, error) {
-	rep, err := core.AnalyzeConfig(img.Strip(), core.Config{Strategy: o.Strategy})
-	if err != nil {
-		return nil, err
-	}
-	return reportToResult(rep), nil
-}
-
 // reportToResult converts a pipeline report to the public Result.
 func reportToResult(rep *core.Report) *Result {
 	st := Stats{
@@ -377,7 +339,6 @@ func reportToResult(rep *core.Report) *Result {
 		ColdStarts:     rep.Stats.Disasm.ColdStarts,
 		Extends:        rep.Stats.Disasm.Extends,
 		Retracts:       rep.Stats.Disasm.Retracts,
-		Forks:          rep.Stats.Disasm.Forks,
 		Probes:         rep.Stats.Disasm.Probes,
 		XrefIterations: rep.Stats.XrefIterations,
 		XrefConverged:  rep.Stats.XrefConverged,
@@ -482,10 +443,11 @@ func AnalyzeBatch(inputs []Input, opts BatchOptions) []BatchResult {
 			// Path items go through the file-backed path: a corpus
 			// batch never materializes whole binaries.
 			if in.Data == nil {
-				res, _, err := analyzeFilePath(in.Path, o)
+				res, _, err := analyzeFile(in.Path, o)
 				return res, err
 			}
-			return analyzeData(in.Data, o)
+			res, _, err := analyzeBytes(in.Data, o)
+			return res, err
 		})
 
 	out := make([]BatchResult, len(inputs))

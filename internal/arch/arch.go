@@ -358,13 +358,3 @@ func (i *Inst) String() string {
 	}
 	return s
 }
-
-// Interval is a half-open byte range [Lo, Hi).
-type Interval struct {
-	Lo, Hi uint64
-}
-
-// Overlaps reports whether the interval intersects [lo, hi).
-func (iv Interval) Overlaps(lo, hi uint64) bool {
-	return iv.Lo < hi && lo < iv.Hi
-}

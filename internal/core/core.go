@@ -58,8 +58,8 @@ type PassStat struct {
 type Stats struct {
 	// Passes lists the executed passes in order with wall times.
 	Passes []PassStat
-	// Disasm aggregates the shared session's counters, including its
-	// forks' candidate-validation probes.
+	// Disasm is the shared session's counters, including its
+	// candidate-validation probes.
 	Disasm disasm.Stats
 	// XrefIterations counts xref.Detect rounds actually run, summed
 	// over every pointer-detection invocation (the initial fixed point
@@ -358,11 +358,11 @@ func (p *pipeline) xrefIterBound() int {
 
 // runXref iterates pointer detection to convergence (a round that
 // accepts nothing), extending the session with each accepted batch.
-// Candidate validation probes run on session forks, so speculative
-// decodes land in the shared cache without corrupting the committed
-// state. The iteration count is recorded in Stats; hitting the safety
-// bound before the fixed point marks the analysis Truncated — loudly,
-// where the historical cap of 3 truncated silently.
+// Candidate validation probes the session, so speculative decodes
+// land in the shared cache without touching the committed state. The
+// iteration count is recorded in Stats; hitting the safety bound
+// before the fixed point marks the analysis Truncated — loudly, where
+// the historical cap of 3 truncated silently.
 func (p *pipeline) runXref(exclude map[uint64]bool) {
 	opts := xref.Options{
 		KnownRanges: fdeRanges(p.rep.Sec, exclude),

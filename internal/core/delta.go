@@ -70,12 +70,6 @@ func DeltaKey(img *elfx.Image, sec *ehframe.Section) ([32]byte, []RangeInfo, boo
 	return residueHash(img, roster), roster, true
 }
 
-// RangeBytes returns the bytes of one roster range — the
-// function-tier payload body. nil when the range is unmapped.
-func RangeBytes(img *elfx.Image, start, end uint64) []byte {
-	return rangeBytes(img, start, end)
-}
-
 // DeltaInput parameterizes ReplayDelta.
 type DeltaInput struct {
 	// Img is the new binary (stripped), Sec its decoded .eh_frame.
@@ -132,7 +126,7 @@ func ReplayDelta(in DeltaInput) DeltaOutcome {
 	newRange := make([][]byte, len(roster))
 	var totalBytes, dirtyBytes uint64
 	for i := range roster {
-		b := rangeBytes(in.Img, roster[i].Start, roster[i].End)
+		b := RangeBytes(in.Img, roster[i].Start, roster[i].End)
 		if b == nil {
 			return fail("roster: range %d unmapped", i)
 		}

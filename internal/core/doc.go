@@ -12,8 +12,8 @@
 // ordering) running over one shared incremental disasm.Session and one
 // Report. After the initial sweep no pass pays a cold resweep: xref
 // iterations re-analyze via Session.Extend, the §V-B CFI-error
-// recovery via Session.Retract, and candidate validation probes via
-// Session.Fork — all byte-identical to from-scratch runs by the
+// recovery via Session.Retract, and candidate validation via
+// Session.Probe — all byte-identical to from-scratch runs by the
 // Session contract. Symbols are never consulted; every input is
 // treated as stripped.
 //

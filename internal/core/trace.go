@@ -423,9 +423,10 @@ func rangeInOneExecSection(img *elfx.Image, start, end uint64) bool {
 	return false
 }
 
-// rangeBytes returns the bytes of [start, end) from the section that
-// contains the range.
-func rangeBytes(img *elfx.Image, start, end uint64) []byte {
+// RangeBytes returns the bytes of [start, end) from the executable
+// section that contains the range — for a roster range, the
+// function-tier payload body. nil when no such section holds it.
+func RangeBytes(img *elfx.Image, start, end uint64) []byte {
 	for _, s := range img.Sections {
 		if s.Flags&elfx.FlagExec == 0 {
 			continue
@@ -497,7 +498,7 @@ func (r *recorder) finish(img *elfx.Image, sess *disasm.Session, rep *Report) (*
 	tr := &Trace{Roster: roster}
 	for i := range tr.Roster {
 		ri := &tr.Roster[i]
-		b := rangeBytes(img, ri.Start, ri.End)
+		b := RangeBytes(img, ri.Start, ri.End)
 		if b == nil {
 			return nil, false
 		}

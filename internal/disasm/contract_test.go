@@ -230,8 +230,8 @@ func (c *inferenceCheck) OnPass(_, _ map[uint64]bool, res *Result) {
 
 // TestInferenceMatchesMapReference compares the dense-state inference
 // with the map-based reference after every committed pass of a session
-// that extends, retracts and reruns, with strict probes on a fork in
-// between that reset the walk marks the inference reads.
+// that extends, retracts and reruns, with strict probes in between
+// that reset the walk marks the inference reads.
 func TestInferenceMatchesMapReference(t *testing.T) {
 	nonRet, cond := 0, 0
 	for _, p := range contractProfiles(t) {
@@ -240,9 +240,8 @@ func TestInferenceMatchesMapReference(t *testing.T) {
 		check := &inferenceCheck{t: t, label: p.name, sess: sess}
 		sess.SetExecObserver(check)
 		probe := func() {
-			fork := sess.Fork()
 			for i := 0; i < len(seeds); i += 5 {
-				fork.Probe([]uint64{seeds[i] + 1}, Options{ResolveJumpTables: true, Strict: true, MaxInsts: 200})
+				sess.Probe([]uint64{seeds[i] + 1}, Options{ResolveJumpTables: true, Strict: true, MaxInsts: 200})
 			}
 		}
 		sess.Extend(seeds[:len(seeds)/2])
@@ -313,12 +312,12 @@ func TestStrictWalkStopsAtFirstError(t *testing.T) {
 		strict := Options{ResolveJumpTables: true, Strict: true, KnownRanges: known, MaxInsts: 2000}
 		loose := strict
 		loose.Strict = false
-		fork := NewSession(p.img, defaultOpts()).Fork()
+		sess := NewSession(p.img, defaultOpts())
 		text, _ := p.img.Section(".text")
 		for off := uint64(0); off < text.Size(); off += 97 {
 			seed := text.Addr + off
-			s := fork.Probe([]uint64{seed}, strict)
-			l := fork.Probe([]uint64{seed}, loose)
+			s := sess.Probe([]uint64{seed}, strict)
+			l := sess.Probe([]uint64{seed}, loose)
 			if len(l.Errors) != 0 {
 				t.Fatalf("%s seed %#x: non-strict walk recorded %d errors", p.name, seed, len(l.Errors))
 			}

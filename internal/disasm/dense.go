@@ -7,8 +7,7 @@ import "unsafe"
 // structures built on it — the decode index behind the session's
 // decode cache, and the epoch-stamped walk marks that stand in for the
 // per-walk visited and enqueued sets. A session owns one decode cache
-// and two mark sets, and its forks share them, as they share the owner
-// workspace.
+// and two mark sets, as it owns the owner workspace.
 
 // byteTable holds one T per byte of a layout. It reserves one span per
 // range but allocates a chunk of tableChunkLen slots only when a slot

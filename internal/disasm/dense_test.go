@@ -139,33 +139,30 @@ func TestWalkMarks(t *testing.T) {
 	}
 }
 
-// TestDenseStateSharedWithFork pins that a fork shares the decode
-// cache and both mark sets: a decode made through the fork is reused
-// by the parent, and a mark made through one is visible to the other
-// until the next walk empties it.
-func TestDenseStateSharedWithFork(t *testing.T) {
+// TestDenseStateSharedByProbes pins that probes and committed walks
+// share the session's decode cache and walk marks: a probe's decodes
+// are reused by the next committed Extend, and each walk starts from
+// empty marks whatever the walk before it left there.
+func TestDenseStateSharedByProbes(t *testing.T) {
 	img, straddle, _ := twoSectionImage()
 	sess := NewSession(img, Options{})
-	fork := sess.Fork()
-	if fork.cache != sess.cache || fork.pushed != sess.pushed || fork.decoded != sess.decoded {
-		t.Fatal("fork does not share the decode cache and walk marks")
-	}
-	fork.decode(straddle)
-	sess.decode(straddle)
-	if st := sess.Stats(); st.InstsDecoded != 1 || st.InstsReused != 1 {
-		t.Fatalf("decoded %d, reused %d; want the parent to reuse the fork's decode", st.InstsDecoded, st.InstsReused)
-	}
-	fork.decoded.add(straddle)
-	if !sess.decoded.has(straddle) {
-		t.Fatal("a fork's mark is invisible to its parent")
-	}
-
-	// A walk through the parent starts from empty marks and leaves the
-	// fork's next walk unaffected.
 	p := sess.Probe([]uint64{straddle}, Options{})
-	q := fork.Probe([]uint64{straddle}, Options{})
-	requireEqualWalks(t, "fork probe", q, p)
 	if len(p.Insts) == 0 {
 		t.Fatal("probe decoded nothing")
 	}
+	before := sess.Stats()
+	c := sess.Extend([]uint64{straddle})
+	after := sess.Stats()
+	if after.InstsDecoded != before.InstsDecoded {
+		t.Fatalf("Extend decoded %d instructions afresh; want every decode reused from the probe",
+			after.InstsDecoded-before.InstsDecoded)
+	}
+	if after.InstsReused-before.InstsReused < int64(len(c.Insts)) {
+		t.Fatalf("Extend reused %d decodes for %d instructions", after.InstsReused-before.InstsReused, len(c.Insts))
+	}
+	// Both walks start from the same seed: had either inherited the
+	// other's marks, it would have stopped at the seed.
+	requireEqualWalks(t, "extend after probe", c, p)
+	q := sess.Probe([]uint64{straddle}, Options{})
+	requireEqualWalks(t, "probe after extend", q, p)
 }

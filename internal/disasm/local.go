@@ -177,8 +177,8 @@ func (f *LocalFacts) Equal(g *LocalFacts) bool {
 // LocalWalk is the result of one bounded walk: the public facts plus
 // the walk's private instruction state the verdict evaluators run
 // over. The evaluators read that state from the session's walk marks,
-// so they are valid only until the session (or any fork of it) walks
-// again; calling one after that panics.
+// so they are valid only until the session walks again; calling one
+// after that panics.
 type LocalWalk struct {
 	s     *Session
 	rng   FuncRange

@@ -194,8 +194,8 @@ func FuzzBoundedWalk(f *testing.F) {
 
 // TestLocalWalkStaleVerdictPanics pins the LocalWalk contract: its
 // verdicts read the session's walk marks, so asking for one after the
-// session — here through a fork — walks again must panic instead of
-// reading the other walk's instructions.
+// session walks again — here a probe — must panic instead of reading
+// the other walk's instructions.
 func TestLocalWalkStaleVerdictPanics(t *testing.T) {
 	img, start := tableImage(t, 2, []uint64{0, 0, 0}, true)
 	text, _ := img.Section(".text")
@@ -207,7 +207,7 @@ func TestLocalWalkStaleVerdictPanics(t *testing.T) {
 	if _, _, _, ok := lw.CondFacts(start, nil); !ok {
 		t.Fatal("CondFacts escaped the range")
 	}
-	sess.Fork().Probe([]uint64{start}, Options{})
+	sess.Probe([]uint64{start}, Options{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a verdict read after another walk did not panic")

@@ -109,9 +109,9 @@ func TestOwnerIndexEpochReset(t *testing.T) {
 	requireOwner(t, w, base+ownerChunkLen+1, base+ownerChunkLen+1, true)
 }
 
-// TestOwnerWorkspaceBorrow pins the workspace contract: forks share
-// the one workspace, a nested borrow panics, and a returned borrow
-// detaches the workspace from the walk's result.
+// TestOwnerWorkspaceBorrow pins the workspace contract: a nested
+// borrow on the session panics, and a returned borrow detaches the
+// workspace from the walk's result.
 func TestOwnerWorkspaceBorrow(t *testing.T) {
 	const base = 0x401000
 	img := &elfx.Image{
@@ -122,10 +122,6 @@ func TestOwnerWorkspaceBorrow(t *testing.T) {
 		}},
 	}
 	sess := NewSession(img, Options{})
-	fork := sess.Fork()
-	if fork.ws != sess.ws {
-		t.Fatal("fork does not share the owner workspace")
-	}
 
 	ws := sess.borrowOwner()
 	func() {
@@ -134,21 +130,21 @@ func TestOwnerWorkspaceBorrow(t *testing.T) {
 				t.Fatal("nested borrow did not panic")
 			}
 		}()
-		fork.borrowOwner()
+		sess.borrowOwner()
 	}()
 	res := &Result{owner: ws}
 	sess.returnOwner(res)
 	if res.owner != nil {
 		t.Fatal("returned borrow left the workspace on the result")
 	}
-	if fork.borrowOwner() != ws {
+	if sess.borrowOwner() != ws {
 		t.Fatal("borrow after return did not lend the same workspace")
 	}
-	fork.returnOwner(&Result{})
+	sess.returnOwner(&Result{})
 
 	// A probe walks in the workspace and hands back a result without
 	// coverage; its decodes are still there.
-	p := fork.Probe([]uint64{base}, Options{})
+	p := sess.Probe([]uint64{base}, Options{})
 	if len(p.Insts) != 2 || p.Covered(base) {
 		t.Fatalf("probe: %d insts, covered=%v; want 2 insts and no coverage index", len(p.Insts), p.Covered(base))
 	}

@@ -7,9 +7,9 @@ import (
 	"fetch/internal/elfx"
 )
 
-// Stats counts the work a Session (and its forks) performed. All
-// counters are deterministic for a given binary and call sequence:
-// parallel corpus analysis never changes them.
+// Stats counts the work a Session performed. All counters are
+// deterministic for a given binary and call sequence: parallel corpus
+// analysis never changes them.
 type Stats struct {
 	// InstsDecoded counts decode-cache misses: addresses whose bytes
 	// were actually fed through the backend decoder.
@@ -18,15 +18,13 @@ type Stats struct {
 	// from a previous decode of the same address.
 	InstsReused int64
 	// ColdStarts counts sessions created with an empty decode cache.
-	// Forks share their parent's cache and do not increment it, so a
-	// fully incremental pipeline reports exactly one.
+	// Every session starts cold exactly once, so a fully incremental
+	// pipeline, which runs on one session, reports exactly one.
 	ColdStarts int
 	// Extends, Retracts, and Reruns count committed seed-set updates.
 	Extends  int
 	Retracts int
 	Reruns   int
-	// Forks counts copy-on-write session forks.
-	Forks int
 	// Probes counts speculative one-shot walks (candidate validation,
 	// jump-table resolution) that left committed state untouched.
 	Probes int
@@ -85,7 +83,7 @@ const (
 // gate-register classification (the §IV-C error/error_at_line slice
 // step; RDI on x86-64, X0 on aarch64) — is a pure function of the
 // image bytes at the address, so entries never invalidate and can be
-// shared across passes, forks, and strategy variants.
+// shared across passes, probes, and strategy variants.
 type decodeEntry struct {
 	inst *arch.Inst
 	kind decodeKind
@@ -120,17 +118,13 @@ type Session struct {
 	// owner index reserves its spans from.
 	layout []Range
 	// ws is the owner workspace that probes and bounded walks borrow.
-	// Forks share it, as they share the decode cache.
 	ws *ownerIndex
 	// pushed and decoded are the walk marks: the worklist's enqueued
-	// addresses and the current walk's instruction starts. Forks share
-	// them too.
+	// addresses and the current walk's instruction starts.
 	pushed, decoded *walkMarks
 	// obs, when set, observes every committed pass (Extend, Retract,
-	// Rerun); probes and forks never report. observing gates the hook to
-	// committed exec calls only.
-	obs       ExecObserver
-	observing bool
+	// Rerun); probes never report.
+	obs ExecObserver
 }
 
 // ExecObserver receives every committed fixed-point pass of a session:
@@ -142,9 +136,9 @@ type Session struct {
 //
 // OnPass runs between the pass and the non-return inference that
 // follows it, which reads the pass's instructions from the session's
-// walk marks: an observer must not walk the session or any of its
-// forks (Probe, WalkLocal, Extend, …), or the inference would read the
-// marks of that walk instead.
+// walk marks: an observer must not walk the session (Probe, WalkLocal,
+// Extend, …), or the inference would read the marks of that walk
+// instead.
 type ExecObserver interface {
 	OnPass(nonRet, condNonRet map[uint64]bool, res *Result)
 }
@@ -192,39 +186,11 @@ func (s *Session) returnOwner(res *Result) {
 	res.owner = nil
 }
 
-// Fork returns a cheap copy-on-write view of the session: the decode
-// cache, stats, owner workspace and walk marks are shared (new decodes made by the
-// fork benefit the parent and vice versa — decodes are pure, so this is
-// safe), while the committed seed list and result are the fork's own.
-// Use a fork to probe speculative decodes, e.g. §IV-E candidate
-// validation, without corrupting the main state. A fork is serial like
-// its parent.
-func (s *Session) Fork() *Session {
-	s.stats.Forks++
-	return &Session{
-		img:     s.img,
-		isa:     s.isa,
-		opts:    s.opts,
-		cache:   s.cache,
-		stats:   s.stats,
-		seeds:   append([]uint64(nil), s.seeds...),
-		res:     s.res,
-		layout:  s.layout,
-		ws:      s.ws,
-		pushed:  s.pushed,
-		decoded: s.decoded,
-	}
-}
-
 // Result returns the current committed result (nil before the first
 // Extend/Rerun).
 func (s *Session) Result() *Result { return s.res }
 
-// Seeds returns the committed seed list in submission order.
-func (s *Session) Seeds() []uint64 { return append([]uint64(nil), s.seeds...) }
-
-// Stats returns a snapshot of the session's counters (shared with its
-// forks).
+// Stats returns a snapshot of the session's counters.
 func (s *Session) Stats() Stats { return *s.stats }
 
 // Extend appends newSeeds to the committed seed list and re-analyzes,
@@ -233,7 +199,7 @@ func (s *Session) Stats() Stats { return *s.stats }
 func (s *Session) Extend(newSeeds []uint64) *Result {
 	s.stats.Extends++
 	s.seeds = append(s.seeds, newSeeds...)
-	s.res = s.execCommitted(s.seeds, s.opts)
+	s.res = s.exec(s.seeds, s.opts, false)
 	return s.res
 }
 
@@ -254,7 +220,7 @@ func (s *Session) Retract(remove []uint64) *Result {
 		}
 	}
 	s.seeds = kept
-	s.res = s.execCommitted(s.seeds, s.opts)
+	s.res = s.exec(s.seeds, s.opts, false)
 	return s.res
 }
 
@@ -265,24 +231,13 @@ func (s *Session) Retract(remove []uint64) *Result {
 func (s *Session) Rerun(seeds []uint64) *Result {
 	s.stats.Reruns++
 	s.seeds = append(s.seeds[:0:0], seeds...)
-	s.res = s.execCommitted(s.seeds, s.opts)
+	s.res = s.exec(s.seeds, s.opts, false)
 	return s.res
-}
-
-// execCommitted runs exec with the pass observer armed. Only committed
-// seed-set updates report; probes (including probes issued between
-// committed calls) stay silent.
-func (s *Session) execCommitted(seeds []uint64, opts Options) *Result {
-	s.observing = true
-	res := s.exec(seeds, opts, false)
-	s.observing = false
-	return res
 }
 
 // Probe runs a one-shot walk from seeds under opts without touching
 // the committed seed list or result. Candidate validation and
-// jump-table resolution use it (through a Fork) for speculative
-// decodes.
+// jump-table resolution use it for speculative decodes.
 //
 // The walk records coverage in the session's owner workspace and
 // returns it when done, so the result carries no coverage index:
@@ -296,21 +251,22 @@ func (s *Session) Probe(seeds []uint64, opts Options) *Result {
 // exec runs the full Recursive fixed point from the given seeds with
 // cached decoding. Knowledge always restarts from empty so the
 // iteration trajectory — and therefore the result — matches a
-// from-scratch run exactly. A scoped exec's passes borrow the owner
-// workspace; the others allocate an owner index per pass.
-func (s *Session) exec(seeds []uint64, opts Options, scoped bool) *Result {
+// from-scratch run exactly. A probe's passes borrow the owner workspace
+// and go unreported; the others allocate an owner index per pass and
+// report to the ExecObserver.
+func (s *Session) exec(seeds []uint64, opts Options, probe bool) *Result {
 	nonRet := map[uint64]bool{}
 	condNonRet := map[uint64]bool{}
 	var res *Result
 	for iter := 0; iter < 6; iter++ {
-		if scoped {
+		if probe {
 			res = s.pass(seeds, opts, nonRet, condNonRet, s.borrowOwner(), nil)
 			s.returnOwner(res)
 		} else {
 			res = s.pass(seeds, opts, nonRet, condNonRet, newOwnerIndex(s.layout), nil)
 		}
 		s.notePassMem(res)
-		if s.observing && s.obs != nil {
+		if !probe && s.obs != nil {
 			s.obs.OnPass(nonRet, condNonRet, res)
 		}
 		if !opts.NonReturning {

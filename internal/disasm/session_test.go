@@ -187,44 +187,56 @@ func TestSessionRerunMatchesScratch(t *testing.T) {
 	requireEqualResults(t, "rerun", got, want)
 }
 
-// TestSessionForkProbe validates the copy-on-write contract: fork
+// passCounter is an ExecObserver that counts the passes reported to
+// it.
+type passCounter struct{ passes int }
+
+func (c *passCounter) OnPass(_, _ map[uint64]bool, _ *Result) { c.passes++ }
+
+// TestSessionProbe validates the probe contract on the one session:
 // probes are byte-identical to scratch runs under their own options,
-// they never perturb the parent's committed state, and their decodes
-// land in the shared cache.
-func TestSessionForkProbe(t *testing.T) {
+// they leave the committed result in place and unchanged, they never
+// report to the ExecObserver, and they reuse the committed walk's
+// decodes.
+func TestSessionProbe(t *testing.T) {
 	im, _, sec := buildBinary(t, 112, func(c *synth.Config) { c.IndirectOnlyRate = 0.1 })
 	seeds := sec.FunctionStarts()
 	opts := defaultOpts()
 
 	sess := NewSession(im, opts)
+	obs := &passCounter{}
+	sess.SetExecObserver(obs)
 	committed := sess.Extend(seeds)
+	passes := sess.Stats().FixedPointPasses
+	if obs.passes != passes {
+		t.Fatalf("observer saw %d passes, Extend ran %d", obs.passes, passes)
+	}
 
 	probeOpts := Options{ResolveJumpTables: true, Strict: true, MaxInsts: 2000}
-	fork := sess.Fork()
 	// Probe every committed seed plus deliberately misaligned
 	// candidates (seed+1 lands mid-instruction or on padding).
 	for _, c := range seeds {
 		for _, cand := range []uint64{c, c + 1} {
-			got := fork.Probe([]uint64{cand}, probeOpts)
+			got := sess.Probe([]uint64{cand}, probeOpts)
 			want := Recursive(im, []uint64{cand}, probeOpts)
 			requireEqualProbe(t, "probe", got, want)
 		}
 	}
 	if sess.Result() != committed {
-		t.Fatal("probing a fork replaced the parent's committed result")
+		t.Fatal("probing replaced the committed result")
 	}
 	want := Recursive(im, seeds, opts)
 	requireEqualResults(t, "committed-after-probes", sess.Result(), want)
+	if obs.passes != passes {
+		t.Fatalf("observer saw %d passes, want the %d committed ones: probes reported", obs.passes, passes)
+	}
 
 	st := sess.Stats()
-	if st.Forks != 1 {
-		t.Errorf("Forks = %d, want 1", st.Forks)
-	}
 	if st.Probes != 2*len(seeds) {
 		t.Errorf("Probes = %d, want %d", st.Probes, 2*len(seeds))
 	}
 	if st.InstsReused == 0 {
-		t.Error("fork probes reused no decodes from the parent")
+		t.Error("probes reused no decodes from the committed walk")
 	}
 }
 
@@ -252,8 +264,9 @@ func TestSessionStatsAccounting(t *testing.T) {
 	if second.InstsReused <= first.InstsReused {
 		t.Error("second extend reused no additional decodes")
 	}
-	// Forks share the cache: they must not count as cold starts.
-	if st := sess.Fork().Stats(); st.ColdStarts != 1 {
-		t.Errorf("fork ColdStarts = %d, want 1 (shared with parent)", st.ColdStarts)
+	// Probes share the cache: they must not count as cold starts.
+	sess.Probe(seeds[:1], Options{})
+	if st := sess.Stats(); st.ColdStarts != 1 {
+		t.Errorf("ColdStarts after a probe = %d, want 1", st.ColdStarts)
 	}
 }

@@ -16,12 +16,11 @@ type SessionStatsResult struct {
 	// Decoded and Reused total the decode-cache misses and hits.
 	Decoded int64
 	Reused  int64
-	// ColdStarts, Extends, Retracts, Forks, and Probes total the
-	// session operations across the corpus.
+	// ColdStarts, Extends, Retracts, and Probes total the session
+	// operations across the corpus.
 	ColdStarts int
 	Extends    int
 	Retracts   int
-	Forks      int
 	Probes     int
 	// XrefIterations totals pointer-detection rounds; Truncated counts
 	// binaries whose pointer-detection fixed point hit the iteration
@@ -51,7 +50,6 @@ func SessionStats(c *Corpus) (*SessionStatsResult, error) {
 		out.ColdStarts += st.Disasm.ColdStarts
 		out.Extends += st.Disasm.Extends
 		out.Retracts += st.Disasm.Retracts
-		out.Forks += st.Disasm.Forks
 		out.Probes += st.Disasm.Probes
 		out.XrefIterations += st.XrefIterations
 		if !st.XrefConverged {
@@ -75,7 +73,7 @@ func (r *SessionStatsResult) Format() string {
 	fmt.Fprintf(&b, "  cold starts:     %d (one per binary = fully incremental)\n", r.ColdStarts)
 	fmt.Fprintf(&b, "  extends:         %d\n", r.Extends)
 	fmt.Fprintf(&b, "  retracts:        %d\n", r.Retracts)
-	fmt.Fprintf(&b, "  forks/probes:    %d/%d\n", r.Forks, r.Probes)
+	fmt.Fprintf(&b, "  probes:          %d\n", r.Probes)
 	fmt.Fprintf(&b, "  xref iterations: %d (truncated on %d binaries)\n", r.XrefIterations, r.Truncated)
 	return b.String()
 }

@@ -79,8 +79,6 @@ func AnalyzeWithSession(sess *disasm.Session, img *elfx.Image, start, end uint64
 	jumpTable := func() *disasm.Result {
 		if jtRes == nil {
 			if sess != nil {
-				// Probe leaves committed state untouched, so no fork is
-				// needed for this speculative walk.
 				jtRes = sess.Probe([]uint64{start}, jtProbeOpts)
 			} else {
 				jtRes = disasm.Recursive(img, []uint64{start}, jtProbeOpts)

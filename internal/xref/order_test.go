@@ -15,14 +15,15 @@ import (
 	"fetch/internal/synth"
 )
 
-// validateWalkFirst is the walk-first validation order validate
-// replaced, kept as the reference for the rule-order differential: the
-// strict walk runs before rule (iv), and every rejection returns a nil
-// result. It is verbatim but for one token. The engine it ran on
-// walked on past a strict walk's first error, and the engine now stops
-// there; a strict walk's path does not depend on Strict, so the full
-// strict walk the rule-(i) ablation ran is the non-strict walk, and the
-// reference asks for a strict walk only when it reads the errors.
+// validateWalkFirst is the walk-first validation order
+// ValidateCandidate replaced, kept as the reference for the rule-order
+// differential: the strict walk runs before rule (iv), and every
+// rejection returns a nil result. It is verbatim but for one token. The
+// engine it ran on walked on past a strict walk's first error, and the
+// engine now stops there; a strict walk's path does not depend on
+// Strict, so the full strict walk the rule-(i) ablation ran is the
+// non-strict walk, and the reference asks for a strict walk only when
+// it reads the errors.
 func validateWalkFirst(img *elfx.Image, res *disasm.Result, c uint64, opts Options, probe *disasm.Session) (*disasm.Result, bool) {
 	// Rule (iii), seed form: the candidate itself must not point into
 	// a previously detected function's interior.
@@ -159,12 +160,13 @@ func orderInputs(t *testing.T) []orderInput {
 	return out
 }
 
-// requireSameVerdict fails unless validate and the walk-first reference
-// agree on c: the same verdict and, for an accepted candidate, the same
-// extent and harvested constants. It reports the verdict.
+// requireSameVerdict fails unless ValidateCandidate and the walk-first
+// reference agree on c: the same verdict and, for an accepted
+// candidate, the same extent and harvested constants. It reports the
+// verdict.
 func requireSameVerdict(t testing.TB, label string, img *elfx.Image, res *disasm.Result, c uint64, opts Options, probe *disasm.Session) bool {
 	t.Helper()
-	v, ok := validate(img, res, c, opts, probe)
+	v, ok := ValidateCandidate(img, res, c, opts, probe)
 	w, wok := validateWalkFirst(img, res, c, opts, probe)
 	if ok != wok {
 		t.Fatalf("%s: candidate %#x: verdict %v, walk-first reference %v", label, c, ok, wok)
@@ -197,12 +199,11 @@ func sortedConsts(v *disasm.Result) []uint64 {
 func TestValidateOrderMatchesWalkFirst(t *testing.T) {
 	for _, in := range orderInputs(t) {
 		cands := Candidates(in.img, in.res)
-		probe := in.sess.Fork()
 		for name, disable := range ruleSettings() {
 			opts := Options{KnownRanges: in.known, DisableRule: disable}
 			accepted := 0
 			for _, c := range cands {
-				if requireSameVerdict(t, in.name+"/"+name, in.img, in.res, c, opts, probe) {
+				if requireSameVerdict(t, in.name+"/"+name, in.img, in.res, c, opts, in.sess) {
 					accepted++
 				}
 			}

@@ -179,9 +179,10 @@ type Options struct {
 	// instructions against the committed disassembly still applies.
 	DisableRule [4]bool
 	// Session, when set, supplies the incremental disassembly state:
-	// candidate validation walks run on a fork of it, so every probe
+	// candidate validation walks are probes of it, so every walk
 	// reuses (and feeds) the binary's shared decode cache instead of
-	// decoding from scratch. Results are byte-identical either way.
+	// decoding from scratch. A probe leaves the committed result
+	// untouched, and results are byte-identical either way.
 	Session *disasm.Session
 	// Index, when set, answers the data-section half of candidate
 	// collection from the precomputed DataIndex instead of rescanning
@@ -203,12 +204,6 @@ type Options struct {
 // returns the accepted new function starts, iterating as accepted
 // pointers contribute new constants (§IV-E's pool refresh).
 func Detect(img *elfx.Image, res *disasm.Result, funcs map[uint64]bool, opts Options) []uint64 {
-	// Speculative validation walks run on a copy-on-write fork: probe
-	// decodes land in the shared cache, committed state stays intact.
-	var probe *disasm.Session
-	if opts.Session != nil {
-		probe = opts.Session.Fork()
-	}
 	var accepted []uint64
 	acceptedSet := map[uint64]bool{}
 	pending := candidates(img, res, opts.Index)
@@ -236,7 +231,7 @@ func Detect(img *elfx.Image, res *disasm.Result, funcs map[uint64]bool, opts Opt
 			if insideAccepted(c) {
 				continue
 			}
-			newRes, ok := validate(img, res, c, opts, probe)
+			newRes, ok := ValidateCandidate(img, res, c, opts, opts.Session)
 			if opts.Observer != nil {
 				opts.Observer(c, ok, newRes)
 			}
@@ -246,7 +241,7 @@ func Detect(img *elfx.Image, res *disasm.Result, funcs map[uint64]bool, opts Opt
 			acceptedSet[c] = true
 			accepted = append(accepted, c)
 			acceptedRanges = append(acceptedRanges, disasm.FuncRange{
-				Start: c, End: contiguousEnd(newRes, c),
+				Start: c, End: ContiguousEnd(newRes, c),
 			})
 			// Refresh the pool from the new disassembly's constants.
 			for v := range newRes.Constants {
@@ -265,10 +260,11 @@ func Detect(img *elfx.Image, res *disasm.Result, funcs map[uint64]bool, opts Opt
 	return accepted
 }
 
-// contiguousEnd returns the end of the contiguous instruction run the
+// ContiguousEnd returns the end of the contiguous instruction run the
 // validation walk decoded from c — the approximate extent of the newly
-// accepted function.
-func contiguousEnd(v *disasm.Result, c uint64) uint64 {
+// accepted function. The delta-analysis recorder needs it too, to
+// replay the accept loop's interior-skip rule without re-walking.
+func ContiguousEnd(v *disasm.Result, c uint64) uint64 {
 	addrs := make([]uint64, 0, len(v.Insts))
 	for a := range v.Insts {
 		addrs = append(addrs, a)
@@ -287,36 +283,21 @@ func contiguousEnd(v *disasm.Result, c uint64) uint64 {
 	return end
 }
 
-// ContiguousEnd exposes contiguousEnd for the delta-analysis recorder:
-// the approximate extent of a validated function, needed to replay the
-// accept loop's interior-skip rule without re-walking.
-func ContiguousEnd(v *disasm.Result, c uint64) uint64 {
-	return contiguousEnd(v, c)
-}
-
-// ValidateCandidate applies the §IV-E rules to one candidate outside a
-// Detect run — the delta path re-validates exactly the candidates
-// whose recorded verdicts depend on changed bytes. res supplies the
-// committed-coverage queries (a coverage-only result suffices); a
-// non-nil sess provides cached decoding via a fork. The verdict is
-// identical to the one Detect would compute against the same state.
+// ValidateCandidate applies rules (i)-(iv) to one candidate: first
+// every rule that needs no walk — the seed forms of (iii) and (ii),
+// then (iv) — and only then the walk forms of (i)-(iii). A verdict
+// holds only when every rule does, so the order changes the work,
+// never the verdict. Detect calls it for every candidate it consults;
+// the delta path calls it alone to re-validate exactly the candidates
+// whose recorded verdicts depend on changed bytes, and gets the
+// verdict Detect would compute against the same state.
+//
+// res supplies the committed-coverage queries (a coverage-only result
+// suffices). A non-nil sess runs the walk as a probe with cached
+// decoding. The result is the validation walk's: nil when the
+// candidate was rejected before walking, else the walk (cut at its
+// first error on a strict rejection) whatever the verdict.
 func ValidateCandidate(img *elfx.Image, res *disasm.Result, c uint64, opts Options, sess *disasm.Session) (*disasm.Result, bool) {
-	var probe *disasm.Session
-	if sess != nil {
-		probe = sess.Fork()
-	}
-	return validate(img, res, c, opts, probe)
-}
-
-// validate applies rules (i)-(iv) to one candidate: first every rule
-// that needs no walk — the seed forms of (iii) and (ii), then (iv) —
-// and only then the walk forms of (i)-(iii). A verdict holds only when
-// every rule does, so the order changes the work, never the verdict.
-// The result is the validation walk's: nil when the candidate was
-// rejected before walking, else the walk (cut at its first error on a
-// strict rejection) whatever the verdict. A non-nil probe session runs
-// the walk with cached decoding.
-func validate(img *elfx.Image, res *disasm.Result, c uint64, opts Options, probe *disasm.Session) (*disasm.Result, bool) {
 	// Rule (iii), seed form: the candidate itself must not point into
 	// a previously detected function's interior.
 	if !opts.DisableRule[2] {
@@ -352,8 +333,8 @@ func validate(img *elfx.Image, res *disasm.Result, c uint64, opts Options, probe
 		MaxInsts:          maxValidationInsts,
 	}
 	var v *disasm.Result
-	if probe != nil {
-		v = probe.Probe([]uint64{c}, vopts)
+	if sess != nil {
+		v = sess.Probe([]uint64{c}, vopts)
 	} else {
 		v = disasm.Recursive(img, []uint64{c}, vopts)
 	}

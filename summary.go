@@ -50,7 +50,6 @@ func Summarize(res *Result, verbose bool) []SummaryLine {
 		SummaryLine{"stats.cold_starts", fmt.Sprintf("%d", st.ColdStarts)},
 		SummaryLine{"stats.extends", fmt.Sprintf("%d", st.Extends)},
 		SummaryLine{"stats.retracts", fmt.Sprintf("%d", st.Retracts)},
-		SummaryLine{"stats.forks", fmt.Sprintf("%d", st.Forks)},
 		SummaryLine{"stats.probes", fmt.Sprintf("%d", st.Probes)},
 		SummaryLine{"stats.xref_iterations", fmt.Sprintf("%d", st.XrefIterations)},
 		SummaryLine{"stats.xref_converged", fmt.Sprintf("%v", st.XrefConverged)},
