@@ -13,6 +13,8 @@ package fetch
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -26,6 +28,7 @@ import (
 	"fetch/internal/eval"
 	"fetch/internal/groundtruth"
 	"fetch/internal/metrics"
+	"fetch/internal/realbin"
 	"fetch/internal/stackan"
 	"fetch/internal/synth"
 	"fetch/internal/tailcall"
@@ -586,6 +589,43 @@ func BenchmarkAnalyzeLarge(b *testing.B) {
 	var funcs int
 	for i := 0; i < b.N; i++ {
 		res, err := Analyze(raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		funcs = len(res.FunctionStarts)
+	}
+	b.ReportMetric(float64(funcs), "funcs")
+}
+
+// BenchmarkAnalyzeGoReal measures cold AnalyzeFile on real compiler
+// output: GOROOT's pack tool, prepared as the real-binary lane prepares
+// a Go binary (stripped, with an empty .eh_frame injected, since Go's
+// internal linker emits none). Pointer validation dominates it. It
+// skips when the toolchain ships no pack binary.
+func BenchmarkAnalyzeGoReal(b *testing.B) {
+	src := filepath.Join(runtime.GOROOT(), "pkg", "tool", runtime.GOOS+"_"+runtime.GOARCH, "pack")
+	if _, err := os.Stat(src); err != nil {
+		b.Skipf("no pack tool: %v", err)
+	}
+	im, err := elfx.LoadELFFile(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prepared, _ := realbin.PrepareStripped(im)
+	raw, err := elfx.WriteELF(prepared)
+	im.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "pack.stripped")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(raw)))
+	b.ResetTimer()
+	var funcs int
+	for i := 0; i < b.N; i++ {
+		res, err := AnalyzeFile(path)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"fetch/internal/core"
-	"fetch/internal/ehframe"
 	"fetch/internal/elfx"
 	"fetch/internal/resultcache"
 )
@@ -231,7 +230,7 @@ func cacheKey(sum [sha256.Size]byte, s core.Strategy) resultcache.Key {
 //
 // Two extra entry families live beside the whole-binary results:
 //
-//   manifest ("mf.<variant>", keyed by residue hash): the gob-encoded
+//   manifest ("mf.t<format>.<variant>", keyed by residue hash): the gob-encoded
 //   core.Trace of a recorded analysis — the roster of FDE-delimited
 //   range hashes plus everything ReplayDelta verifies against.
 //
@@ -241,11 +240,13 @@ func cacheKey(sum [sha256.Size]byte, s core.Strategy) resultcache.Key {
 //   the payload to the key; entries are shared by every binary (and
 //   every strategy) containing that exact range at that address.
 
-// manifestKey addresses a trace by residue hash and strategy.
+// manifestKey addresses a trace by residue hash and strategy. The
+// variant carries core.TraceFormat, so a manifest in an older trace
+// format is never looked up.
 func manifestKey(sum [sha256.Size]byte, s core.Strategy) resultcache.Key {
 	return resultcache.Key{
 		SHA256:  sum,
-		Variant: "mf." + strategyVariant(s),
+		Variant: fmt.Sprintf("mf.t%d.%s", core.TraceFormat, strategyVariant(s)),
 		Schema:  ResultSchemaVersion,
 	}
 }
@@ -323,25 +324,21 @@ func (c *Cache) fnRangeBytes(start uint64, sum [sha256.Size]byte) []byte {
 // binary's key. The bool reports success; on failure the DeltaOutcome
 // carries the fallback reason (zero value when the attempt never got
 // to verification).
-func (c *Cache) tryDelta(img *elfx.Image, sec *ehframe.Section, o Options) (*Result, []byte, core.DeltaOutcome, bool) {
+func (c *Cache) tryDelta(img *elfx.Image, eh *core.EHFrame, o Options) (*Result, []byte, core.DeltaOutcome, bool) {
 	var zero core.DeltaOutcome
-	if img == nil || sec == nil {
+	if eh == nil || eh.Roster == nil {
 		return nil, nil, zero, false
 	}
-	sum, roster, ok := core.DeltaKey(img, sec)
-	if !ok {
-		return nil, nil, zero, false
-	}
-	tr, ok := c.loadTrace(sum, o.Strategy)
+	tr, ok := c.loadTrace(eh.Residue, o.Strategy)
 	if !ok {
 		return nil, nil, zero, false
 	}
 	outcome := core.ReplayDelta(core.DeltaInput{
 		Img:      img,
-		Sec:      sec,
+		Sec:      eh.Sec,
 		Trace:    tr,
-		Roster:   roster,
-		Residue:  sum,
+		Roster:   eh.Roster,
+		Residue:  eh.Residue,
 		Strategy: o.Strategy,
 		OldRangeBytes: func(i int) []byte {
 			return c.fnRangeBytes(tr.Roster[i].Start, tr.Roster[i].Hash)

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"fetch/internal/core"
+	"fetch/internal/disasm"
 	"fetch/internal/ehframe"
 	"fetch/internal/elfx"
 	"fetch/internal/synth"
@@ -320,10 +321,12 @@ func TestDeltaFnTierCorruption(t *testing.T) {
 // build must run cold, never replay against the planted coverage.
 func TestDeltaTraceImpossibleInstLen(t *testing.T) {
 	requirePlantedTraceMisses(t, func(tr *core.Trace) []byte {
-		if len(tr.GlobalInsts) == 0 {
+		facts := tr.GlobalInsts.Unpack()
+		if len(facts) == 0 {
 			t.Fatal("trace has no instruction facts")
 		}
-		tr.GlobalInsts[len(tr.GlobalInsts)/2].Len = 256
+		facts[len(facts)/2].Len = 256
+		tr.GlobalInsts = disasm.PackInstFacts(facts)
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(tr); err != nil {
 			t.Fatal(err)
@@ -392,20 +395,11 @@ func requirePlantedTraceMisses(t *testing.T, plant func(*core.Trace) []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simg := img.Strip()
-	eh, ok := simg.Section(".eh_frame")
-	if !ok {
-		t.Fatal("no .eh_frame")
-	}
-	sec, err := ehframe.Decode(eh.Bytes(), eh.Addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, _, ok := core.DeltaKey(simg, sec)
-	if !ok {
+	eh := core.LoadEHFrame(img.Strip())
+	if eh == nil || eh.Roster == nil {
 		t.Fatal("no delta key")
 	}
-	key := manifestKey(sum, core.FETCH)
+	key := manifestKey(eh.Residue, core.FETCH)
 
 	cache, err := NewCache(CacheConfig{MaxEntries: 3 * deltaNumFuncs})
 	if err != nil {
@@ -572,3 +566,87 @@ var errResultMismatch = errorString("concurrent analysis differs from cold resul
 type errorString string
 
 func (e errorString) Error() string { return string(e) }
+
+// TestMissReusesEHFrame pins the cache-miss path's reuse of the
+// .eh_frame decode and delta key its delta attempt derived: a recorded
+// run handed LoadEHFrame's result reports what an unrecorded run that
+// decodes the section itself does, and records what a recorded run
+// handed nothing does; a missing or malformed .eh_frame fails a cached
+// analysis with the same error as an uncached one.
+func TestMissReusesEHFrame(t *testing.T) {
+	baseRaw, _, _ := deltaPair(t)
+	img, err := elfx.LoadELF(baseRaw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simg := img.Strip()
+	eh := core.LoadEHFrame(simg)
+	if eh == nil || eh.Roster == nil {
+		t.Fatal("no delta key")
+	}
+	cfg := core.Config{Strategy: core.FETCH}
+	encodeRep := func(rep *core.Report) []byte {
+		res, err := EncodeResult(StripSchedule(reportToResult(rep)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	encodeRun := func(eh *core.EHFrame) ([]byte, []byte) {
+		rep, tr, err := core.AnalyzeRecorded(simg, cfg, eh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trace bytes.Buffer
+		if err := gob.NewEncoder(&trace).Encode(tr); err != nil {
+			t.Fatal(err)
+		}
+		return encodeRep(rep), trace.Bytes()
+	}
+	gotRes, gotTrace := encodeRun(eh)
+	_, wantTrace := encodeRun(nil)
+	plain, err := core.AnalyzeConfig(simg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotRes, encodeRep(plain)) {
+		t.Fatal("a recorded run handed the decoded .eh_frame reports differently from an unrecorded run")
+	}
+	if !bytes.Equal(gotTrace, wantTrace) {
+		t.Fatal("a recorded run handed the decoded .eh_frame records differently from one handed nothing")
+	}
+
+	withEHFrame := func(body []byte) []byte {
+		cp := *simg
+		cp.Sections = nil
+		for _, s := range simg.Sections {
+			if s.Name != ".eh_frame" {
+				cp.Sections = append(cp.Sections, s)
+			} else if body != nil {
+				cp.Sections = append(cp.Sections, &elfx.Section{Name: s.Name, Addr: s.Addr, Data: body, Flags: s.Flags})
+			}
+		}
+		raw, err := elfx.WriteELF(&cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	for name, raw := range map[string][]byte{
+		"missing": withEHFrame(nil),
+		// A first entry whose length runs past the section.
+		"malformed": withEHFrame([]byte{0xF0, 0xFF, 0xFF, 0x0F, 0, 0, 0, 0}),
+	} {
+		_, want := Analyze(raw)
+		if want == nil {
+			t.Fatalf("%s .eh_frame: uncached analysis succeeded", name)
+		}
+		cache, err := NewCache(CacheConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, got := Analyze(raw, WithCache(cache)); got == nil || got.Error() != want.Error() {
+			t.Fatalf("%s .eh_frame: cached analysis error %v, uncached %v", name, got, want)
+		}
+	}
+}

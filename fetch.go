@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"fetch/internal/core"
-	"fetch/internal/ehframe"
 	"fetch/internal/elfx"
 	"fetch/internal/pool"
 	"fetch/internal/resultcache"
@@ -295,11 +294,8 @@ func analyze(o Options, hash func() ([sha256.Size]byte, error), load func() (*el
 		return reportToResult(rep), false, nil
 	}
 
-	var sec *ehframe.Section
-	if eh, ok := simg.Section(".eh_frame"); ok {
-		sec, _ = ehframe.Decode(eh.Bytes(), eh.Addr)
-	}
-	res, blob, outcome, served := o.Cache.tryDelta(simg, sec, o)
+	eh := core.LoadEHFrame(simg)
+	res, blob, outcome, served := o.Cache.tryDelta(simg, eh, o)
 	if served {
 		// Store the canonical (delta-stat-free) encoding under the new
 		// binary's key first, so the next identical request is a plain
@@ -314,8 +310,9 @@ func analyze(o Options, hash func() ([sha256.Size]byte, error), load func() (*el
 	}
 
 	// Cold run with recording, so a future recompilation of this binary
-	// can be served by delta replay.
-	rep, tr, err := core.AnalyzeRecorded(simg, cfg)
+	// can be served by delta replay. It reuses the decoded .eh_frame
+	// and delta key of the attempt above.
+	rep, tr, err := core.AnalyzeRecorded(simg, cfg, eh)
 	if err != nil {
 		return nil, false, err
 	}

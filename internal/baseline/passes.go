@@ -108,21 +108,21 @@ func CFR(img *elfx.Image, d *Detection) *Detection {
 		sloppyNonRet[a] = true
 	}
 	starts := out.sortedFuncs()
-	for addr, in := range out.Res.Insts {
+	for _, in := range out.Res.Insts {
 		if in.Op != arch.OpCall || !sloppyNonRet[in.Target] {
 			continue
 		}
 		// The next detected start after the call site, within a
 		// plausible padding distance.
-		i := sort.Search(len(starts), func(k int) bool { return starts[k] > addr })
+		i := sort.Search(len(starts), func(k int) bool { return starts[k] > in.Addr })
 		if i >= len(starts) {
 			continue
 		}
 		next := starts[i]
-		if next-addr > 96 {
+		if next-in.Addr > 96 {
 			continue
 		}
-		if len(out.Res.Refs[next]) == 0 {
+		if len(out.Res.RefsTo(next)) == 0 {
 			delete(out.Funcs, next)
 		}
 	}
@@ -164,18 +164,18 @@ func Fmerg(img *elfx.Image, d *Detection) *Detection {
 	starts := d.sortedFuncs()
 	for i := 0; i+1 < len(starts); i++ {
 		a, b := starts[i], starts[i+1]
-		refs := out.Res.Refs[b]
-		if len(refs) != 1 || refs[0] < a || refs[0] >= b {
+		refs := out.Res.RefsTo(b)
+		if len(refs) != 1 || refs[0].From < a || refs[0].From >= b {
 			continue
 		}
-		j, ok := out.Res.Insts[refs[0]]
+		j, ok := out.Res.Inst(refs[0].From)
 		if !ok || j.Op != arch.OpJmp {
 			continue
 		}
 		// The jump must be the only transfer leaving [a, b).
 		sole := true
-		for addr, in := range out.Res.Insts {
-			if addr < a || addr >= b || addr == refs[0] {
+		for _, in := range out.Res.InstsIn(a, b) {
+			if in == j {
 				continue
 			}
 			if (in.IsCall() || in.IsBranch()) && in.HasTarget &&
@@ -339,10 +339,12 @@ func Tcall(img *elfx.Image, d *Detection, style tcallStyle) *Detection {
 	case tcallGhidra:
 		for _, s := range d.sortedFuncs() {
 			end := naiveExtentEnd(img, s)
-			for addr := s; addr < end; {
-				in, ok := out.Res.Insts[addr]
-				if !ok {
-					addr++
+			// Follow the chain of decoded instructions from s: each
+			// step takes the first instruction at or past the end of
+			// the previous one.
+			next := s
+			for _, in := range out.Res.InstsIn(s, end) {
+				if in.Addr < next {
 					continue
 				}
 				if (in.Op == arch.OpJmp || in.Op == arch.OpJcc) && in.HasTarget {
@@ -350,16 +352,16 @@ func Tcall(img *elfx.Image, d *Detection, style tcallStyle) *Detection {
 						out.Funcs[in.Target] = true
 					}
 				}
-				addr = in.Next()
+				next = in.Next()
 			}
 		}
 	case tcallAngr:
 		ranges := fdeRangesOf(d)
-		for addr, in := range out.Res.Insts {
+		for _, in := range out.Res.Insts {
 			if in.Op != arch.OpJmp || !in.HasTarget || !img.IsExec(in.Target) {
 				continue
 			}
-			r, ok := rangeCovering(ranges, addr)
+			r, ok := rangeCovering(ranges, in.Addr)
 			if !ok {
 				continue
 			}

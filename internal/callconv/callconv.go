@@ -25,7 +25,18 @@ const maxWalk = 48
 // fall-through side and through calls, which define the caller-saved
 // set) and ends at any unconditional transfer.
 func Validate(img *elfx.Image, addr uint64) bool {
+	ok, _ := ValidateExtent(img, addr)
+	return ok
+}
+
+// ValidateExtent is Validate that also reports the end of the code
+// bytes the verdict read: the walk reads [addr, end) and nothing else
+// of the image but its section layout, so the verdict holds for any
+// image with the same layout and the same bytes there. A decode that
+// failed counts as having read the ISA's longest instruction.
+func ValidateExtent(img *elfx.Image, addr uint64) (ok bool, end uint64) {
 	isa := img.ISA()
+	end = addr
 	var written arch.RegSet
 	// The stack pointer is always live. The frame register is
 	// deliberately NOT pre-initialized: reading the caller's frame
@@ -41,12 +52,13 @@ func Validate(img *elfx.Image, addr uint64) bool {
 	for steps := 0; steps < maxWalk; steps++ {
 		window, ok := img.BytesToSectionEnd(addr)
 		if !ok {
-			return false
+			return false, end
 		}
 		in, err := isa.Decode(window, addr)
 		if err != nil {
-			return false
+			return false, addr + uint64(isa.MaxInstLen())
 		}
+		end = in.Next()
 		reads := isa.Reads(&in)
 		for r := arch.Reg(0); int(r) < isa.RegCount(); r++ {
 			if !reads.Has(r) {
@@ -55,7 +67,7 @@ func Validate(img *elfx.Image, addr uint64) bool {
 			if isa.IsArgReg(r) || written.Has(r) {
 				continue
 			}
-			return false
+			return false, end
 		}
 		written = written.Union(isa.Writes(&in))
 		if in.Op == arch.OpEnter || (in.Op == arch.OpMov && len(in.Args) == 2 &&
@@ -64,9 +76,9 @@ func Validate(img *elfx.Image, addr uint64) bool {
 		}
 		switch in.Op {
 		case arch.OpRet, arch.OpJmp, arch.OpJmpInd, arch.OpUd2, arch.OpHlt, arch.OpInt3:
-			return true
+			return true, end
 		}
 		addr = in.Next()
 	}
-	return true
+	return true, end
 }

@@ -157,3 +157,64 @@ func TestValidateCFIErrorAddrsAcrossSeeds(t *testing.T) {
 		_ = groundtruth.ClassNormal
 	}
 }
+
+// TestValidateExtentBoundsTheVerdict pins what delta replay relies on:
+// the verdict depends on no code byte at or past the reported end.
+// Every byte from the end to the end of the section is overwritten
+// with each of two fillers, and the verdict and end must not move; on
+// both ISAs, at every true entry and at interior addresses that fail.
+func TestValidateExtentBoundsTheVerdict(t *testing.T) {
+	for _, isa := range []string{"x64", "a64"} {
+		cfg := synth.DefaultConfig("cc-extent", 43, synth.O2, synth.GCC, synth.LangC)
+		cfg.Arch = isa
+		cfg.NumFuncs = 40
+		im, truth, err := synth.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, ok := im.Section(".text")
+		if !ok {
+			t.Fatal("no .text")
+		}
+		var addrs []uint64
+		for _, fn := range truth.Funcs {
+			addrs = append(addrs, fn.Addr, fn.Addr+1, fn.Addr+5)
+		}
+		rejected := 0
+		for _, a := range addrs {
+			if !text.Contains(a) {
+				continue
+			}
+			ok, end := ValidateExtent(im, a)
+			if ok != Validate(im, a) || end < a {
+				t.Fatalf("%s %#x: ValidateExtent = %v, %#x; Validate = %v", isa, a, ok, end, Validate(im, a))
+			}
+			if !ok {
+				rejected++
+			}
+			for _, fill := range []byte{0x00, 0xFF} {
+				cp := *text
+				cp.Data = append([]byte(nil), text.Data...)
+				if end < text.End() {
+					for i := end - text.Addr; i < uint64(len(cp.Data)); i++ {
+						cp.Data[i] = fill
+					}
+				}
+				patched := *im
+				patched.Sections = nil
+				for _, s := range im.Sections {
+					if s == text {
+						s = &cp
+					}
+					patched.Sections = append(patched.Sections, s)
+				}
+				if ok2, end2 := ValidateExtent(&patched, a); ok2 != ok || end2 != end {
+					t.Fatalf("%s %#x: bytes past %#x moved the verdict: %v, %#x; was %v, %#x", isa, a, end, ok2, end2, ok, end)
+				}
+			}
+		}
+		if rejected == 0 {
+			t.Fatalf("%s: no address was rejected; the test no longer covers failing walks", isa)
+		}
+	}
+}

@@ -148,6 +148,8 @@ type pipeline struct {
 	// rec, when set, records the delta-analysis trace (see trace.go).
 	// Recording observes the pipeline without changing any output.
 	rec *recorder
+	// eh, when set, is the binary's already decoded .eh_frame.
+	eh *EHFrame
 }
 
 // Pass is one ordered pipeline stage.
@@ -199,13 +201,26 @@ func Analyze(img *elfx.Image, strat Strategy) (*Report, error) {
 // changed binary against. The Report is byte-identical to an
 // unrecorded run. The trace is nil when the binary admits no sound
 // range decomposition (no usable FDE extents, or overlapping ones).
-func AnalyzeRecorded(img *elfx.Image, cfg Config) (*Report, *Trace, error) {
+//
+// eh, when non-nil, is LoadEHFrame(img): the run takes the decoded
+// .eh_frame and the delta key from it instead of deriving both again.
+// A missing or malformed .eh_frame fails the run as in AnalyzeConfig.
+func AnalyzeRecorded(img *elfx.Image, cfg Config, eh *EHFrame) (*Report, *Trace, error) {
+	if eh == nil {
+		eh = LoadEHFrame(img)
+	}
 	rec := newRecorder(img.ISA().MaxInstLen())
-	rep, sess, err := analyzeWith(img, cfg, rec)
+	rep, sess, err := analyzeWith(img, cfg, rec, eh)
 	if err != nil {
 		return nil, nil, err
 	}
-	tr, ok := rec.finish(img, sess, rep)
+	tr, ok := rec.finish(img, sess, rep, eh)
+	if sess != nil {
+		// The session ends here. A cache records what it may replay,
+		// and the replay sessions of its next delta request take
+		// their table chunks from this one.
+		sess.Release()
+	}
 	if !ok {
 		return rep, nil, nil
 	}
@@ -216,19 +231,21 @@ func AnalyzeRecorded(img *elfx.Image, cfg Config) (*Report, *Trace, error) {
 // function of the binary bytes, the Strategy, and the xref iteration
 // bound alone.
 func AnalyzeConfig(img *elfx.Image, cfg Config) (*Report, error) {
-	rep, _, err := analyzeWith(img, cfg, nil)
+	rep, _, err := analyzeWith(img, cfg, nil, nil)
 	return rep, err
 }
 
 // analyzeWith is the shared pipeline driver; rec, when non-nil,
-// observes the run for delta-trace recording.
-func analyzeWith(img *elfx.Image, cfg Config, rec *recorder) (*Report, *disasm.Session, error) {
+// observes the run for delta-trace recording, and eh, when non-nil,
+// supplies the decoded .eh_frame.
+func analyzeWith(img *elfx.Image, cfg Config, rec *recorder, eh *EHFrame) (*Report, *disasm.Session, error) {
 	p := &pipeline{
 		img:    img,
 		strat:  cfg.Strategy,
 		cfg:    cfg,
 		banned: map[uint64]bool{},
 		rec:    rec,
+		eh:     eh,
 		rep: &Report{
 			Funcs:  make(map[uint64]bool),
 			Merged: make(map[uint64]uint64),
@@ -258,20 +275,13 @@ func analyzeWith(img *elfx.Image, cfg Config, rec *recorder) (*Report, *disasm.S
 	return p.rep, p.sess, nil
 }
 
-// runFDE decodes .eh_frame and seeds the function set with the PC
-// Begin values (the paper's "FDE" row).
+// runFDE decodes .eh_frame, unless the caller handed it over decoded,
+// and seeds the function set with the PC Begin values (the paper's
+// "FDE" row).
 func (p *pipeline) runFDE() error {
-	eh, ok := p.img.Section(".eh_frame")
-	if !ok {
-		return fmt.Errorf("core: binary has no .eh_frame section")
-	}
-	ehBody, err := eh.BytesErr()
+	sec, err := p.ehFrame()
 	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	sec, err := ehframe.Decode(ehBody, eh.Addr)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
+		return err
 	}
 	p.rep.Sec = sec
 	for _, f := range sec.FDEs {
@@ -284,6 +294,31 @@ func (p *pipeline) runFDE() error {
 		return p.rep.FDEStarts[i] < p.rep.FDEStarts[j]
 	})
 	return nil
+}
+
+// ehFrame returns the binary's decoded .eh_frame.
+func (p *pipeline) ehFrame() (*ehframe.Section, error) {
+	if p.eh != nil {
+		return p.eh.Sec, nil
+	}
+	return decodeEHFrame(p.img)
+}
+
+// decodeEHFrame decodes img's .eh_frame section.
+func decodeEHFrame(img *elfx.Image) (*ehframe.Section, error) {
+	eh, ok := img.Section(".eh_frame")
+	if !ok {
+		return nil, fmt.Errorf("core: binary has no .eh_frame section")
+	}
+	body, err := eh.BytesErr()
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	sec, err := ehframe.Decode(body, eh.Addr)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return sec, nil
 }
 
 // runRecursive performs the initial safe sweep from the FDE starts and
@@ -334,10 +369,11 @@ func (p *pipeline) addFuncs(from map[uint64]bool) {
 // restatement of the data bytes, so using it never changes a result;
 // the oracle's DiffReports pins index-backed runs against
 // core.ScratchAnalyze, whose xref and tailcall stages use the
-// scan-backed path.
+// scan-backed path. Like the rest of one analysis, the scan runs on
+// the calling goroutine: parallelism is across binaries.
 func (p *pipeline) dataIndex() *xref.DataIndex {
 	if p.dataIdx == nil {
-		p.dataIdx = xref.NewDataIndex(p.img, 0)
+		p.dataIdx = xref.NewDataIndex(p.img, 1)
 	}
 	return p.dataIdx
 }

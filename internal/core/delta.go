@@ -32,8 +32,8 @@ import (
 //  3. every recorded pointer-candidate validation whose byte extent
 //     intersects a changed range re-validates to the same verdict,
 //     extent, and constant contributions against the new bytes;
-//  4. every recorded calling-convention verdict whose window
-//     intersects a changed range re-validates identically, and every
+//  4. every recorded calling-convention verdict whose read bytes
+//     intersect a changed range re-validates identically, and every
 //     changed range's candidate tail-call jumps present the same
 //     (target, height-known, height-zero) sequence to Algorithm 1.
 //
@@ -55,19 +55,49 @@ const DefaultMaxDirtyFraction = 0.5
 // functions falls back rather than enumerating the state space.
 const envEnumCap = 5
 
-// DeltaKey computes the residue hash that addresses a binary's delta
+// deltaKey computes the residue hash that addresses a binary's delta
 // trace: equal keys mean the binaries differ at most inside their
 // (identical) FDE-delimited roster ranges. It also returns the roster
-// the hash covers (range hashes unset), which ReplayDelta accepts as
-// DeltaInput.Roster instead of rebuilding it. ok=false means the
-// binary admits no sound range decomposition and the delta path does
-// not apply.
-func DeltaKey(img *elfx.Image, sec *ehframe.Section) ([32]byte, []RangeInfo, bool) {
+// the hash covers (range hashes unset). ok=false means the binary
+// admits no sound range decomposition and the delta path does not
+// apply.
+func deltaKey(img *elfx.Image, sec *ehframe.Section) ([32]byte, []RangeInfo, bool) {
 	roster, ok := buildRoster(img, sec)
 	if !ok || len(roster) == 0 {
 		return [32]byte{}, nil, false
 	}
 	return residueHash(img, roster), roster, true
+}
+
+// EHFrame is a binary's decoded .eh_frame with the delta key derived
+// from it. A cache miss loads it once for its delta attempt
+// (ReplayDelta) and hands it to the recorded cold run
+// (AnalyzeRecorded), which then neither decodes the section nor
+// derives the key again.
+type EHFrame struct {
+	Sec *ehframe.Section
+	// Residue is the residue hash that addresses the binary's delta
+	// trace: equal residues mean two binaries differ at most inside
+	// their (identical) FDE-delimited roster ranges. Roster is the
+	// range set it covers (range hashes unset), nil when the binary
+	// admits no sound range decomposition and the delta path does not
+	// apply.
+	Residue [32]byte
+	Roster  []RangeInfo
+}
+
+// LoadEHFrame decodes img's .eh_frame and derives its delta key. It
+// returns nil when the section is missing, unreadable or malformed; a
+// pipeline run then decodes the section itself and fails with the
+// error.
+func LoadEHFrame(img *elfx.Image) *EHFrame {
+	sec, err := decodeEHFrame(img)
+	if err != nil {
+		return nil
+	}
+	fr := &EHFrame{Sec: sec}
+	fr.Residue, fr.Roster, _ = deltaKey(img, sec)
+	return fr
 }
 
 // DeltaInput parameterizes ReplayDelta.
@@ -78,7 +108,7 @@ type DeltaInput struct {
 	// Trace is the recorded trace whose residue hash matched.
 	Trace *Trace
 	// Roster and Residue are the new binary's roster and residue hash
-	// as DeltaKey returned them.
+	// (EHFrame).
 	Roster  []RangeInfo
 	Residue [32]byte
 	// OldRangeBytes returns the recorded bytes of roster range i (the
@@ -123,14 +153,12 @@ func ReplayDelta(in DeltaInput) DeltaOutcome {
 
 	// Diff the ranges.
 	var dirty []int
-	newRange := make([][]byte, len(roster))
 	var totalBytes, dirtyBytes uint64
 	for i := range roster {
 		b := RangeBytes(in.Img, roster[i].Start, roster[i].End)
 		if b == nil {
 			return fail("roster: range %d unmapped", i)
 		}
-		newRange[i] = b
 		totalBytes += uint64(len(b))
 		if resultcache.HashRange(roster[i].Start, b) != tr.Roster[i].Hash {
 			dirty = append(dirty, i)
@@ -197,6 +225,10 @@ func ReplayDelta(in DeltaInput) DeltaOutcome {
 	oldImg := patchImage(in.Img, tr.Roster, oldRange)
 	oldSess := disasm.NewSession(oldImg, safeOpts())
 	newSess := disasm.NewSession(in.Img, safeOpts())
+	// The sessions end with the replay; their table chunks serve the
+	// next replay's sessions.
+	defer oldSess.Release()
+	defer newSess.Release()
 
 	uNR, uCNR := toSet(tr.UNonRet), toSet(tr.UCondNonRet)
 	finalNR, finalCNR := toSet(tr.FinalNonRet), toSet(tr.FinalCondNonRet)
@@ -257,8 +289,7 @@ func ReplayDelta(in DeltaInput) DeltaOutcome {
 	// Algorithm 1 re-verification.
 	if in.Strategy.TailCall {
 		for _, rec := range tr.ConvRecs {
-			iv := disasm.Interval{Lo: rec.Addr, Hi: rec.Addr + convWindow}
-			if !overlapsDirty(iv) {
+			if !overlapsDirty(disasm.Interval{Lo: rec.Addr, Hi: rec.End}) {
 				continue
 			}
 			if callconv.Validate(in.Img, rec.Addr) != rec.OK {
@@ -520,9 +551,9 @@ func substituteCoverage(tr *Trace, dirty []int, freshFacts map[int]*disasm.Local
 	for _, i := range dirty {
 		fresh = append(fresh, freshFacts[i].Insts...)
 	}
-	out := make([]disasm.InstFact, 0, len(tr.GlobalInsts)+len(fresh))
+	out := make([]disasm.InstFact, 0, tr.GlobalInsts.Len()+len(fresh))
 	k, d := 0, 0
-	for _, f := range tr.GlobalInsts {
+	for _, f := range tr.GlobalInsts.Unpack() {
 		for d < len(dirty) && tr.Roster[dirty[d]].End <= f.Addr {
 			d++
 		}

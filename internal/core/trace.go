@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"slices"
 	"sort"
 
 	"fetch/internal/disasm"
@@ -169,10 +170,11 @@ type XrefRec struct {
 	Post bool
 }
 
-// ConvRec is one calling-convention verdict Algorithm 1 consumed.
+// ConvRec is one calling-convention verdict Algorithm 1 consumed. The
+// verdict read the code bytes [Addr, End).
 type ConvRec struct {
-	Addr uint64
-	OK   bool
+	Addr, End uint64
+	OK        bool
 }
 
 // JumpRec is one candidate tail-call jump Algorithm 1 considered.
@@ -184,6 +186,12 @@ type JumpRec struct {
 	// HOK and HZero record the CFI height lookup's outcome at Addr.
 	HOK, HZero bool
 }
+
+// TraceFormat versions the encoding and meaning of a Trace within one
+// result schema; stores key traces by it. Format 2 records the bytes
+// each calling-convention verdict read (ConvRec.End), where format 1
+// assumed a fixed window.
+const TraceFormat = 2
 
 // Trace is everything delta re-analysis needs to verify that a changed
 // binary is analysis-equivalent to the recorded one. It is stored
@@ -310,8 +318,8 @@ func (r *recorder) onXref(c uint64, ok bool, v *disasm.Result) {
 	// walk's error: an invalid opcode lies in no decoded instruction.
 	rec.Extent = append(rec.Extent, disasm.Interval{Lo: c, Hi: c + convWindow})
 	if v != nil {
-		for _, f := range v.InstFacts() {
-			rec.Extent = append(rec.Extent, disasm.Interval{Lo: f.Addr, Hi: f.Addr + uint64(f.Len)})
+		for _, in := range v.Insts {
+			rec.Extent = append(rec.Extent, disasm.Interval{Lo: in.Addr, Hi: in.Next()})
 		}
 		rec.Extent = append(rec.Extent, v.TableReads()...)
 		for _, e := range v.Errors {
@@ -327,13 +335,13 @@ func (r *recorder) onXref(c uint64, ok bool, v *disasm.Result) {
 }
 
 // onConv records one convention verdict (first consumption wins; the
-// verdict is a pure function of the target's bytes).
-func (r *recorder) onConv(addr uint64, ok bool) {
+// verdict is a pure function of the bytes it read).
+func (r *recorder) onConv(addr, end uint64, ok bool) {
 	if r.convSeen[addr] {
 		return
 	}
 	r.convSeen[addr] = true
-	r.convRecs = append(r.convRecs, ConvRec{Addr: addr, OK: ok})
+	r.convRecs = append(r.convRecs, ConvRec{Addr: addr, End: end, OK: ok})
 }
 
 // onJump records one candidate tail-call jump.
@@ -489,13 +497,13 @@ func residueHash(img *elfx.Image, roster []RangeInfo) [32]byte {
 	return h.sum()
 }
 
-// finish assembles the trace after a recorded pipeline run.
-func (r *recorder) finish(img *elfx.Image, sess *disasm.Session, rep *Report) (*Trace, bool) {
-	roster, ok := buildRoster(img, rep.Sec)
-	if !ok || len(roster) == 0 {
+// finish assembles the trace after a recorded pipeline run over the
+// .eh_frame and delta key in eh.
+func (r *recorder) finish(img *elfx.Image, sess *disasm.Session, rep *Report, eh *EHFrame) (*Trace, bool) {
+	if eh.Roster == nil {
 		return nil, false
 	}
-	tr := &Trace{Roster: roster}
+	tr := &Trace{Roster: slices.Clone(eh.Roster), ResidueHash: eh.Residue}
 	for i := range tr.Roster {
 		ri := &tr.Roster[i]
 		b := RangeBytes(img, ri.Start, ri.End)
@@ -504,12 +512,10 @@ func (r *recorder) finish(img *elfx.Image, sess *disasm.Session, rep *Report) (*
 		}
 		ri.Hash = resultcache.HashRange(ri.Start, b)
 	}
-	tr.ResidueHash = residueHash(img, roster)
-
 	if sess != nil {
 		res := sess.Result()
 		tr.SawMid = res.SawMid()
-		tr.GlobalInsts = disasm.InstFacts(res.InstFacts())
+		tr.GlobalInsts = disasm.PackInstFacts(res.InstFacts())
 		tr.TableReads = coalesce(res.TableReads())
 		tr.Funcs = sortedKeys(res.Funcs)
 		tr.FinalNonRet = sortedKeys(res.NonRet)
@@ -552,16 +558,9 @@ func markForeign(roster []RangeInfo, res *disasm.Result, entry uint64) {
 		return nil
 	}
 	inside := func(r *RangeInfo, a uint64) bool { return a >= r.Start && a < r.End }
-	for t, froms := range res.Refs {
-		r := find(t)
-		if r == nil || t == r.Start {
-			continue
-		}
-		for _, from := range froms {
-			if !inside(r, from) {
-				r.Foreign = true
-				break
-			}
+	for _, ref := range res.Refs {
+		if r := find(ref.Target); r != nil && ref.Target != r.Start && !inside(r, ref.From) {
+			r.Foreign = true
 		}
 	}
 	for jmp, targets := range res.JTTargets {

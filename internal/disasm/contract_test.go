@@ -13,8 +13,9 @@ import (
 // refInferNonReturning, refFuncReturns and refIsCondNonRet are the
 // map-based non-return inference the dense-state inference replaced,
 // kept verbatim (apart from their names) as the reference: they read
-// instructions from res.Insts.
-func refInferNonReturning(res *Result, seen *walkMarks) (map[uint64]bool, map[uint64]bool) {
+// instructions from insts, the pass's instructions by address (see
+// instMap).
+func refInferNonReturning(res *Result, insts map[uint64]*arch.Inst, seen *walkMarks) (map[uint64]bool, map[uint64]bool) {
 	funcs := res.SortedFuncs()
 	// Optimistic greatest fixed point, as in DYNINST: every function
 	// is presumed returning until no path to a ret remains under the
@@ -31,7 +32,7 @@ func refInferNonReturning(res *Result, seen *walkMarks) (map[uint64]bool, map[ui
 			if !returns[f] {
 				continue
 			}
-			if !refFuncReturns(res, f, returns, seen) {
+			if !refFuncReturns(res, insts, f, returns, seen) {
 				returns[f] = false
 				changed = true
 			}
@@ -45,14 +46,14 @@ func refInferNonReturning(res *Result, seen *walkMarks) (map[uint64]bool, map[ui
 	}
 	cond := map[uint64]bool{}
 	for _, f := range funcs {
-		if returns[f] && refIsCondNonRet(res, f, nonRet, seen) {
+		if returns[f] && refIsCondNonRet(res, insts, f, nonRet, seen) {
 			cond[f] = true
 		}
 	}
 	return nonRet, cond
 }
 
-func refFuncReturns(res *Result, f uint64, returns map[uint64]bool, seen *walkMarks) bool {
+func refFuncReturns(res *Result, insts map[uint64]*arch.Inst, f uint64, returns map[uint64]bool, seen *walkMarks) bool {
 	seen.next()
 	stack := []uint64{f}
 	for len(stack) > 0 {
@@ -62,7 +63,7 @@ func refFuncReturns(res *Result, f uint64, returns map[uint64]bool, seen *walkMa
 			if !seen.add(a) {
 				break
 			}
-			in, ok := res.Insts[a]
+			in, ok := insts[a]
 			if !ok {
 				break
 			}
@@ -106,13 +107,13 @@ func refFuncReturns(res *Result, f uint64, returns map[uint64]bool, seen *walkMa
 	return false
 }
 
-func refIsCondNonRet(res *Result, f uint64, nonRet map[uint64]bool, seen *walkMarks) bool {
+func refIsCondNonRet(res *Result, insts map[uint64]*arch.Inst, f uint64, nonRet map[uint64]bool, seen *walkMarks) bool {
 	// Entry test within the first three instructions.
 	a := f
 	gate := res.isa.GateReg()
 	sawTest := false
 	for k := 0; k < 3; k++ {
-		in, ok := res.Insts[a]
+		in, ok := insts[a]
 		if !ok {
 			return false
 		}
@@ -138,7 +139,7 @@ func refIsCondNonRet(res *Result, f uint64, nonRet map[uint64]bool, seen *walkMa
 			if !seen.add(a) {
 				break
 			}
-			in, ok := res.Insts[a]
+			in, ok := insts[a]
 			if !ok {
 				break
 			}
@@ -164,6 +165,15 @@ func refIsCondNonRet(res *Result, f uint64, nonRet map[uint64]bool, seen *walkMa
 		}
 	}
 	return false
+}
+
+// instMap indexes a result's instructions by address.
+func instMap(res *Result) map[uint64]*arch.Inst {
+	m := make(map[uint64]*arch.Inst, len(res.Insts))
+	for _, in := range res.Insts {
+		m[in.Addr] = in
+	}
+	return m
 }
 
 // contractProfile is one synth adversarial binary with its FDE data.
@@ -219,7 +229,7 @@ func (c *inferenceCheck) OnPass(_, _ map[uint64]bool, res *Result) {
 	gotNR, gotCond := c.sess.inferNonReturning(res)
 	c.nonRet += len(gotNR)
 	c.cond += len(gotCond)
-	wantNR, wantCond := refInferNonReturning(res, newWalkMarks(c.sess.layout))
+	wantNR, wantCond := refInferNonReturning(res, instMap(res), newWalkMarks(c.sess.layout))
 	if !reflect.DeepEqual(gotNR, wantNR) {
 		c.t.Fatalf("%s pass %d: non-returning set %v, reference %v", c.label, c.passes, gotNR, wantNR)
 	}
@@ -271,7 +281,8 @@ func TestInferenceMatchesMapReference(t *testing.T) {
 
 // TestPassInstFallsBackToInsts pins the lookup's fallback: an
 // instruction the decode index does not locate is still answered, from
-// res.Insts, and an address the pass did not decode is absent.
+// res.Insts (in walk order straight after the pass), and an address the
+// pass did not decode is absent.
 func TestPassInstFallsBackToInsts(t *testing.T) {
 	img, _, sec := buildBinary(t, 21, nil)
 	sess := NewSession(img, defaultOpts())
@@ -279,7 +290,9 @@ func TestPassInstFallsBackToInsts(t *testing.T) {
 	if len(res.Insts) == 0 {
 		t.Fatal("pass decoded nothing")
 	}
-	for a, want := range res.Insts {
+	insts := instMap(res)
+	for _, want := range res.Insts {
+		a := want.Addr
 		got, ok := sess.passInst(res, a)
 		if !ok || got != want {
 			t.Fatalf("%#x: passInst = %v, %v; want %v", a, got, ok, want)
@@ -289,7 +302,7 @@ func TestPassInstFallsBackToInsts(t *testing.T) {
 		if got, ok := sess.passInst(res, a); !ok || got != want {
 			t.Fatalf("%#x without its index slot: passInst = %v, %v; want %v", a, got, ok, want)
 		}
-		if _, in := res.Insts[a+1]; !in {
+		if _, in := insts[a+1]; !in {
 			if _, ok := sess.passInst(res, a+1); ok {
 				t.Fatalf("%#x: passInst answers for an address the pass did not decode", a+1)
 			}
@@ -329,9 +342,10 @@ func TestStrictWalkStopsAtFirstError(t *testing.T) {
 				}
 			case 1:
 				failed++
-				for a, in := range s.Insts {
-					if l.Insts[a] != in {
-						t.Fatalf("%s seed %#x: strict walk decoded %#x, which the non-strict walk did not", p.name, seed, a)
+				looseInsts := instMap(l)
+				for _, in := range s.Insts {
+					if looseInsts[in.Addr] != in {
+						t.Fatalf("%s seed %#x: strict walk decoded %#x, which the non-strict walk did not", p.name, seed, in.Addr)
 					}
 				}
 				if len(s.Insts) < len(l.Insts) {

@@ -1,6 +1,10 @@
 package disasm
 
-import "unsafe"
+import (
+	"math"
+	"sync"
+	"unsafe"
+)
 
 // This file holds the engine's per-byte walk state: a chunk-lazy table
 // with one slot per byte of the executable layout, and the two
@@ -84,10 +88,53 @@ func (t *byteTable[T]) slot(addr uint64) *T {
 		return nil
 	}
 	if *c == nil {
-		*c = new([tableChunkLen]T)
+		*c = newChunk[T]()
 		t.alloc += int64(unsafe.Sizeof(**c))
 	}
 	return &(*c)[off]
+}
+
+// Chunks outlive the session that filled them: Session.Release hands a
+// finished session's chunks to a pool, and a table that needs a chunk
+// takes one from it, cleared, before allocating. Delta replay builds
+// two sessions per request, each touching a few chunks of every table
+// around the changed ranges; recycling keeps those chunks from being
+// allocated anew for every request. A recycled chunk is charged to
+// alloc like a fresh one.
+var int32Chunks, uint32Chunks sync.Pool
+
+// chunkPool returns the pool of T chunks.
+func chunkPool[T int32 | uint32]() *sync.Pool {
+	var zero T
+	if _, ok := any(zero).(int32); ok {
+		return &int32Chunks
+	}
+	return &uint32Chunks
+}
+
+// newChunk returns a zeroed chunk, a recycled one when the pool has
+// one.
+func newChunk[T int32 | uint32]() *[tableChunkLen]T {
+	if c, _ := chunkPool[T]().Get().(*[tableChunkLen]T); c != nil {
+		*c = [tableChunkLen]T{}
+		return c
+	}
+	return new([tableChunkLen]T)
+}
+
+// release hands every chunk to the pool; the table then reads as
+// never written.
+func (t *byteTable[T]) release() {
+	pool := chunkPool[T]()
+	for i := range t.spans {
+		chunks := t.spans[i].chunks
+		for j, c := range chunks {
+			if c != nil {
+				pool.Put(c)
+				chunks[j] = nil
+			}
+		}
+	}
 }
 
 // decodeCache memoizes decodes by address: an int32 per text byte in
@@ -100,6 +147,10 @@ type decodeCache struct {
 	index   byteTable[int32]
 	entries []decodeEntry
 }
+
+// full reports whether the arena has reached the int32 bound of the
+// index, past which no decode is memoized.
+func (c *decodeCache) full() bool { return len(c.entries) >= math.MaxInt32 }
 
 // walkMarks is an epoch-stamped set of addresses: a slot holds the
 // epoch in which its byte was last marked, and only the current epoch
@@ -148,6 +199,14 @@ func (m *walkMarks) next() {
 		}
 	}
 	m.epoch = 1
+}
+
+// release empties the set and hands its chunks to the pool. The epoch
+// moves on, so a LocalWalk over the released marks panics on its next
+// verdict read rather than reading an empty set.
+func (m *walkMarks) release() {
+	m.tab.release()
+	m.next()
 }
 
 // has reports whether addr is in the set.

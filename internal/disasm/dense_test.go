@@ -1,7 +1,10 @@
 package disasm
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"fetch/internal/arch"
@@ -165,4 +168,111 @@ func TestDenseStateSharedByProbes(t *testing.T) {
 	requireEqualWalks(t, "extend after probe", c, p)
 	q := sess.Probe([]uint64{straddle}, Options{})
 	requireEqualWalks(t, "probe after extend", q, p)
+}
+
+// tableChunks counts the chunks a session's per-byte tables hold.
+func tableChunks(s *Session) int {
+	n := 0
+	for _, sp := range s.cache.index.spans {
+		for _, c := range sp.chunks {
+			if c != nil {
+				n++
+			}
+		}
+	}
+	for _, m := range []*walkMarks{s.pushed, s.decoded} {
+		for _, sp := range m.tab.spans {
+			for _, c := range sp.chunks {
+				if c != nil {
+					n++
+				}
+			}
+		}
+	}
+	for _, sp := range s.ws.spans {
+		for _, c := range sp.chunks {
+			if c.b != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestReleaseRecyclesChunks pins Session.Release: the released session
+// keeps no chunk, its committed results stay intact, and sessions
+// built after it — drawing chunks from pools that also hold garbage
+// — walk exactly like the released one did, with the same PeakAuxBytes.
+func TestReleaseRecyclesChunks(t *testing.T) {
+	im, _, sec := buildBinary(t, 113, nil)
+	seeds := sec.FunctionStarts()
+	a := NewSession(im, defaultOpts())
+	resA := a.Extend(seeds)
+	probeA := a.Probe(seeds[:1], Options{})
+	statsA := a.Stats()
+	if tableChunks(a) == 0 {
+		t.Fatal("the walk filled no table chunk")
+	}
+	before := resA.Insts
+	a.Release()
+	if n := tableChunks(a); n != 0 {
+		t.Fatalf("released session still holds %d chunks", n)
+	}
+	if !reflect.DeepEqual(resA.Insts, before) || a.Result() != resA {
+		t.Fatal("Release changed the committed result")
+	}
+	// Garbage chunks in every pool: a table must clear what it takes.
+	for i := 0; i < 8; i++ {
+		var i32 [tableChunkLen]int32
+		var u32 [tableChunkLen]uint32
+		var own [ownerChunkLen]uint8
+		for k := range i32 {
+			i32[k], u32[k] = -1, math.MaxUint32
+		}
+		for k := range own {
+			own[k] = 0xFF
+		}
+		int32Chunks.Put(&i32)
+		uint32Chunks.Put(&u32)
+		ownerChunks.Put(&own)
+	}
+	for i := 0; i < 3; i++ {
+		b := NewSession(im, defaultOpts())
+		resB := b.Extend(seeds)
+		requireEqualResults(t, "extend after release", resB, resA)
+		requireEqualWalks(t, "probe after release", b.Probe(seeds[:1], Options{}), probeA)
+		if got := b.Stats().PeakAuxBytes; got != statsA.PeakAuxBytes {
+			t.Fatalf("PeakAuxBytes = %d after release, want %d", got, statsA.PeakAuxBytes)
+		}
+		b.Release()
+	}
+}
+
+// TestReleaseConcurrent runs sessions on several goroutines at once,
+// each releasing its chunks for the others to take: every result still
+// equals a lone session's.
+func TestReleaseConcurrent(t *testing.T) {
+	im, _, sec := buildBinary(t, 113, nil)
+	seeds := sec.FunctionStarts()
+	want := NewSession(im, defaultOpts()).Extend(seeds)
+	const workers, rounds = 4, 3
+	results := make([][]*Result, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				s := NewSession(im, defaultOpts())
+				results[w] = append(results[w], s.Extend(seeds))
+				s.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range results {
+		for r, res := range results[w] {
+			requireEqualResults(t, fmt.Sprintf("worker %d round %d", w, r), res, want)
+		}
+	}
 }

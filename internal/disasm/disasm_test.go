@@ -85,7 +85,8 @@ func TestRecursiveDecodedInstructionsAreConsistent(t *testing.T) {
 	}
 	// No two decoded instructions overlap (the safe engine never
 	// produces overlapping decodes).
-	for addr, in := range res.Insts {
+	for _, in := range res.Insts {
+		addr := in.Addr
 		for b := addr; b < addr+uint64(in.Len); b++ {
 			if owner, ok := res.InstStartAt(b); !ok || owner != addr {
 				t.Fatalf("byte %#x owned by %#x, want %#x", b, owner, addr)
@@ -259,8 +260,8 @@ func TestCallFallthroughStopsAtNonRetCallSites(t *testing.T) {
 		return false
 	}
 	bad := 0
-	for addr, in := range res.Insts {
-		if !inExtent(addr) && !in.IsPadding() {
+	for _, in := range res.Insts {
+		if !inExtent(in.Addr) && !in.IsPadding() {
 			bad++
 			if bad < 5 {
 				t.Errorf("decoded %v outside all function extents", in)

@@ -11,6 +11,8 @@
 package disasm
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"fetch/internal/arch"
@@ -70,16 +72,33 @@ type Options struct {
 	MaxInsts int
 }
 
+// Ref is one code-level reference: the instruction at From transfers
+// control to Target by a direct call or jump, or through a resolved
+// jump table.
+type Ref struct {
+	Target, From uint64
+}
+
+// compareRefs orders references by target, then source.
+func compareRefs(a, b Ref) int {
+	if c := cmp.Compare(a.Target, b.Target); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.From, b.From)
+}
+
 // Result is the outcome of a recursive disassembly.
 type Result struct {
-	// Insts maps each decoded instruction start to its decoding.
-	Insts map[uint64]*arch.Inst
+	// Insts holds every decoded instruction once, sorted by address.
+	// Inst and InstsIn look instructions up by address.
+	Insts []*arch.Inst
 	// Funcs is the detected function-start set: seeds plus direct
 	// call targets.
 	Funcs map[uint64]bool
-	// Refs maps a target address to the instructions referencing it
-	// via direct calls or jumps.
-	Refs map[uint64][]uint64
+	// Refs holds every code-level reference, sorted by Target, then
+	// From; RefsTo returns the references to one address. A jump table
+	// that names a target twice refers to it twice.
+	Refs []Ref
 	// Constants holds pointer-sized constants harvested from operands.
 	Constants map[uint64]bool
 	// NonRet marks function starts determined never to return.
@@ -134,14 +153,48 @@ func (r *Result) TableReads() []Interval {
 	return append([]Interval(nil), r.tableReads...)
 }
 
+// Inst returns the instruction decoded at addr.
+func (r *Result) Inst(addr uint64) (*arch.Inst, bool) {
+	i := r.instIndex(addr)
+	if i < len(r.Insts) && r.Insts[i].Addr == addr {
+		return r.Insts[i], true
+	}
+	return nil, false
+}
+
+// InstsIn returns the instructions that start in [lo, hi), in address
+// order. The slice shares Insts' storage.
+func (r *Result) InstsIn(lo, hi uint64) []*arch.Inst {
+	if hi <= lo {
+		return nil
+	}
+	return r.Insts[r.instIndex(lo):r.instIndex(hi)]
+}
+
+// instIndex returns the position of the first instruction at or above
+// addr.
+func (r *Result) instIndex(addr uint64) int {
+	i, _ := slices.BinarySearchFunc(r.Insts, addr, func(in *arch.Inst, a uint64) int {
+		return cmp.Compare(in.Addr, a)
+	})
+	return i
+}
+
+// RefsTo returns the references to target, sorted by source. The slice
+// shares Refs' storage.
+func (r *Result) RefsTo(target uint64) []Ref {
+	lo, _ := slices.BinarySearchFunc(r.Refs, Ref{Target: target}, compareRefs)
+	tail := r.Refs[lo:]
+	return tail[:sort.Search(len(tail), func(k int) bool { return tail[k].Target != target })]
+}
+
 // InstFacts returns the coverage skeleton of the result: every decoded
 // instruction's start and length, sorted by address.
 func (r *Result) InstFacts() []InstFact {
-	out := make([]InstFact, 0, len(r.Insts))
-	for a, in := range r.Insts {
-		out = append(out, InstFact{a, uint16(in.Len)})
+	out := make([]InstFact, len(r.Insts))
+	for i, in := range r.Insts {
+		out[i] = InstFact{in.Addr, uint16(in.Len)}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
 

@@ -2,8 +2,11 @@ package disasm
 
 import (
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
+	"fetch/internal/arch"
 	"fetch/internal/elfx"
 )
 
@@ -13,10 +16,11 @@ import (
 // seeds, and one warm session commits them
 // as Extend(first half), Extend(second half), then Retract(every third
 // seed). Its result must equal a fresh Recursive over the surviving
-// seeds exactly — references included, in discovery order. A fork then
-// probes each surviving seed and seed+1 in turn, reusing the one owner
-// workspace: every probe must equal a fresh Recursive under the probe
-// options, and the committed coverage must be unchanged afterwards.
+// seeds exactly — references included. The session then probes each
+// surviving seed and seed+1 in turn, reusing the one owner workspace:
+// every probe must equal a fresh Recursive under the probe options,
+// and the committed coverage must be unchanged afterwards. Every
+// result must hold the sorted representation (requireSorted).
 func FuzzSessionExtend(f *testing.F) {
 	f.Add([]byte{0xC3}, uint8(1))
 	f.Add([]byte{0x55, 0x48, 0x89, 0xE5, 0xC3, 0xE8, 0xF6, 0xFF, 0xFF, 0xFF}, uint8(3))
@@ -64,10 +68,12 @@ func FuzzSessionExtend(f *testing.F) {
 
 		opts := Options{ResolveJumpTables: true, NonReturning: true}
 		sess := NewSession(img, opts)
-		sess.Extend(seeds[:n/2])
-		sess.Extend(seeds[n/2:])
+		requireSorted(t, "extend", sess.Extend(seeds[:n/2]))
+		requireSorted(t, "extend", sess.Extend(seeds[n/2:]))
 		got := sess.Retract(retract)
 		want := Recursive(img, kept, opts)
+		requireSorted(t, "retract", got)
+		requireSorted(t, "recursive", want)
 		if !reflect.DeepEqual(got.Insts, want.Insts) {
 			t.Fatalf("Insts differ: %d vs %d", len(got.Insts), len(want.Insts))
 		}
@@ -90,10 +96,10 @@ func FuzzSessionExtend(f *testing.F) {
 		if !reflect.DeepEqual(got.Refs, want.Refs) {
 			t.Fatal("references differ")
 		}
-		// The owner index must agree with the instruction map.
-		for a, in := range got.Insts {
-			if _, ok := got.InstStartAt(a); !ok {
-				t.Fatalf("decoded %#x (len %d) not in owner index", a, in.Len)
+		// The owner index must agree with the instructions.
+		for _, in := range got.Insts {
+			if _, ok := got.InstStartAt(in.Addr); !ok {
+				t.Fatalf("decoded %#x (len %d) not in owner index", in.Addr, in.Len)
 			}
 		}
 
@@ -109,6 +115,7 @@ func FuzzSessionExtend(f *testing.F) {
 		for _, sd := range kept {
 			for _, cand := range []uint64{sd, sd + 1} {
 				p := sess.Probe([]uint64{cand}, popts)
+				requireSorted(t, "probe", p)
 				requireEqualProbe(t, "probe", p, Recursive(img, []uint64{cand}, popts))
 			}
 		}
@@ -123,4 +130,67 @@ func FuzzSessionExtend(f *testing.F) {
 			}
 		}
 	})
+}
+
+// requireSorted checks the sorted representation of a result: Insts
+// strictly increasing by address, Refs sorted by target then source,
+// and Inst, InstsIn and RefsTo agreeing with maps built from the
+// slices at every instruction start and the byte after it, every
+// reference target and source, and the address one past each.
+func requireSorted(t *testing.T, label string, res *Result) {
+	t.Helper()
+	insts := make(map[uint64]*arch.Inst, len(res.Insts))
+	for i, in := range res.Insts {
+		if i > 0 && res.Insts[i-1].Addr >= in.Addr {
+			t.Fatalf("%s: Insts not strictly increasing: %#x then %#x", label, res.Insts[i-1].Addr, in.Addr)
+		}
+		insts[in.Addr] = in
+	}
+	refs := map[uint64][]uint64{}
+	for i, r := range res.Refs {
+		if i > 0 && (res.Refs[i-1].Target > r.Target ||
+			res.Refs[i-1].Target == r.Target && res.Refs[i-1].From > r.From) {
+			t.Fatalf("%s: Refs not sorted: %+v then %+v", label, res.Refs[i-1], r)
+		}
+		refs[r.Target] = append(refs[r.Target], r.From)
+	}
+	starts := make([]uint64, 0, len(insts))
+	for a := range insts {
+		starts = append(starts, a)
+	}
+	slices.Sort(starts)
+	var queries []uint64
+	for _, in := range res.Insts {
+		queries = append(queries, in.Addr, in.Addr+1, in.Next())
+	}
+	for _, r := range res.Refs {
+		queries = append(queries, r.Target, r.Target+1, r.From)
+	}
+	for _, a := range queries {
+		got, ok := res.Inst(a)
+		if want, wok := insts[a]; got != want || ok != wok {
+			t.Fatalf("%s: Inst(%#x) = %v, %v; want %v, %v", label, a, got, ok, want, wok)
+		}
+		var from []uint64
+		for _, r := range res.RefsTo(a) {
+			if r.Target != a {
+				t.Fatalf("%s: RefsTo(%#x) returned %+v", label, a, r)
+			}
+			from = append(from, r.From)
+		}
+		if want := refs[a]; !slices.Equal(from, want) {
+			t.Fatalf("%s: RefsTo(%#x) from %#x, want %#x", label, a, from, want)
+		}
+		for _, hi := range []uint64{a, a + 1, a + 16} {
+			lo := sort.Search(len(starts), func(k int) bool { return starts[k] >= a })
+			up := sort.Search(len(starts), func(k int) bool { return starts[k] >= hi })
+			var want []*arch.Inst
+			for _, s := range starts[lo:up] {
+				want = append(want, insts[s])
+			}
+			if got := res.InstsIn(a, hi); !slices.Equal(got, want) {
+				t.Fatalf("%s: InstsIn(%#x, %#x) = %d instructions, want %d", label, a, hi, len(got), len(want))
+			}
+		}
+	}
 }

@@ -2,6 +2,7 @@ package disasm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -32,70 +33,116 @@ type InstFact struct {
 	Len  uint16
 }
 
-// InstFacts is a persistable instruction skeleton. It carries a packed
-// gob form — delta-varint addresses, varint lengths — because traces
-// hold one fact per committed instruction and the generic per-struct
-// gob path dominates trace decode time on large binaries.
-type InstFacts []InstFact
-
-// GobEncode packs the facts as (count, then per fact: addr delta from
-// the previous fact, length), all uvarints.
-func (f InstFacts) GobEncode() ([]byte, error) {
-	buf := make([]byte, 0, 10+3*len(f))
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], v)]...)
-	}
-	put(uint64(len(f)))
-	prev := uint64(0)
-	for _, in := range f {
-		if in.Addr < prev {
-			return nil, fmt.Errorf("disasm: InstFacts not address-sorted")
-		}
-		put(in.Addr - prev)
-		put(uint64(in.Len))
-		prev = in.Addr
-	}
-	return buf, nil
+// InstFacts is a persistable instruction skeleton, held in its packed
+// gob form: a uvarint count, then per fact the address step from the
+// previous fact and the length, both uvarints. Traces hold one fact per
+// committed instruction, and a trace is loaded for every delta attempt
+// while its skeleton is read only when a pointer candidate needs the
+// committed coverage, so loading validates the facts and unpacking
+// waits for Unpack. The zero value holds no facts.
+type InstFacts struct {
+	packed []byte
+	n      int
 }
 
-// GobDecode unpacks the GobEncode form. It rejects a zero length and
-// any length the owner index cannot hold (over maxOwnedInstLen), so a
-// corrupt trace fails to load instead of replaying wrong coverage.
-func (f *InstFacts) GobDecode(b []byte) error {
-	rd := func() (uint64, error) {
-		v, n := binary.Uvarint(b)
-		if n <= 0 {
-			return 0, fmt.Errorf("disasm: truncated InstFacts")
+// PackInstFacts packs address-sorted facts; it panics on unsorted
+// input.
+func PackInstFacts(facts []InstFact) InstFacts {
+	buf := make([]byte, 0, binary.MaxVarintLen64+3*len(facts))
+	buf = binary.AppendUvarint(buf, uint64(len(facts)))
+	prev := uint64(0)
+	for _, f := range facts {
+		if f.Addr < prev {
+			panic("disasm: PackInstFacts: facts not address-sorted")
 		}
-		b = b[n:]
-		return v, nil
+		buf = binary.AppendUvarint(buf, f.Addr-prev)
+		buf = binary.AppendUvarint(buf, uint64(f.Len))
+		prev = f.Addr
 	}
-	n, err := rd()
+	return InstFacts{packed: buf, n: len(facts)}
+}
+
+// Len returns the number of facts.
+func (f InstFacts) Len() int { return f.n }
+
+// Unpack returns the facts, sorted by address.
+func (f InstFacts) Unpack() []InstFact {
+	if f.n == 0 {
+		return nil
+	}
+	out := make([]InstFact, 0, f.n)
+	readFacts(f.packed, func(in InstFact) { out = append(out, in) })
+	return out
+}
+
+// GobEncode returns the packed form.
+func (f InstFacts) GobEncode() ([]byte, error) {
+	if f.packed == nil {
+		return PackInstFacts(nil).packed, nil
+	}
+	return f.packed, nil
+}
+
+// GobDecode validates and keeps a copy of the packed form. It rejects a
+// zero length and any length the owner index cannot hold (over
+// maxOwnedInstLen), so a corrupt trace fails to load instead of
+// replaying wrong coverage.
+func (f *InstFacts) GobDecode(b []byte) error {
+	n, err := readFacts(b, nil)
 	if err != nil {
 		return err
 	}
-	out := make(InstFacts, 0, n)
+	*f = InstFacts{packed: slices.Clone(b), n: n}
+	return nil
+}
+
+var errTruncatedFacts = errors.New("disasm: truncated InstFacts")
+
+// readFacts parses a packed fact list, passing each fact to emit when
+// emit is non-nil, and returns the count. Input shorter than its count
+// claims, or holding a length of 0 or over maxOwnedInstLen, is an
+// error.
+func readFacts(b []byte, emit func(InstFact)) (int, error) {
+	rd := func() (uint64, bool) {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			return 0, false
+		}
+		b = b[n:]
+		return v, true
+	}
+	n, ok := rd()
+	if !ok || n > uint64(len(b)/2) {
+		// Every fact takes at least two bytes.
+		return 0, errTruncatedFacts
+	}
 	prev := uint64(0)
 	for i := uint64(0); i < n; i++ {
-		d, err := rd()
-		if err != nil {
-			return err
-		}
-		l, err := rd()
-		if err != nil {
-			return err
+		var d, l uint64
+		if len(b) >= 2 && b[0] < 0x80 && b[1] < 0x80 {
+			// Both varints fit one byte: an address step below 128
+			// and any real length, nearly every fact.
+			d, l = uint64(b[0]), uint64(b[1])
+			b = b[2:]
+		} else {
+			var okd, okl bool
+			d, okd = rd()
+			l, okl = rd()
+			if !okd || !okl {
+				return 0, errTruncatedFacts
+			}
 		}
 		if l == 0 || l > maxOwnedInstLen {
 			// No decoder yields such a length, and the owner index
 			// could not represent it: the trace is corrupt.
-			return fmt.Errorf("disasm: InstFacts length %d out of range", l)
+			return 0, fmt.Errorf("disasm: InstFacts length %d out of range", l)
 		}
 		prev += d
-		out = append(out, InstFact{Addr: prev, Len: uint16(l)})
+		if emit != nil {
+			emit(InstFact{Addr: prev, Len: uint16(l)})
+		}
 	}
-	*f = out
-	return nil
+	return int(n), nil
 }
 
 // Interval is a half-open byte range [Lo, Hi).
@@ -208,21 +255,21 @@ func (s *Session) WalkLocal(rng FuncRange, entries []uint64,
 	b := &walkBound{FuncRange: rng}
 	res := s.pass(entries, s.opts, nonRet, condNonRet, s.borrowOwner(), b)
 	s.returnOwner(res)
+	s.sortResult(res)
 
 	facts := &LocalFacts{
 		Insts:      res.InstFacts(),
 		Pushes:     sortedDistinct(b.exits),
-		RefCounts:  make(map[uint64]int, len(res.Refs)),
+		RefCounts:  make(map[uint64]int),
 		Consts:     sortedKeys(res.Constants),
 		TableBases: sortedKeys(res.TableBases),
 		TableReads: res.TableReads(),
 		Unfaithful: b.escaped || res.sawMid,
 	}
-	for t, from := range res.Refs {
-		facts.RefCounts[t] = len(from)
+	for _, r := range res.Refs {
+		facts.RefCounts[r.Target]++
 	}
-	for _, f := range facts.Insts {
-		in := res.Insts[f.Addr]
+	for _, in := range res.Insts {
 		switch in.Op {
 		case arch.OpCall:
 			if s.img.IsExec(in.Target) {

@@ -14,8 +14,8 @@ import (
 // maxOwnedInstLen — including lengths a uint16 would silently
 // truncate.
 func TestInstFactsGobLengths(t *testing.T) {
-	facts := InstFacts{{Addr: 0x401000, Len: 1}, {Addr: 0x401001, Len: 15}, {Addr: 0x401100, Len: maxOwnedInstLen}}
-	blob, err := facts.GobEncode()
+	facts := []InstFact{{Addr: 0x401000, Len: 1}, {Addr: 0x401001, Len: 15}, {Addr: 0x401100, Len: maxOwnedInstLen}}
+	blob, err := PackInstFacts(facts).GobEncode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,8 +23,21 @@ func TestInstFactsGobLengths(t *testing.T) {
 	if err := back.GobDecode(blob); err != nil {
 		t.Fatalf("valid facts rejected: %v", err)
 	}
-	if !reflect.DeepEqual(back, facts) {
-		t.Fatalf("round trip = %v, want %v", back, facts)
+	if got := back.Unpack(); back.Len() != len(facts) || !reflect.DeepEqual(got, facts) {
+		t.Fatalf("round trip = %v (Len %d), want %v", got, back.Len(), facts)
+	}
+	var none InstFacts
+	if blob, err := none.GobEncode(); err != nil || none.Unpack() != nil {
+		t.Fatalf("zero InstFacts: %v, %v", err, none.Unpack())
+	} else if err := back.GobDecode(blob); err != nil || back.Len() != 0 {
+		t.Fatalf("zero InstFacts round trip: %v, Len %d", err, back.Len())
+	}
+
+	// A count the input is too short to hold fails before reserving
+	// anything for it.
+	var huge InstFacts
+	if err := huge.GobDecode(binary.AppendUvarint(nil, 1<<62)); err == nil {
+		t.Error("a count of 2^62 facts in a 9-byte input was accepted")
 	}
 
 	for _, l := range []uint64{0, 256, 70000} {
@@ -34,7 +47,7 @@ func TestInstFactsGobLengths(t *testing.T) {
 		blob = binary.AppendUvarint(blob, l)
 		var got InstFacts
 		if err := got.GobDecode(blob); err == nil {
-			t.Errorf("length %d accepted as %v", l, got)
+			t.Errorf("length %d accepted as %v", l, got.Unpack())
 		}
 	}
 }
@@ -211,6 +224,25 @@ func TestLocalWalkStaleVerdictPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a verdict read after another walk did not panic")
+		}
+	}()
+	lw.EntryReturns(start, nil, nil)
+}
+
+// TestLocalWalkVerdictAfterReleasePanics pins that a LocalWalk's
+// verdicts cannot read marks its session handed back with Release.
+func TestLocalWalkVerdictAfterReleasePanics(t *testing.T) {
+	img, start := tableImage(t, 2, []uint64{0, 0, 0}, true)
+	text, _ := img.Section(".text")
+	sess := NewSession(img, Options{ResolveJumpTables: true, NonReturning: true})
+	lw := sess.WalkLocal(FuncRange{Start: start, End: text.End()}, []uint64{start}, nil, nil)
+	if v, _, ok := lw.EntryReturns(start, nil, nil); !v || !ok {
+		t.Fatalf("EntryReturns = %v, ok %v; want a returning verdict", v, ok)
+	}
+	sess.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a verdict read after Release did not panic")
 		}
 	}()
 	lw.EntryReturns(start, nil, nil)

@@ -13,7 +13,9 @@ import (
 // differential test and FuzzBoundedWalk compare against. The code is
 // verbatim apart from renamed identifiers and the two edits marked
 // EDIT 1 and EDIT 2, the two places the mirrors had drifted from the
-// engine.
+// engine. The mirrors keep the walk's instructions in the map Result
+// used to hold, now their own (insts); the references Result.Refs
+// used to collect were never read, so they are counted only.
 
 // refLocalFlags mark walk events the local model cannot replay soundly.
 type refLocalFlags uint8
@@ -70,6 +72,7 @@ type refLocalFacts struct {
 type refLocalWalk struct {
 	rng   FuncRange
 	res   *Result
+	insts map[uint64]*arch.Inst
 	facts *refLocalFacts
 	// seen is the session's pushed mark set, the verdict evaluators'
 	// visited set once the walk is done.
@@ -96,11 +99,10 @@ func refWalkLocal(s *Session, rng FuncRange, entries []uint64,
 	img := s.img
 	facts := &refLocalFacts{RefCounts: make(map[uint64]int)}
 	own := s.borrowOwner()
+	insts := make(map[uint64]*arch.Inst)
 	res := &Result{
 		isa:        s.isa,
-		Insts:      make(map[uint64]*arch.Inst),
 		Funcs:      make(map[uint64]bool),
-		Refs:       make(map[uint64][]uint64),
 		Constants:  make(map[uint64]bool),
 		NonRet:     nonRet,
 		CondNonRet: condNonRet,
@@ -129,7 +131,6 @@ func refWalkLocal(s *Session, rng FuncRange, entries []uint64,
 		}
 	}
 	addRef := func(target, from uint64) {
-		res.Refs[target] = append(res.Refs[target], from)
 		facts.RefCounts[target]++
 	}
 
@@ -175,7 +176,7 @@ func refWalkLocal(s *Session, rng FuncRange, entries []uint64,
 				facts.Flags |= refLocalEscape
 				break
 			}
-			res.Insts[addr] = in
+			insts[addr] = in
 			decoded.add(addr)
 			own.setRange(addr, int(in.Len))
 			for _, c := range e.consts {
@@ -237,7 +238,7 @@ func refWalkLocal(s *Session, rng FuncRange, entries []uint64,
 				// outside the resolver, so this mirror missed it. The
 				// resolver now records it through jtCtx.RecordTableBase,
 				// so this call carries the fix without a code change.
-				targets := s.isa.ResolveJumpTable(jtCtx{img: img, isa: s.isa, res: res}, in, maxJumpTableEntries)
+				targets := s.isa.ResolveJumpTable(jtCtx{s: s, res: res}, in, maxJumpTableEntries)
 				if len(targets) > 0 {
 					res.JTTargets[in.Addr] = targets
 				}
@@ -256,8 +257,8 @@ func refWalkLocal(s *Session, rng FuncRange, entries []uint64,
 	s.returnOwner(res)
 
 	// Project the private result into the sorted fact lists.
-	facts.Insts = make([]InstFact, 0, len(res.Insts))
-	for a, in := range res.Insts {
+	facts.Insts = make([]InstFact, 0, len(insts))
+	for a, in := range insts {
 		facts.Insts = append(facts.Insts, InstFact{a, uint16(in.Len)})
 	}
 	sort.Slice(facts.Insts, func(i, j int) bool { return facts.Insts[i].Addr < facts.Insts[j].Addr })
@@ -274,7 +275,7 @@ func refWalkLocal(s *Session, rng FuncRange, entries []uint64,
 	facts.TableReads = append(facts.TableReads, res.tableReads...)
 	sort.Slice(facts.JmpOut, func(i, j int) bool { return facts.JmpOut[i].Addr < facts.JmpOut[j].Addr })
 
-	return &refLocalWalk{rng: rng, res: res, facts: facts, seen: pushed}
+	return &refLocalWalk{rng: rng, res: res, insts: insts, facts: facts, seen: pushed}
 }
 
 func refSortedDistinct(in []uint64) []uint64 {
@@ -316,7 +317,7 @@ func (lw *refLocalWalk) EntryReturns(entry uint64,
 			if !seen.add(a) {
 				break
 			}
-			in, found := res.Insts[a]
+			in, found := lw.insts[a]
 			if !found {
 				if inRange(a) {
 					break // no coverage here, same as the global walk
@@ -378,7 +379,7 @@ func (lw *refLocalWalk) CondFacts(entry uint64, isFunc func(uint64) bool) (hasTe
 	a := entry
 	gate := res.isa.GateReg()
 	for k := 0; k < 3; k++ {
-		in, found := res.Insts[a]
+		in, found := lw.insts[a]
 		if !found {
 			return false, nil, nil, true
 		}
@@ -405,7 +406,7 @@ func (lw *refLocalWalk) CondFacts(entry uint64, isFunc func(uint64) bool) (hasTe
 			if !seen.add(a) {
 				break
 			}
-			in, found := res.Insts[a]
+			in, found := lw.insts[a]
 			if !found {
 				if inRange(a) {
 					break

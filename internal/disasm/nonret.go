@@ -88,12 +88,14 @@ func (s *Session) inferNonReturning(res *Result) (map[uint64]bool, map[uint64]bo
 	return nonRet, cond
 }
 
-// passInst answers res.Insts[addr] for the result res of the session's
-// last pass from the pass's dense state: membership from the decoded
-// marks, the decoding from the decode arena. An address the arena did
-// not memoize (outside the executable layout, or past the arena's
-// int32 bound) falls back to res.Insts. The marks describe the last
-// pass only until the next walk resets them.
+// passInst returns the instruction the session's last walk, whose
+// result is res, decoded at addr — during the walk too, when Insts is
+// still in walk order and holds only the instructions so far. It reads
+// the walk's dense state: membership from the decoded marks, the
+// decoding from the decode arena. An address the arena did not memoize
+// (outside the executable layout, or past the arena's int32 bound) is
+// looked up by a scan of res.Insts. The marks describe the last walk
+// only until the next walk resets them.
 func (s *Session) passInst(res *Result, addr uint64) (*arch.Inst, bool) {
 	if !s.decoded.has(addr) {
 		return nil, false
@@ -101,8 +103,10 @@ func (s *Session) passInst(res *Result, addr uint64) (*arch.Inst, bool) {
 	if p := s.cache.index.at(addr); p != nil && *p != 0 {
 		return s.cache.entries[*p-1].inst, true
 	}
-	in, ok := res.Insts[addr]
-	return in, ok
+	if i := slices.IndexFunc(res.Insts, func(in *arch.Inst) bool { return in.Addr == addr }); i >= 0 {
+		return res.Insts[i], true
+	}
+	return nil, false
 }
 
 // funcReturns walks the intra-procedural instructions of f (as decoded

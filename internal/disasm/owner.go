@@ -1,5 +1,7 @@
 package disasm
 
+import "sync"
+
 // ownerIndex maps every byte of decoded instructions to the start of
 // the instruction that last covered it: the coverage queries behind the
 // mid-instruction rule, jump-table back-scans, xref rule (ii), and gap
@@ -120,7 +122,7 @@ func (o *ownerIndex) chunk(sp *ownerSpan, d uint64) *[ownerChunkLen]uint8 {
 	c := &sp.chunks[d>>ownerChunkShift]
 	if c.epoch != o.epoch {
 		if c.b == nil {
-			c.b = new([ownerChunkLen]uint8)
+			c.b = newOwnerChunk()
 			o.alloc += ownerChunkLen
 		} else {
 			*c.b = [ownerChunkLen]uint8{}
@@ -128,6 +130,34 @@ func (o *ownerIndex) chunk(sp *ownerSpan, d uint64) *[ownerChunkLen]uint8 {
 		c.epoch = o.epoch
 	}
 	return c.b
+}
+
+// ownerChunks recycles chunks between sessions like the byte tables'
+// pools (see int32Chunks).
+var ownerChunks sync.Pool
+
+// newOwnerChunk returns a zeroed chunk, a recycled one when the pool
+// has one.
+func newOwnerChunk() *[ownerChunkLen]uint8 {
+	if c, _ := ownerChunks.Get().(*[ownerChunkLen]uint8); c != nil {
+		*c = [ownerChunkLen]uint8{}
+		return c
+	}
+	return new([ownerChunkLen]uint8)
+}
+
+// release hands every chunk to the pool; the index then reads as
+// empty.
+func (o *ownerIndex) release() {
+	for i := range o.spans {
+		for j := range o.spans[i].chunks {
+			c := &o.spans[i].chunks[j]
+			if c.b != nil {
+				ownerChunks.Put(c.b)
+			}
+			*c = ownerChunk{}
+		}
+	}
 }
 
 // get returns the start of the instruction covering addr. A nil index

@@ -1,7 +1,8 @@
 package disasm
 
 import (
-	"math"
+	"cmp"
+	"slices"
 
 	"fetch/internal/arch"
 	"fetch/internal/elfx"
@@ -125,14 +126,18 @@ type Session struct {
 	// obs, when set, observes every committed pass (Extend, Retract,
 	// Rerun); probes never report.
 	obs ExecObserver
+	// addrs is the buffer sortResult sorts addresses in, kept between calls.
+	addrs []uint64
 }
 
 // ExecObserver receives every committed fixed-point pass of a session:
-// the non-return knowledge the pass ran under and the pass result. The
-// delta-analysis recorder uses it to capture the verdict-environment
-// trajectory a cold run traversed; replay verifies changed functions
-// against exactly these environments. The maps are live session state —
-// observers must copy what they keep and must not mutate anything.
+// the non-return knowledge the pass ran under and the pass result,
+// whose Insts and Refs are already in address order, as on every
+// result that leaves the session. The delta-analysis recorder uses it
+// to capture the verdict-environment trajectory a cold run traversed;
+// replay verifies changed functions against exactly these
+// environments. The maps are live session state — observers must copy
+// what they keep and must not mutate anything.
 //
 // OnPass runs between the pass and the non-return inference that
 // follows it, which reads the pass's instructions from the session's
@@ -184,6 +189,19 @@ func (s *Session) borrowOwner() *ownerIndex {
 func (s *Session) returnOwner(res *Result) {
 	s.ws.borrowed = false
 	res.owner = nil
+}
+
+// Release ends the session: the chunks of its decode index, walk marks
+// and owner workspace go to pools that later sessions' tables draw
+// from, so a short-lived session — delta replay builds two per request
+// — does not leave them to the garbage collector. Results the session
+// returned stay valid; a LocalWalk's verdicts panic, and the session
+// must not walk again.
+func (s *Session) Release() {
+	s.cache.index.release()
+	s.pushed.release()
+	s.decoded.release()
+	s.ws.release()
 }
 
 // Result returns the current committed result (nil before the first
@@ -253,8 +271,12 @@ func (s *Session) Probe(seeds []uint64, opts Options) *Result {
 // iteration trajectory — and therefore the result — matches a
 // from-scratch run exactly. A probe's passes borrow the owner workspace
 // and go unreported; the others allocate an owner index per pass and
-// report to the ExecObserver.
+// report to the ExecObserver. Only the passes that leave the session —
+// the last one, and every pass an observer sees — are put in address
+// order: the inner passes of the fixed point are read through the walk
+// marks alone.
 func (s *Session) exec(seeds []uint64, opts Options, probe bool) *Result {
+	observed := !probe && s.obs != nil
 	nonRet := map[uint64]bool{}
 	condNonRet := map[uint64]bool{}
 	var res *Result
@@ -266,11 +288,12 @@ func (s *Session) exec(seeds []uint64, opts Options, probe bool) *Result {
 			res = s.pass(seeds, opts, nonRet, condNonRet, newOwnerIndex(s.layout), nil)
 		}
 		s.notePassMem(res)
-		if !probe && s.obs != nil {
+		if observed {
+			s.sortResult(res)
 			s.obs.OnPass(nonRet, condNonRet, res)
 		}
 		if !opts.NonReturning {
-			return res
+			break
 		}
 		newNonRet, newCond := s.inferNonReturning(res)
 		if setsEqual(newNonRet, nonRet) && setsEqual(newCond, condNonRet) {
@@ -278,9 +301,34 @@ func (s *Session) exec(seeds []uint64, opts Options, probe bool) *Result {
 		}
 		nonRet, condNonRet = newNonRet, newCond
 	}
+	if !observed {
+		s.sortResult(res)
+	}
 	res.NonRet = nonRet
 	res.CondNonRet = condNonRet
 	return res
+}
+
+// sortResult puts a finished walk's Insts and Refs in address order.
+// The walk appended both in walk order. Instructions are ordered by
+// sorting their bare addresses and reading each decoding back from the
+// decode arena, which holds every instruction a walk decoded unless the
+// arena is full; only then are the instructions themselves sorted.
+func (s *Session) sortResult(res *Result) {
+	if s.cache.full() {
+		slices.SortFunc(res.Insts, func(a, b *arch.Inst) int { return cmp.Compare(a.Addr, b.Addr) })
+	} else {
+		addrs := s.addrs[:0]
+		for _, in := range res.Insts {
+			addrs = append(addrs, in.Addr)
+		}
+		slices.Sort(addrs)
+		for i, a := range addrs {
+			res.Insts[i] = s.cache.entries[*s.cache.index.at(a)-1].inst
+		}
+		s.addrs = addrs[:0]
+	}
+	slices.SortFunc(res.Refs, compareRefs)
 }
 
 // decode memoizes the pure part of instruction decoding: the section
@@ -309,7 +357,7 @@ func (s *Session) decode(addr uint64) decodeEntry {
 			}
 		}
 	}
-	if slot != nil && len(c.entries) < math.MaxInt32 {
+	if slot != nil && !c.full() {
 		c.entries = append(c.entries, e)
 		*slot = int32(len(c.entries))
 	}
@@ -341,9 +389,7 @@ func (s *Session) pass(seeds []uint64, opts Options,
 	img := s.img
 	res := &Result{
 		isa:        s.isa,
-		Insts:      make(map[uint64]*arch.Inst),
 		Funcs:      make(map[uint64]bool),
-		Refs:       make(map[uint64][]uint64),
 		Constants:  make(map[uint64]bool),
 		NonRet:     nonRet,
 		CondNonRet: condNonRet,
@@ -370,7 +416,7 @@ func (s *Session) pass(seeds []uint64, opts Options,
 		}
 	}
 	addRef := func(target, from uint64) {
-		res.Refs[target] = append(res.Refs[target], from)
+		res.Refs = append(res.Refs, Ref{Target: target, From: from})
 	}
 	strictErr := func(kind ErrorKind, at uint64) {
 		if opts.Strict {
@@ -440,7 +486,7 @@ func (s *Session) pass(seeds []uint64, opts Options,
 				bound.escaped = true
 				break
 			}
-			res.Insts[addr] = in
+			res.Insts = append(res.Insts, in)
 			decoded.add(addr)
 			own.setRange(addr, int(in.Len))
 			for _, c := range e.consts {
@@ -512,7 +558,7 @@ func (s *Session) pass(seeds []uint64, opts Options,
 				goto pathDone
 			case arch.OpJmpInd:
 				if opts.ResolveJumpTables {
-					targets := s.isa.ResolveJumpTable(jtCtx{img: img, isa: s.isa, res: res}, in, maxJumpTableEntries)
+					targets := s.isa.ResolveJumpTable(jtCtx{s: s, res: res}, in, maxJumpTableEntries)
 					if len(targets) > 0 {
 						res.JTTargets[in.Addr] = targets
 					}

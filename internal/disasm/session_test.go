@@ -22,7 +22,7 @@ func optionMatrix() map[string]Options {
 
 // requireEqualResults fails unless the committed result got is
 // byte-identical to want — every decoded instruction, function,
-// reference list (order included), constant, knowledge set, jump-table
+// reference, constant, knowledge set, jump-table
 // resolution, strict error, and byte owner. Owners are compared by
 // InstStartAt queries over every byte of every decoded instruction and
 // the byte after it: the instruction sets are equal, so these are all
@@ -30,8 +30,8 @@ func optionMatrix() map[string]Options {
 func requireEqualResults(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	requireEqualWalks(t, label, got, want)
-	for a, in := range want.Insts {
-		for b := a; b <= a+uint64(in.Len); b++ {
+	for _, in := range want.Insts {
+		for b := in.Addr; b <= in.Next(); b++ {
 			gs, gok := got.InstStartAt(b)
 			ws, wok := want.InstStartAt(b)
 			if gs != ws || gok != wok {

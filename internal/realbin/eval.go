@@ -79,17 +79,30 @@ func (b *BinaryReport) Score(strategy string) (StrategyScore, bool) {
 // Evaluated reports whether the binary produced scores.
 func (b *BinaryReport) Evaluated() bool { return len(b.Scores) > 0 }
 
-// syntheticEHFrameAddr picks an address for an injected .eh_frame:
-// page-aligned past everything mapped, so it can never shadow real
-// bytes.
-func syntheticEHFrameAddr(im *elfx.Image) uint64 {
-	var top uint64
-	for _, s := range im.Sections {
-		if s.End() > top {
-			top = s.End()
-		}
+// PrepareStripped returns the stripped copy of im that the real-binary
+// lane analyzes. Go's internal linker ships no .eh_frame; for such a
+// binary it injects an empty table (just the terminator), page-aligned
+// past everything mapped so it never shadows real bytes, and reports
+// injected: the FDE pass then finds nothing, and the later stages work
+// from the entry point and pointers. im itself is left untouched.
+func PrepareStripped(im *elfx.Image) (stripped *elfx.Image, injected bool) {
+	stripped = im.Strip()
+	// Never let appends leak into the unstripped image's backing array.
+	stripped.Sections = append([]*elfx.Section(nil), stripped.Sections...)
+	if _, ok := stripped.Section(".eh_frame"); ok {
+		return stripped, false
 	}
-	return (top + 0xFFF) &^ 0xFFF
+	var top uint64
+	for _, s := range stripped.Sections {
+		top = max(top, s.End())
+	}
+	stripped.Sections = append(stripped.Sections, &elfx.Section{
+		Name:  ".eh_frame",
+		Addr:  (top + 0xFFF) &^ 0xFFF,
+		Data:  []byte{0, 0, 0, 0},
+		Flags: elfx.FlagAlloc,
+	})
+	return stripped, true
 }
 
 // EvalImage evaluates one loaded, unstripped image: derive truth,
@@ -107,21 +120,8 @@ func EvalImage(name string, im *elfx.Image) *BinaryReport {
 	rep.TruthFuncs = len(truth.Funcs)
 	rep.TruthParts = len(truth.Parts)
 
-	stripped := im.Strip()
-	// Never let appends leak into the unstripped image's backing array.
-	stripped.Sections = append([]*elfx.Section(nil), stripped.Sections...)
-	if _, ok := stripped.Section(".eh_frame"); !ok {
-		// Go internal linking ships no .eh_frame; an empty table (just
-		// the terminator) lets the FDE pass find nothing and the later
-		// stages work from the entry point and pointers.
-		rep.SyntheticEHFrame = true
-		stripped.Sections = append(stripped.Sections, &elfx.Section{
-			Name:  ".eh_frame",
-			Addr:  syntheticEHFrameAddr(stripped),
-			Data:  []byte{0, 0, 0, 0},
-			Flags: elfx.FlagAlloc,
-		})
-	}
+	stripped, injected := PrepareStripped(im)
+	rep.SyntheticEHFrame = injected
 
 	for i, strat := range core.Lattice() {
 		start := time.Now()

@@ -272,9 +272,18 @@ func TestSyntheticEHFrameInjection(t *testing.T) {
 	if fetch, ok := rep.Score("FETCH"); !ok || fetch.Recall == 0 {
 		t.Errorf("FETCH found nothing without .eh_frame: %+v", fetch)
 	}
-	// The injected section must not collide with real bytes.
-	if _, ok := im.SectionAt(syntheticEHFrameAddr(im)); ok {
+	// The injected section must not collide with real bytes, and the
+	// input image must not gain it.
+	prepared, injected := PrepareStripped(im)
+	eh, ok := prepared.Section(".eh_frame")
+	if !injected || !ok {
+		t.Fatalf("PrepareStripped injected=%v, .eh_frame present=%v", injected, ok)
+	}
+	if _, ok := im.SectionAt(eh.Addr); ok {
 		t.Error("synthetic .eh_frame address overlaps a mapped section")
+	}
+	if _, ok := im.Section(".eh_frame"); ok {
+		t.Error("PrepareStripped added .eh_frame to its input image")
 	}
 }
 

@@ -63,8 +63,10 @@ type Input struct {
 // Observer receives Algorithm 1's per-site inputs as they are
 // consumed (see Input.Obs). Either hook may be nil.
 type Observer struct {
-	// OnConv reports one calling-convention verdict consumption.
-	OnConv func(addr uint64, ok bool)
+	// OnConv reports one calling-convention verdict consumption, with
+	// the end of the code bytes the verdict read ([addr, end), see
+	// callconv.ValidateExtent).
+	OnConv func(addr, end uint64, ok bool)
 	// OnJump reports one candidate jump considered within the FDE
 	// starting at fde: the jump site, its target, and the height
 	// lookup's outcome.
@@ -123,9 +125,9 @@ func Run(in Input) Output {
 	cfiSP, cfiEntry := isa.CFISPReg(), isa.CFIEntryOffset()
 
 	entryOK := func(a uint64) bool {
-		v := callconv.Validate(in.Img, a)
+		v, end := callconv.ValidateExtent(in.Img, a)
 		if in.Obs != nil && in.Obs.OnConv != nil {
-			in.Obs.OnConv(a, v)
+			in.Obs.OnConv(a, end, v)
 		}
 		return v
 	}
@@ -140,24 +142,11 @@ func Run(in Input) Output {
 		}
 	}
 
-	// Sorted instruction addresses for per-FDE iteration.
-	instAddrs := make([]uint64, 0, len(in.Res.Insts))
-	for a := range in.Res.Insts {
-		instAddrs = append(instAddrs, a)
-	}
-	sort.Slice(instAddrs, func(i, j int) bool { return instAddrs[i] < instAddrs[j] })
-
-	instsIn := func(lo, hi uint64) []uint64 {
-		i := sort.Search(len(instAddrs), func(k int) bool { return instAddrs[k] >= lo })
-		j := sort.Search(len(instAddrs), func(k int) bool { return instAddrs[k] >= hi })
-		return instAddrs[i:j]
-	}
-
 	// refsOtherThan counts references to t besides the jump j itself.
 	refsOtherThan := func(t, j uint64) int {
 		n := 0
-		for _, r := range in.Res.Refs[t] {
-			if r != j {
+		for _, r := range in.Res.RefsTo(t) {
+			if r.From != j {
 				n++
 			}
 		}
@@ -180,8 +169,7 @@ func Run(in Input) Output {
 			out.SkippedIncomplete++
 			continue
 		}
-		for _, ia := range instsIn(fde.PCBegin, fde.End()) {
-			inst := in.Res.Insts[ia]
+		for _, inst := range in.Res.InstsIn(fde.PCBegin, fde.End()) {
 			if (inst.Op != arch.OpJmp && inst.Op != arch.OpJcc) || !inst.HasTarget {
 				continue
 			}

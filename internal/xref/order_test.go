@@ -65,8 +65,8 @@ func validateWalkFirst(img *elfx.Image, res *disasm.Result, c uint64, opts Optio
 	// decoded by the validation walk that overlaps a previously
 	// decoded instruction at a different phase is a misalignment.
 	if !opts.DisableRule[1] {
-		for addr := range v.Insts {
-			if start, covered := res.InstStartAt(addr); covered && start != addr {
+		for _, in := range v.Insts {
+			if start, covered := res.InstStartAt(in.Addr); covered && start != in.Addr {
 				return nil, false
 			}
 		}
@@ -294,8 +294,8 @@ func TestWalkFormRejectionReturnsWalk(t *testing.T) {
 	if sess.Stats().Probes == p0 {
 		t.Fatal("the candidate was rejected without a walk")
 	}
-	if len(v.Errors) != 0 || v.Insts[base+1] == nil {
-		t.Fatalf("walk errors %+v, decoded base+1: %v; want an error-free walk through base+1", v.Errors, v.Insts[base+1] != nil)
+	if _, walked := v.Inst(base + 1); len(v.Errors) != 0 || !walked {
+		t.Fatalf("walk errors %+v, decoded base+1: %v; want an error-free walk through base+1", v.Errors, walked)
 	}
 	if _, wok := validateWalkFirst(img, res, c, Options{}, nil); wok {
 		t.Fatal("the walk-first reference accepts the candidate")

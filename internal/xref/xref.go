@@ -22,6 +22,7 @@ package xref
 import (
 	"context"
 	"encoding/binary"
+	"math"
 	"sort"
 
 	"fetch/internal/callconv"
@@ -88,8 +89,19 @@ type DataIndex struct {
 	execVals []uint64
 }
 
-// NewDataIndex scans img's data sections with up to jobs workers.
+// NewDataIndex scans img's data sections with up to jobs workers. A
+// window value outside the span of the executable sections is rejected
+// before the section lookup: no executable address lies outside it.
 func NewDataIndex(img *elfx.Image, jobs int) *DataIndex {
+	var lo, hi uint64
+	execs := img.ExecSections() // sorted by address
+	if len(execs) > 0 {
+		lo = execs[0].Addr
+	}
+	for _, sec := range execs {
+		hi = max(hi, sec.End())
+	}
+	span := hi - lo
 	type chunk struct {
 		data   []byte
 		lo, hi int
@@ -110,7 +122,7 @@ func NewDataIndex(img *elfx.Image, jobs int) *DataIndex {
 	outs := pool.Map(nil, jobs, chunks, func(_ context.Context, _ int, c chunk) (map[uint64]int, error) {
 		l := make(map[uint64]int)
 		for off := c.lo; off < c.hi; off++ {
-			if v := binary.LittleEndian.Uint64(c.data[off:]); img.IsExec(v) {
+			if v := binary.LittleEndian.Uint64(c.data[off:]); v-lo < span && img.IsExec(v) {
 				l[v]++
 			}
 		}
@@ -265,20 +277,12 @@ func Detect(img *elfx.Image, res *disasm.Result, funcs map[uint64]bool, opts Opt
 // accepted function. The delta-analysis recorder needs it too, to
 // replay the accept loop's interior-skip rule without re-walking.
 func ContiguousEnd(v *disasm.Result, c uint64) uint64 {
-	addrs := make([]uint64, 0, len(v.Insts))
-	for a := range v.Insts {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	end := c
-	for _, a := range addrs {
-		if a < c {
-			continue
-		}
-		if a != end {
+	for _, in := range v.InstsIn(c, math.MaxUint64) {
+		if in.Addr != end {
 			break
 		}
-		end = v.Insts[a].Next()
+		end = in.Next()
 	}
 	return end
 }
@@ -345,8 +349,8 @@ func ValidateCandidate(img *elfx.Image, res *disasm.Result, c uint64, opts Optio
 	// decoded by the validation walk that overlaps a previously
 	// decoded instruction at a different phase is a misalignment.
 	if !opts.DisableRule[1] {
-		for addr := range v.Insts {
-			if start, covered := res.InstStartAt(addr); covered && start != addr {
+		for _, in := range v.Insts {
+			if start, covered := res.InstStartAt(in.Addr); covered && start != in.Addr {
 				return v, false
 			}
 		}
