@@ -57,76 +57,6 @@ func (h *hexAddr) UnmarshalText(b []byte) error {
 	return nil
 }
 
-// hexAddrs is an address list on the wire. Its decoder reads the form
-// EncodeResult writes — null, or an array of address strings without
-// escapes — in one pass over the bytes, and hands any other input to
-// the generic decoding of []hexAddr, so it accepts, rejects and
-// reports exactly what that decoding does.
-type hexAddrs []hexAddr
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (h *hexAddrs) UnmarshalJSON(b []byte) error {
-	if out, ok := parseHexAddrs(b); ok {
-		*h = out
-		return nil
-	}
-	return json.Unmarshal(b, (*[]hexAddr)(h))
-}
-
-// parseHexAddrs parses b, a valid JSON value, when it is null or an
-// array of strings without escapes that all parse as addresses; ok is
-// false for anything else. An empty array yields an empty, non-nil
-// list.
-func parseHexAddrs(b []byte) (out hexAddrs, ok bool) {
-	if string(b) == "null" {
-		return nil, true
-	}
-	i := 0
-	skipSpace := func() {
-		for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
-			i++
-		}
-	}
-	if len(b) == 0 || b[0] != '[' {
-		return nil, false
-	}
-	i++
-	out = hexAddrs{}
-	skipSpace()
-	if i < len(b) && b[i] == ']' {
-		return out, i+1 == len(b)
-	}
-	for {
-		skipSpace()
-		if i >= len(b) || b[i] != '"' {
-			return nil, false
-		}
-		j := bytes.IndexByte(b[i+1:], '"')
-		if j < 0 {
-			return nil, false
-		}
-		s := b[i+1 : i+1+j]
-		if bytes.IndexByte(s, '\\') >= 0 {
-			return nil, false
-		}
-		v, err := strconv.ParseUint(string(s), 0, 64)
-		if err != nil {
-			return nil, false
-		}
-		out = append(out, hexAddr(v))
-		i += j + 2
-		skipSpace()
-		if i < len(b) && b[i] == ',' {
-			i++
-			continue
-		}
-		if i < len(b) && b[i] == ']' {
-			return out, i+1 == len(b)
-		}
-		return nil, false
-	}
-}
-
 // jsonResult is the wire form of Result; Stats is its own wire form,
 // through its JSON tags. Field names are the canonical schema
 // vocabulary shared by the JSON codec, the Summarize helper the CLI
@@ -135,28 +65,28 @@ func parseHexAddrs(b []byte) (out hexAddrs, ok bool) {
 // the exact value and round trips are reflect.DeepEqual-exact.
 type jsonResult struct {
 	Schema               int                 `json:"schema"`
-	FunctionStarts       hexAddrs            `json:"function_starts"`
-	FDEStarts            hexAddrs            `json:"fde_starts"`
-	NewFromPointers      hexAddrs            `json:"new_from_pointers"`
-	NewFromTailCalls     hexAddrs            `json:"new_from_tail_calls"`
+	FunctionStarts       []hexAddr           `json:"function_starts"`
+	FDEStarts            []hexAddr           `json:"fde_starts"`
+	NewFromPointers      []hexAddr           `json:"new_from_pointers"`
+	NewFromTailCalls     []hexAddr           `json:"new_from_tail_calls"`
 	MergedParts          map[hexAddr]hexAddr `json:"merged_parts"`
-	RemovedBogusFDEs     hexAddrs            `json:"removed_bogus_fdes"`
+	RemovedBogusFDEs     []hexAddr           `json:"removed_bogus_fdes"`
 	SkippedIncompleteCFI int                 `json:"skipped_incomplete_cfi"`
 	Stats                Stats               `json:"stats"`
 }
 
-func toHexSlice(in []uint64) hexAddrs {
+func toHexSlice(in []uint64) []hexAddr {
 	if in == nil {
 		return nil
 	}
-	out := make(hexAddrs, len(in))
+	out := make([]hexAddr, len(in))
 	for i, v := range in {
 		out[i] = hexAddr(v)
 	}
 	return out
 }
 
-func fromHexSlice(in hexAddrs) []uint64 {
+func fromHexSlice(in []hexAddr) []uint64 {
 	if in == nil {
 		return nil
 	}

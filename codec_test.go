@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -269,44 +268,6 @@ func TestSummaryNamesMatchSchema(t *testing.T) {
 		}
 		if !resolve(line.Name) {
 			t.Errorf("summary line %q has no corresponding schema path", line.Name)
-		}
-	}
-}
-
-// TestHexAddrsMatchGenericDecode pins the address-list decoder to the
-// generic decoding of []hexAddr it stands in for: the same value, nil
-// and empty kept apart, and the same error, on the form EncodeResult
-// writes and on every other valid JSON value.
-func TestHexAddrsMatchGenericDecode(t *testing.T) {
-	inputs := []string{
-		`null`, `[]`, ` [ ] `, `["0x401000"]`, "[\n    \"0x1\",\n    \"0x2\"\n  ]",
-		`["10", "0o17", "0b11", "0x_1f"]`, `["0x401000" , "0x401010"]`,
-		`["0x1"]`, `["0x1\t"]`, `["zz"]`, `[""]`, `["0x10000000000000000"]`,
-		`[1]`, `[null]`, `[true]`, `[["0x1"]]`, `[{"a": 1}]`, `["0x1", 2]`,
-		`"0x1"`, `{}`, `7`, `true`,
-	}
-	rng := rand.New(rand.NewSource(1))
-	for n := 0; n < 20; n++ {
-		addrs := make([]uint64, rng.Intn(50))
-		for i := range addrs {
-			addrs[i] = rng.Uint64() >> uint(rng.Intn(64))
-		}
-		b, err := json.MarshalIndent(toHexSlice(addrs), "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		inputs = append(inputs, string(b))
-	}
-	for _, in := range inputs {
-		var got hexAddrs
-		gotErr := json.Unmarshal([]byte(in), &got)
-		var want []hexAddr
-		wantErr := json.Unmarshal([]byte(in), &want)
-		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
-			t.Fatalf("%q: error %v, generic %v", in, gotErr, wantErr)
-		}
-		if !reflect.DeepEqual([]hexAddr(got), want) {
-			t.Fatalf("%q: decoded %#v, generic %#v", in, got, want)
 		}
 	}
 }

@@ -185,6 +185,109 @@ func TestDeltaUnmappedCallNeverReturns(t *testing.T) {
 	}
 }
 
+// TestDeltaOverlapFallsBack pins that a recompile whose walk decodes
+// overlapping instructions is never delta-served. D (FDE) dispatches
+// through a two-entry jump table to t and s = t+1; the walk takes s
+// (`or eax, eax; ret`) first, then t. In the base build t is `ret`; the
+// recompile changes that one byte so t becomes `ud2`, whose second byte
+// is s's first: the committed walk then leaves s's byte to t, and a
+// pointer candidate c (`jmp D`, reachable only from .data) that walks
+// through s lands mid-instruction under rule (ii), so a cold run of the
+// recompile rejects c. D's facts are otherwise unchanged, and coverage
+// rebuilt from the instruction skeleton in address order gives s's byte
+// back to s, so a replay that took the overlapping walk as faithful
+// would accept c and serve the base result with it.
+func TestDeltaOverlapFallsBack(t *testing.T) {
+	const f, d, c, tbl, data, ehAddr = 0x401000, 0x401100, 0x401200, 0x402000, 0x403000, 0x404000
+	build := func(tByte byte) []byte {
+		t.Helper()
+		text := bytes.Repeat([]byte{0xCC}, c+5-f)
+		for i := 0; i < 63; i++ {
+			text[i] = 0x90 // F: nop×63; ret
+		}
+		text[63] = 0xC3
+		body := []byte{
+			0x48, 0x83, 0xFF, 0x01, // cmp rdi, 1
+			0x77, 0xFA, // ja d
+			0xFF, 0x24, 0xFD, 0, 0, 0, 0, // jmp [rdi*8 + tbl]
+			tByte,      // t
+			0x0B, 0xC0, // s: or eax, eax
+			0xC3, // ret
+		}
+		binary.LittleEndian.PutUint32(body[9:], tbl)
+		copy(text[d-f:], body)
+		var rel int32 = d - (c + 5)
+		text[c-f] = 0xE9 // c: jmp d
+		binary.LittleEndian.PutUint32(text[c-f+1:], uint32(rel))
+		table := make([]byte, 16)
+		binary.LittleEndian.PutUint64(table, d+13)
+		binary.LittleEndian.PutUint64(table[8:], d+14)
+		ptr := make([]byte, 8)
+		binary.LittleEndian.PutUint64(ptr, c)
+		cie := ehframe.NewDefaultCIE()
+		eh, err := (&ehframe.Section{Addr: ehAddr, FDEs: []*ehframe.FDE{
+			{CIE: cie, PCBegin: f, PCRange: 64},
+			{CIE: cie, PCBegin: d, PCRange: uint64(len(body))},
+		}}).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := elfx.WriteELF(&elfx.Image{Entry: f, Sections: []*elfx.Section{
+			{Name: ".text", Addr: f, Data: text, Flags: elfx.FlagAlloc | elfx.FlagExec},
+			{Name: ".rodata", Addr: tbl, Data: table, Flags: elfx.FlagAlloc},
+			{Name: ".data", Addr: data, Data: ptr, Flags: elfx.FlagAlloc | elfx.FlagWrite},
+			{Name: ".eh_frame", Addr: ehAddr, Data: eh, Flags: elfx.FlagAlloc},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	baseRaw, nextRaw := build(0xC3), build(0x0F)
+
+	base, err := Analyze(baseRaw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Analyze(nextRaw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(base.NewFromPointers, c) || slices.Contains(cold.FunctionStarts, c) {
+		t.Fatalf("pointer-found starts: base %#x, recompile %#x; want c only in the base build",
+			base.NewFromPointers, cold.NewFromPointers)
+	}
+	coldEnc, err := EncodeResult(StripSchedule(cold))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := NewCache(CacheConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Analyze(baseRaw, WithCache(cache)); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.DeltaPuts == 0 {
+		t.Fatalf("base analysis recorded no delta trace: %+v", st)
+	}
+	res, err := Analyze(nextRaw, WithCache(cache))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := EncodeResult(StripSchedule(res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, coldEnc) {
+		t.Fatalf("served result differs from cold analysis (delta path %v): starts %#x, cold %#x",
+			res.Stats.DeltaPath, res.FunctionStarts, cold.FunctionStarts)
+	}
+	if res.Stats.DeltaPath || res.Stats.DeltaFallbackReason == "" {
+		t.Fatalf("delta path %v, fallback %q; want a fallback", res.Stats.DeltaPath, res.Stats.DeltaFallbackReason)
+	}
+}
+
 // TestDeltaFnTierCorruption mirrors the whole-binary corruption test
 // for the function tier: after the base build's trace is on disk, each
 // subtest damages the delta-tier entries a different way and analyzes

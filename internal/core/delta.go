@@ -315,13 +315,13 @@ func ReplayDelta(in DeltaInput) DeltaOutcome {
 func revalidateXref(img *elfx.Image, rec XrefRec, known []disasm.FuncRange,
 	sess *disasm.Session, coverage func() *disasm.Result) string {
 
-	opts := xref.Options{KnownRanges: known}
+	opts := xref.Options{KnownRanges: known, Session: sess}
 	if !rec.OK {
-		if _, ok := xref.ValidateCandidate(img, disasm.BuildCoverage(nil), rec.C, opts, sess); !ok {
+		if _, ok := xref.ValidateCandidate(img, disasm.BuildCoverage(nil), rec.C, opts); !ok {
 			return ""
 		}
 	}
-	v, ok := xref.ValidateCandidate(img, coverage(), rec.C, opts, sess)
+	v, ok := xref.ValidateCandidate(img, coverage(), rec.C, opts)
 	if ok != rec.OK {
 		return fmt.Sprintf("candidate %#x: verdict changed", rec.C)
 	}

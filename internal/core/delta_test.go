@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"fetch/internal/disasm"
+	"fetch/internal/ehframe"
 	"fetch/internal/elfx"
 )
 
@@ -61,5 +63,58 @@ func TestRevalidateXrefAsksForCoverageOnlyWhenNeeded(t *testing.T) {
 		if asked != tc.wantCoverage {
 			t.Errorf("%s: coverage asked for = %v, want %v", tc.name, asked, tc.wantCoverage)
 		}
+	}
+}
+
+// overlapBinary builds a binary whose committed walk decodes
+// overlapping instructions: FDEs at base (a five-byte `call` to a
+// never-returning `jmp $`) and base+1 (`add eax, imm32` over the call's
+// last four bytes and the byte after, then `ret`), and a third
+// function f whose body is fBody.
+func overlapBinary(t *testing.T, fBody []byte) (img *elfx.Image, f uint64) {
+	t.Helper()
+	const base, ehAddr = 0x401000, 0x402000
+	f = base + 0x20
+	text := bytes.Repeat([]byte{0xCC}, 0x20+len(fBody))
+	copy(text, []byte{0xE8, 0x05, 0x00, 0x00, 0x00, 0x90, 0xC3, 0xCC, 0xCC, 0xCC, 0xEB, 0xFE})
+	copy(text[f-base:], fBody)
+	cie := ehframe.NewDefaultCIE()
+	eh, err := (&ehframe.Section{Addr: ehAddr, FDEs: []*ehframe.FDE{
+		{CIE: cie, PCBegin: base, PCRange: 1},
+		{CIE: cie, PCBegin: base + 1, PCRange: 11},
+		{CIE: cie, PCBegin: f, PCRange: uint64(len(fBody))},
+	}}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &elfx.Image{Entry: base, Sections: []*elfx.Section{
+		{Name: ".text", Addr: base, Data: text, Flags: elfx.FlagAlloc | elfx.FlagExec},
+		{Name: ".eh_frame", Addr: ehAddr, Data: eh, Flags: elfx.FlagAlloc},
+	}}, f
+}
+
+// TestReplayRefusesOverlappingWalk pins that a trace recorded over a
+// walk with overlapping instructions is order-sensitive: its coverage
+// cannot be rebuilt from the instruction skeleton, so a recompile that
+// changes another function falls back with the sawMid reason.
+func TestReplayRefusesOverlappingWalk(t *testing.T) {
+	strat := Strategy{Recursive: true}
+	oldImg, _ := overlapBinary(t, []byte{0x90, 0x90, 0x90, 0xC3})
+	newImg, f := overlapBinary(t, []byte{0x90, 0x90, 0xC3, 0xC3})
+	_, tr, err := AnalyzeRecorded(oldImg, Config{Strategy: strat}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr == nil || !tr.SawMid {
+		t.Fatalf("trace %v: want one recorded with SawMid", tr != nil)
+	}
+	eh := LoadEHFrame(newImg)
+	out := ReplayDelta(DeltaInput{
+		Img: newImg, Sec: eh.Sec, Trace: tr, Roster: eh.Roster, Residue: eh.Residue,
+		OldRangeBytes: func(i int) []byte { return RangeBytes(oldImg, tr.Roster[i].Start, tr.Roster[i].End) },
+		Strategy:      strat,
+	})
+	if out.OK || out.Reason != "recorded analysis was order-sensitive (sawMid)" {
+		t.Fatalf("replay after changing %#x: %+v, want a fallback for sawMid", f, out)
 	}
 }

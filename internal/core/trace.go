@@ -190,8 +190,11 @@ type JumpRec struct {
 // TraceFormat versions the encoding and meaning of a Trace within one
 // result schema; stores key traces by it. Format 2 records the bytes
 // each calling-convention verdict read (ConvRec.End), where format 1
-// assumed a fixed window.
-const TraceFormat = 2
+// assumed a fixed window. Format 3 sets SawMid also when the committed
+// walk decoded overlapping instructions, whose coverage the replay
+// cannot rebuild from the skeleton; a format-2 trace may have missed
+// that.
+const TraceFormat = 3
 
 // Trace is everything delta re-analysis needs to verify that a changed
 // binary is analysis-equivalent to the recorded one. It is stored
@@ -222,7 +225,9 @@ type Trace struct {
 	EV []uint64
 	// Funcs is the final committed function set (delegation answers).
 	Funcs []uint64
-	// SawMid reports the global order-sensitivity flag.
+	// SawMid reports the global order-sensitivity flag: the final
+	// committed walk arrived mid-instruction or decoded overlapping
+	// instructions (disasm.Result.SawMid).
 	SawMid bool
 	// GlobalInsts is the final committed coverage skeleton.
 	GlobalInsts disasm.InstFacts

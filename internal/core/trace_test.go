@@ -116,7 +116,7 @@ func TestXrefRecordCoversRejectingWalk(t *testing.T) {
 		t.Fatalf("the walk must leave the %d-byte convention window", convWindow)
 	}
 
-	v, ok := xref.ValidateCandidate(img, disasm.BuildCoverage(nil), base, xref.Options{}, nil)
+	v, ok := xref.ValidateCandidate(img, disasm.BuildCoverage(nil), base, xref.Options{})
 	if ok || v == nil {
 		t.Fatalf("validation = %v with result %v, want a walk-rejected verdict", ok, v != nil)
 	}

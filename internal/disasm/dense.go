@@ -7,36 +7,49 @@ import (
 )
 
 // This file holds the engine's per-byte walk state: a chunk-lazy table
-// with one slot per byte of the executable layout, and the two
+// with one slot per byte of the executable layout, and the three
 // structures built on it — the decode index behind the session's
-// decode cache, and the epoch-stamped walk marks that stand in for the
-// per-walk visited and enqueued sets. A session owns one decode cache
-// and two mark sets, as it owns the owner workspace.
+// decode cache, the epoch-stamped walk marks that stand in for the
+// per-walk visited and enqueued sets, and the owner index (owner.go).
+// Every per-text-byte table of the engine is a byteTable. A session
+// owns one decode cache, two mark sets and the owner workspace.
 
 // byteTable holds one T per byte of a layout. It reserves one span per
 // range but allocates a chunk of tableChunkLen slots only when a slot
 // in it is first written: huge binaries are mostly padding and data
-// the walks never touch, and an eager table would cost four bytes per
-// text byte regardless.
-type byteTable[T int32 | uint32] struct {
+// the walks never touch, and an eager table would cost a slot per text
+// byte regardless. Reading a slot is a bare nil check on its chunk.
+//
+// reset empties the table by taking back every chunk written since the
+// last reset onto the table's own free list; a later first write takes
+// a chunk from there, cleared, before it asks the pool or the
+// allocator. A table reused walk after walk — the owner workspace —
+// thus keeps its chunks, and pays for emptying only the chunks the last
+// walk wrote.
+type byteTable[T uint8 | int32 | uint32] struct {
 	// spans are the reserved ranges, sorted by base.
 	spans []tableSpan[T]
-	// alloc counts bytes of chunk storage allocated so far — an input
-	// of Stats.PeakAuxBytes.
+	// written are the chunk pointers set since the last reset, and
+	// free the chunks reset took back.
+	written []**[tableChunkLen]T
+	free    []*[tableChunkLen]T
+	// alloc counts bytes of the chunks taken from the pool or the
+	// allocator so far — an input of Stats.PeakAuxBytes. A chunk taken
+	// from the free list is not counted again.
 	alloc int64
 }
 
 // tableSpan covers one reserved range of size bytes starting at base.
 // Slot (addr-base)&mask of chunk (addr-base)>>shift belongs to addr; a
-// nil chunk has never been written.
-type tableSpan[T int32 | uint32] struct {
+// nil chunk has not been written since the last reset.
+type tableSpan[T uint8 | int32 | uint32] struct {
 	base, size uint64
 	chunks     []*[tableChunkLen]T
 }
 
 const (
-	// tableChunkShift sets the chunk granule: 16 Ki slots, 64 KiB for
-	// the four-byte slot types.
+	// tableChunkShift sets the chunk granule: 16 Ki slots, 16 KiB for
+	// the owner index and 64 KiB for the four-byte slot types.
 	tableChunkShift = 14
 	tableChunkLen   = 1 << tableChunkShift
 	tableChunkMask  = tableChunkLen - 1
@@ -44,7 +57,7 @@ const (
 
 // newByteTable reserves one span per range without allocating any
 // chunks.
-func newByteTable[T int32 | uint32](layout []Range) byteTable[T] {
+func newByteTable[T uint8 | int32 | uint32](layout []Range) byteTable[T] {
 	t := byteTable[T]{spans: make([]tableSpan[T], len(layout))}
 	for i, r := range layout {
 		t.spans[i] = tableSpan[T]{
@@ -72,7 +85,7 @@ func (t *byteTable[T]) cell(addr uint64) (**[tableChunkLen]T, uint64) {
 }
 
 // at returns addr's slot, or nil when addr lies outside the layout or
-// its chunk has never been written (every slot of which reads as zero).
+// its chunk is unwritten (every slot of which reads as zero).
 func (t *byteTable[T]) at(addr uint64) *T {
 	if c, off := t.cell(addr); c != nil && *c != nil {
 		return &(*c)[off]
@@ -80,33 +93,70 @@ func (t *byteTable[T]) at(addr uint64) *T {
 	return nil
 }
 
-// slot returns addr's slot, allocating its chunk on first use (charged
-// to alloc), or nil when addr lies outside the layout.
+// slot returns addr's slot, giving its chunk storage on first write,
+// or nil when addr lies outside the layout.
 func (t *byteTable[T]) slot(addr uint64) *T {
+	if run := t.slots(addr, 1); run != nil {
+		return &run[0]
+	}
+	return nil
+}
+
+// slots returns the run of slots from addr's up to n long, cut at the
+// end of addr's chunk, giving the chunk storage on first write; nil
+// when addr lies outside the layout. A caller writing a run across a
+// chunk boundary asks again for the rest.
+func (t *byteTable[T]) slots(addr uint64, n int) []T {
 	c, off := t.cell(addr)
 	if c == nil {
 		return nil
 	}
 	if *c == nil {
+		t.fill(c)
+	}
+	return (*c)[off:min(off+uint64(n), tableChunkLen)]
+}
+
+// fill gives the unwritten chunk pointer c a cleared chunk: one from
+// the free list, else one from the pool or the allocator, charged to
+// alloc.
+func (t *byteTable[T]) fill(c **[tableChunkLen]T) {
+	if n := len(t.free); n > 0 {
+		*c = t.free[n-1]
+		t.free = t.free[:n-1]
+		**c = [tableChunkLen]T{}
+	} else {
 		*c = newChunk[T]()
 		t.alloc += int64(unsafe.Sizeof(**c))
 	}
-	return &(*c)[off]
+	t.written = append(t.written, c)
+}
+
+// reset empties the table: the chunks written since the last reset go
+// to the free list, and every slot reads as zero again.
+func (t *byteTable[T]) reset() {
+	for _, c := range t.written {
+		t.free = append(t.free, *c)
+		*c = nil
+	}
+	t.written = t.written[:0]
 }
 
 // Chunks outlive the session that filled them: Session.Release hands a
 // finished session's chunks to a pool, and a table that needs a chunk
-// takes one from it, cleared, before allocating. Delta replay builds
-// two sessions per request, each touching a few chunks of every table
-// around the changed ranges; recycling keeps those chunks from being
-// allocated anew for every request. A recycled chunk is charged to
-// alloc like a fresh one.
-var int32Chunks, uint32Chunks sync.Pool
+// and has none free takes one from the pool, cleared, before
+// allocating. Delta replay builds two sessions per request, each
+// touching a few chunks of every table around the changed ranges;
+// recycling keeps those chunks from being allocated anew for every
+// request. A recycled chunk is charged to alloc like a fresh one.
+var uint8Chunks, int32Chunks, uint32Chunks sync.Pool
 
 // chunkPool returns the pool of T chunks.
-func chunkPool[T int32 | uint32]() *sync.Pool {
-	var zero T
-	if _, ok := any(zero).(int32); ok {
+func chunkPool[T uint8 | int32 | uint32]() *sync.Pool {
+	switch any(*new(T)).(type) {
+	case uint8:
+		return &uint8Chunks
+	case int32:
 		return &int32Chunks
 	}
 	return &uint32Chunks
@@ -114,7 +164,7 @@ func chunkPool[T int32 | uint32]() *sync.Pool {
 
 // newChunk returns a zeroed chunk, a recycled one when the pool has
 // one.
-func newChunk[T int32 | uint32]() *[tableChunkLen]T {
+func newChunk[T uint8 | int32 | uint32]() *[tableChunkLen]T {
 	if c, _ := chunkPool[T]().Get().(*[tableChunkLen]T); c != nil {
 		*c = [tableChunkLen]T{}
 		return c
@@ -122,19 +172,15 @@ func newChunk[T int32 | uint32]() *[tableChunkLen]T {
 	return new([tableChunkLen]T)
 }
 
-// release hands every chunk to the pool; the table then reads as
-// never written.
+// release empties the table and hands every chunk it holds, written or
+// free, to the pool.
 func (t *byteTable[T]) release() {
+	t.reset()
 	pool := chunkPool[T]()
-	for i := range t.spans {
-		chunks := t.spans[i].chunks
-		for j, c := range chunks {
-			if c != nil {
-				pool.Put(c)
-				chunks[j] = nil
-			}
-		}
+	for _, c := range t.free {
+		pool.Put(c)
 	}
+	t.free = nil
 }
 
 // decodeCache memoizes decodes by address: an int32 per text byte in
@@ -181,24 +227,17 @@ func newWalkMarks(layout []Range) *walkMarks {
 	return &walkMarks{tab: newByteTable[uint32](layout), epoch: 1}
 }
 
-// next empties the set. When the epoch wraps, every stamp is cleared so
+// next empties the set. When the epoch wraps, the table is reset, so
 // no mark from 2^32 sets ago can alias the new epoch.
 func (m *walkMarks) next() {
 	if len(m.extra) > 0 {
 		clear(m.extra)
 	}
 	m.epoch++
-	if m.epoch != 0 {
-		return
+	if m.epoch == 0 {
+		m.tab.reset()
+		m.epoch = 1
 	}
-	for i := range m.tab.spans {
-		for _, c := range m.tab.spans[i].chunks {
-			if c != nil {
-				*c = [tableChunkLen]uint32{}
-			}
-		}
-	}
-	m.epoch = 1
 }
 
 // release empties the set and hands its chunks to the pool. The epoch

@@ -170,28 +170,19 @@ func TestDenseStateSharedByProbes(t *testing.T) {
 	requireEqualWalks(t, "probe after extend", q, p)
 }
 
-// tableChunks counts the chunks a session's per-byte tables hold.
+// tableChunks counts the chunks a session's per-byte tables hold,
+// written or free.
 func tableChunks(s *Session) int {
-	n := 0
-	for _, sp := range s.cache.index.spans {
+	return chunksHeld(&s.cache.index) + chunksHeld(&s.pushed.tab) + chunksHeld(&s.decoded.tab) +
+		chunksHeld(&s.ws.byteTable)
+}
+
+// chunksHeld counts the chunks one table holds, written or free.
+func chunksHeld[T uint8 | int32 | uint32](t *byteTable[T]) int {
+	n := len(t.free)
+	for _, sp := range t.spans {
 		for _, c := range sp.chunks {
 			if c != nil {
-				n++
-			}
-		}
-	}
-	for _, m := range []*walkMarks{s.pushed, s.decoded} {
-		for _, sp := range m.tab.spans {
-			for _, c := range sp.chunks {
-				if c != nil {
-					n++
-				}
-			}
-		}
-	}
-	for _, sp := range s.ws.spans {
-		for _, c := range sp.chunks {
-			if c.b != nil {
 				n++
 			}
 		}
@@ -225,7 +216,7 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		var i32 [tableChunkLen]int32
 		var u32 [tableChunkLen]uint32
-		var own [ownerChunkLen]uint8
+		var own [tableChunkLen]uint8
 		for k := range i32 {
 			i32[k], u32[k] = -1, math.MaxUint32
 		}
@@ -234,7 +225,7 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 		}
 		int32Chunks.Put(&i32)
 		uint32Chunks.Put(&u32)
-		ownerChunks.Put(&own)
+		uint8Chunks.Put(&own)
 	}
 	for i := 0; i < 3; i++ {
 		b := NewSession(im, defaultOpts())

@@ -125,9 +125,9 @@ type Result struct {
 	// walk is only reusable while these bytes are unchanged; the delta
 	// path invalidates reuse when a changed range intersects them.
 	tableReads []Interval
-	// sawMid records that a walk arrived in the middle of a previously
-	// decoded instruction — the one order-sensitive walk rule that is
-	// invisible in the final instruction set (see SawMid).
+	// sawMid records that the walk arrived in the middle of a
+	// previously decoded instruction or decoded one overlapping it —
+	// the order-sensitive walk events (see SawMid).
 	sawMid bool
 	// isa is the backend the walk decoded with; the inference passes
 	// use it for the gate-register test and backward-scan bounds.
@@ -198,10 +198,14 @@ func (r *Result) InstFacts() []InstFact {
 	return out
 }
 
-// SawMid reports whether any walk behind this result arrived in the
-// middle of a previously decoded instruction — the one order-sensitive
-// walk event invisible in the final instruction set. Delta re-analysis
-// refuses to reuse verdicts derived from such a walk.
+// SawMid reports whether the walk behind this result arrived in the
+// middle of a previously decoded instruction, or decoded an
+// instruction overlapping one decoded before it. Either makes the walk
+// order-sensitive: the first stops a path the instruction set does not
+// show, and the second leaves the shared bytes to the later decode, so
+// BuildCoverage over InstFacts (which fills in address order) can
+// answer InstStartAt differently. Delta re-analysis refuses to reuse
+// verdicts derived from such a walk.
 func (r *Result) SawMid() bool { return r.sawMid }
 
 // SortedFuncs returns detected function starts in address order.

@@ -20,7 +20,9 @@ import (
 // surviving seed and seed+1 in turn, reusing the one owner workspace:
 // every probe must equal a fresh Recursive under the probe options,
 // and the committed coverage must be unchanged afterwards. Every
-// result must hold the sorted representation (requireSorted).
+// result must hold the sorted representation (requireSorted), and every
+// committed one the coverage delta replay rebuilds from its facts
+// (requireCoverageRebuilds).
 func FuzzSessionExtend(f *testing.F) {
 	f.Add([]byte{0xC3}, uint8(1))
 	f.Add([]byte{0x55, 0x48, 0x89, 0xE5, 0xC3, 0xE8, 0xF6, 0xFF, 0xFF, 0xFF}, uint8(3))
@@ -68,12 +70,16 @@ func FuzzSessionExtend(f *testing.F) {
 
 		opts := Options{ResolveJumpTables: true, NonReturning: true}
 		sess := NewSession(img, opts)
-		requireSorted(t, "extend", sess.Extend(seeds[:n/2]))
-		requireSorted(t, "extend", sess.Extend(seeds[n/2:]))
+		for _, r := range []*Result{sess.Extend(seeds[:n/2]), sess.Extend(seeds[n/2:])} {
+			requireSorted(t, "extend", r)
+			requireCoverageRebuilds(t, "extend", r, base, len(code))
+		}
 		got := sess.Retract(retract)
 		want := Recursive(img, kept, opts)
 		requireSorted(t, "retract", got)
 		requireSorted(t, "recursive", want)
+		requireCoverageRebuilds(t, "retract", got, base, len(code))
+		requireCoverageRebuilds(t, "recursive", want, base, len(code))
 		if !reflect.DeepEqual(got.Insts, want.Insts) {
 			t.Fatalf("Insts differ: %d vs %d", len(got.Insts), len(want.Insts))
 		}
@@ -130,6 +136,25 @@ func FuzzSessionExtend(f *testing.F) {
 			}
 		}
 	})
+}
+
+// requireCoverageRebuilds checks the property delta replay's coverage
+// map rests on: unless res reports SawMid, BuildCoverage over its
+// instruction facts answers InstStartAt exactly as res does on every
+// byte of the n-byte section at base, and one byte either side.
+func requireCoverageRebuilds(t *testing.T, label string, res *Result, base uint64, n int) {
+	t.Helper()
+	if res.SawMid() {
+		return
+	}
+	cov := BuildCoverage(res.InstFacts())
+	for a := base - 1; a <= base+uint64(n); a++ {
+		gs, gok := cov.InstStartAt(a)
+		ws, wok := res.InstStartAt(a)
+		if gs != ws || gok != wok {
+			t.Fatalf("%s: rebuilt owner of %#x = %#x (%v), walk's %#x (%v)", label, a, gs, gok, ws, wok)
+		}
+	}
 }
 
 // requireSorted checks the sorted representation of a result: Insts

@@ -194,8 +194,10 @@ type LocalFacts struct {
 	// Unfaithful marks a walk the local model cannot replay soundly:
 	// a fall-through run reached the range end or an instruction
 	// straddles it (the continuation depends on bytes outside the
-	// range), or the walk arrived mid-instruction (the union-of-walks
-	// order-independence argument no longer holds).
+	// range), or the walk arrived mid-instruction or decoded
+	// overlapping instructions (the union-of-walks order-independence
+	// argument no longer holds). The Insts of a faithful walk never
+	// overlap.
 	Unfaithful bool
 }
 
@@ -338,35 +340,33 @@ func (lw *LocalWalk) CondFacts(entry uint64, funcs map[uint64]bool) (hasTest boo
 }
 
 // BuildCoverage constructs a coverage-only Result from persisted
-// instruction facts: InstStartAt/Covered answer exactly as they would
-// on the original result, with no decoded instruction values behind
-// them. Delta replay uses it to answer the committed-state queries of
-// candidate re-validation (seed rules and phase-overlap checks).
-// Persisted facts carry no section layout, so the owner index reserves
-// one span per address cluster instead of one per section.
+// instruction facts, with no decoded instruction values behind it.
+// Delta replay uses it to answer the committed-state queries of
+// candidate re-validation (seed rules and phase-overlap checks). Its
+// InstStartAt/Covered answer exactly as they would on the original
+// result when no two of the facts overlap — a committed result whose
+// SawMid is false. Overlapping facts fill in address order, where the
+// walk that decoded them filled in walk order. Persisted facts carry no
+// section layout, so the owner index reserves one span per address
+// cluster instead of one per section.
 func BuildCoverage(facts []InstFact) *Result {
 	if !sort.SliceIsSorted(facts, func(i, j int) bool { return facts[i].Addr < facts[j].Addr }) {
 		sorted := append([]InstFact(nil), facts...)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Addr < sorted[j].Addr })
 		facts = sorted
 	}
-	own := newOwnerIndex(nil)
+	var clusters []Range
 	const maxGap = 1 << 16 // start a new span across section-sized holes
 	for i := 0; i < len(facts); {
-		base := facts[i].Addr
-		end := base
-		j := i
-		for j < len(facts) && facts[j].Addr <= end+maxGap {
-			if e := facts[j].Addr + uint64(facts[j].Len); e > end {
-				end = e
-			}
-			j++
+		r := Range{Start: facts[i].Addr, End: facts[i].Addr}
+		for ; i < len(facts) && facts[i].Addr <= r.End+maxGap; i++ {
+			r.End = max(r.End, facts[i].Addr+uint64(facts[i].Len))
 		}
-		own.spans = append(own.spans, newOwnerSpan(Range{Start: base, End: end}))
-		sp := &own.spans[len(own.spans)-1]
-		for ; i < j; i++ {
-			own.fill(sp, facts[i].Addr-base, int(facts[i].Len))
-		}
+		clusters = append(clusters, r)
+	}
+	own := newOwnerIndex(clusters)
+	for _, f := range facts {
+		own.setRange(f.Addr, int(f.Len))
 	}
 	return &Result{owner: own}
 }

@@ -60,8 +60,9 @@ type boundedCounts struct {
 
 // requireBoundedMatch walks rng from entries under one environment with
 // the bounded pass (on sess) and with the former mirror (on ref), and
-// requires identical facts, and identical verdicts, queried lists and
-// ok flags for the range's start, its entries and every in-range call
+// requires identical facts, no overlapping instructions unless the
+// facts are Unfaithful, and identical verdicts, queried lists and ok
+// flags for the range's start, its entries and every in-range call
 // target, with funcs as the function set.
 func requireBoundedMatch(t *testing.T, label string, sess, ref *Session, rng FuncRange, entries []uint64,
 	nonRet, cond, funcs map[uint64]bool, n *boundedCounts) {
@@ -76,6 +77,15 @@ func requireBoundedMatch(t *testing.T, label string, sess, ref *Session, rng Fun
 	}
 	if got := lw.Facts(); !reflect.DeepEqual(*got, want) {
 		t.Fatalf("%s: bounded walk facts\n%+v\nreference\n%+v", label, *got, want)
+	}
+	if !want.Unfaithful {
+		// A faithful walk's coverage is order-independent: no two of
+		// its instructions share a byte.
+		for i := 1; i < len(want.Insts); i++ {
+			if prev := want.Insts[i-1]; prev.Addr+uint64(prev.Len) > want.Insts[i].Addr {
+				t.Fatalf("%s: faithful walk holds overlapping instructions %+v and %+v", label, prev, want.Insts[i])
+			}
+		}
 	}
 	n.walks++
 	if want.Unfaithful {
@@ -173,6 +183,7 @@ func TestBoundedWalkMatchesMirror(t *testing.T) {
 // the fuzz bytes become a .text section, lo and hi pick a range (which
 // may run past the section end) and entry an address in it, and the
 // function set is the committed one from the section start and entry.
+// The differential includes requireBoundedMatch's overlap check.
 func FuzzBoundedWalk(f *testing.F) {
 	f.Add([]byte{0x55, 0x48, 0x89, 0xE5, 0xC3, 0xE8, 0xF6, 0xFF, 0xFF, 0xFF}, uint16(5), uint16(10), uint16(0))
 	// A call to an unmapped target, then ret.
@@ -246,4 +257,60 @@ func TestLocalWalkVerdictAfterReleasePanics(t *testing.T) {
 		}
 	}()
 	lw.EntryReturns(start, nil, nil)
+}
+
+// overlapImage is the smallest committed walk whose instructions
+// overlap: `call base+10` at base (five bytes) and `add eax, imm32` at
+// base+1 (five bytes, then `ret`). The call's target `jmp $` never
+// returns, so once the non-return fixed point knows it, no walk falls
+// through into the add's bytes and no arrival is mid-instruction. The
+// seeds are base and base+1; the walk pops base+1 first, so the call
+// takes the shared bytes base+1…base+4 last.
+func overlapImage() (*elfx.Image, []uint64) {
+	const base = 0x401000
+	code := []byte{0xE8, 0x05, 0x00, 0x00, 0x00, 0x90, 0xC3, 0xCC, 0xCC, 0xCC, 0xEB, 0xFE}
+	img := &elfx.Image{
+		Entry: base,
+		Sections: []*elfx.Section{{
+			Name: ".text", Addr: base, Data: code,
+			Flags: elfx.FlagAlloc | elfx.FlagExec,
+		}},
+	}
+	return img, []uint64{base, base + 1}
+}
+
+// TestOverlapIsOrderSensitive pins that overlapping instructions mark a
+// walk order-sensitive: the committed result reports SawMid, since its
+// coverage of the shared bytes is the walk's last writer and
+// BuildCoverage over its facts answers otherwise, and a bounded walk
+// over the same bytes is Unfaithful.
+func TestOverlapIsOrderSensitive(t *testing.T) {
+	img, seeds := overlapImage()
+	base := seeds[0]
+	opts := Options{ResolveJumpTables: true, NonReturning: true}
+	res := Recursive(img, seeds, opts)
+	if !res.NonRet[base+10] {
+		t.Fatalf("NonRet = %v, want the jmp $ at %#x", res.NonRet, base+10)
+	}
+	if _, ok := res.Inst(base + 5); ok {
+		t.Fatal("the final pass fell through the call")
+	}
+	if !res.SawMid() {
+		t.Fatal("a committed walk with overlapping instructions does not report SawMid")
+	}
+	cov := BuildCoverage(res.InstFacts())
+	for a := base + 1; a < base+5; a++ {
+		if got, _ := res.InstStartAt(a); got != base {
+			t.Fatalf("InstStartAt(%#x) = %#x, want the call at %#x (the walk's last writer)", a, got, base)
+		}
+		if got, _ := cov.InstStartAt(a); got != base+1 {
+			t.Fatalf("rebuilt InstStartAt(%#x) = %#x, want %#x (address order)", a, got, base+1)
+		}
+	}
+
+	sess := NewSession(img, opts)
+	lw := sess.WalkLocal(FuncRange{Start: base, End: base + 12}, seeds, res.NonRet, nil)
+	if f := lw.Facts(); !f.Unfaithful || len(f.Insts) != 4 {
+		t.Fatalf("bounded walk: Unfaithful %v over %d instructions, want an unfaithful walk over 4", f.Unfaithful, len(f.Insts))
+	}
 }

@@ -11,11 +11,12 @@ import (
 // funcReturns and isCondNonRet, since replaced by WalkLocal's bounded
 // pass and LocalWalk.EntryReturns/CondFacts — as the reference the
 // differential test and FuzzBoundedWalk compare against. The code is
-// verbatim apart from renamed identifiers and the two edits marked
-// EDIT 1 and EDIT 2, the two places the mirrors had drifted from the
-// engine. The mirrors keep the walk's instructions in the map Result
-// used to hold, now their own (insts); the references Result.Refs
-// used to collect were never read, so they are counted only.
+// verbatim apart from renamed identifiers and the edits marked EDIT 1
+// and EDIT 2, the two places the mirrors had drifted from the engine,
+// and EDIT 3, a rule the engine gained later. The mirrors keep the
+// walk's instructions in the map Result used to hold, now their own
+// (insts); the references Result.Refs used to collect were never read,
+// so they are counted only.
 
 // refLocalFlags mark walk events the local model cannot replay soundly.
 type refLocalFlags uint8
@@ -26,8 +27,9 @@ const (
 	// instruction straddles the range boundary — the walk's
 	// continuation depends on bytes outside the range.
 	refLocalEscape refLocalFlags = 1 << iota
-	// refLocalSawMid: the walk arrived mid-instruction; the union-of-walks
-	// order-independence argument no longer holds.
+	// refLocalSawMid: the walk arrived mid-instruction or decoded
+	// overlapping instructions; the union-of-walks order-independence
+	// argument no longer holds.
 	refLocalSawMid
 	// refLocalVerdictEscape: a verdict evaluation (funcReturns /
 	// isCondNonRet mirror) stepped outside the range through an edge
@@ -178,7 +180,13 @@ func refWalkLocal(s *Session, rng FuncRange, entries []uint64,
 			}
 			insts[addr] = in
 			decoded.add(addr)
-			own.setRange(addr, int(in.Len))
+			if own.setRange(addr, int(in.Len)) {
+				// EDIT 3 (overlap): an instruction overlapping one the
+				// walk decoded earlier is order-sensitive like a
+				// mid-instruction arrival; the engine flags both.
+				res.sawMid = true
+				facts.Flags |= refLocalSawMid
+			}
 			for _, c := range e.consts {
 				res.Constants[c] = true
 			}

@@ -1,7 +1,6 @@
 package disasm
 
 import (
-	"math"
 	"testing"
 
 	"fetch/internal/elfx"
@@ -18,22 +17,35 @@ func requireOwner(t *testing.T, o *ownerIndex, addr, want uint64, ok bool) {
 }
 
 // TestOwnerIndexOverlappingDecodes pins last-writer-wins ownership
-// when decodes at different phases overlap, from either side.
+// when decodes at different phases overlap, from either side, and that
+// setRange reports exactly the writes that overlap an owned byte.
 func TestOwnerIndexOverlappingDecodes(t *testing.T) {
 	const base = 0x401000
 	o := newOwnerIndex([]Range{{Start: base, End: base + 0x100}})
-	o.setRange(base+0x10, 5) // [0x10, 0x15)
-	o.setRange(base+0x0e, 4) // [0x0e, 0x12) takes the first two bytes
-	o.setRange(base+0x13, 3) // [0x13, 0x16) takes the last two bytes
+	for _, w := range []struct {
+		at      uint64
+		n       int
+		overlap bool
+	}{
+		{0x10, 5, false}, // [0x10, 0x15)
+		{0x0e, 4, true},  // [0x0e, 0x12) takes the first two bytes
+		{0x13, 3, true},  // [0x13, 0x16) takes the last two bytes
+		{0x16, 2, false}, // [0x16, 0x18) abuts the last
+	} {
+		if got := o.setRange(base+w.at, w.n); got != w.overlap {
+			t.Fatalf("setRange(%#x, %d) reported overlap %v, want %v", base+w.at, w.n, got, w.overlap)
+		}
+	}
 	for a, want := range map[uint64]uint64{
 		0x0e: 0x0e, 0x0f: 0x0e, 0x10: 0x0e, 0x11: 0x0e,
 		0x12: 0x10,
 		0x13: 0x13, 0x14: 0x13, 0x15: 0x13,
+		0x16: 0x16, 0x17: 0x16,
 	} {
 		requireOwner(t, o, base+a, base+want, true)
 	}
 	requireOwner(t, o, base+0x0d, 0, false)
-	requireOwner(t, o, base+0x16, 0, false)
+	requireOwner(t, o, base+0x18, 0, false)
 	requireOwner(t, o, base-1, 0, false)
 	requireOwner(t, o, base+0x100, 0, false)
 }
@@ -43,15 +55,15 @@ func TestOwnerIndexOverlappingDecodes(t *testing.T) {
 // one start.
 func TestOwnerIndexChunkStraddle(t *testing.T) {
 	const base = 0x10000000
-	o := newOwnerIndex([]Range{{Start: base, End: base + 3*ownerChunkLen}})
-	start := uint64(base + ownerChunkLen - 3)
+	o := newOwnerIndex([]Range{{Start: base, End: base + 3*tableChunkLen}})
+	start := uint64(base + tableChunkLen - 3)
 	o.setRange(start, 7)
 	for a := start; a < start+7; a++ {
 		requireOwner(t, o, a, start, true)
 	}
 	requireOwner(t, o, start+7, 0, false)
-	if o.alloc != 2*ownerChunkLen {
-		t.Fatalf("alloc = %d, want two chunks (%d)", o.alloc, 2*ownerChunkLen)
+	if o.alloc != 2*tableChunkLen {
+		t.Fatalf("alloc = %d, want two chunks (%d)", o.alloc, 2*tableChunkLen)
 	}
 }
 
@@ -69,44 +81,40 @@ func TestOwnerIndexHugeSection(t *testing.T) {
 	}
 	requireOwner(t, o, start-1, 0, false)
 	requireOwner(t, o, base+(1<<31)+5, 0, false)
-	if o.alloc != ownerChunkLen {
-		t.Fatalf("alloc = %d, want one chunk (%d)", o.alloc, ownerChunkLen)
+	if o.alloc != tableChunkLen {
+		t.Fatalf("alloc = %d, want one chunk (%d)", o.alloc, tableChunkLen)
 	}
 }
 
-// TestOwnerIndexEpochReset pins the O(1) reset: stale chunks read as
-// uncovered, are cleared on their next write without reallocating, and
-// an epoch wrap clears every stamp so no chunk from 2^32 resets ago
-// comes back to life.
-func TestOwnerIndexEpochReset(t *testing.T) {
+// TestOwnerIndexReset pins reset: written chunks read as uncovered
+// afterwards, and later first writes — to the same chunk or another —
+// take them back from the free list, cleared and not charged again.
+func TestOwnerIndexReset(t *testing.T) {
 	const base = 0x401000
-	o := newOwnerIndex([]Range{{Start: base, End: base + 2*ownerChunkLen}})
+	o := newOwnerIndex([]Range{{Start: base, End: base + 3*tableChunkLen}})
 	o.setRange(base, 4)
+	o.setRange(base+tableChunkLen-2, 4) // straddles into the second chunk
 	o.reset()
-	requireOwner(t, o, base, 0, false)
+	for _, a := range []uint64{base, base + tableChunkLen - 1, base + tableChunkLen} {
+		requireOwner(t, o, a, 0, false)
+	}
 	o.setRange(base+8, 2)
+	o.setRange(base+2*tableChunkLen, 1)
 	requireOwner(t, o, base, 0, false) // cleared, not resurrected
 	requireOwner(t, o, base+9, base+8, true)
-	if o.alloc != ownerChunkLen {
-		t.Fatalf("alloc = %d after reuse, want %d", o.alloc, ownerChunkLen)
+	requireOwner(t, o, base+tableChunkLen, 0, false)
+	requireOwner(t, o, base+2*tableChunkLen, base+2*tableChunkLen, true)
+	if o.alloc != 2*tableChunkLen {
+		t.Fatalf("alloc = %d after reuse, want two chunks (%d)", o.alloc, 2*tableChunkLen)
 	}
-
-	// Wrap: chunk 0 keeps stamp 1 from long ago, chunk 1 is written
-	// in the last epoch before the wrap. Neither may read as live in
-	// the new epoch 1.
-	w := newOwnerIndex([]Range{{Start: base, End: base + 2*ownerChunkLen}})
-	w.setRange(base, 4)
-	w.epoch = math.MaxUint32
-	w.setRange(base+ownerChunkLen, 3)
-	w.reset()
-	if w.epoch != 1 {
-		t.Fatalf("epoch after wrap = %d, want 1", w.epoch)
+	if len(o.free) != 0 {
+		t.Fatalf("%d chunks left on the free list, want none", len(o.free))
 	}
-	requireOwner(t, w, base, 0, false)
-	requireOwner(t, w, base+ownerChunkLen, 0, false)
-	w.setRange(base+ownerChunkLen+1, 1)
-	requireOwner(t, w, base+ownerChunkLen, 0, false)
-	requireOwner(t, w, base+ownerChunkLen+1, base+ownerChunkLen+1, true)
+	// Past what reset took back, a first write is charged again.
+	o.setRange(base+tableChunkLen, 1)
+	if o.alloc != 3*tableChunkLen {
+		t.Fatalf("alloc = %d after a third chunk, want %d", o.alloc, 3*tableChunkLen)
+	}
 }
 
 // TestOwnerWorkspaceBorrow pins the workspace contract: a nested

@@ -40,10 +40,12 @@ type Stats struct {
 	// owner workspace shared by probes and bounded walks, the chunks of
 	// the decode index and of the two walk-mark sets, and the decode
 	// arena at decodeEntryCost per entry — all of them for as long as
-	// the session holds them. It is an accounting of data-structure
-	// growth (deterministic for a given call sequence), not a heap
-	// measurement; like the decode counters it is an execution trace,
-	// so StripSchedule zeroes it.
+	// the session holds them. A table is charged for each chunk it
+	// takes from the pool or the allocator, not for one its own reset
+	// freed and a later write took back. It is an accounting of
+	// data-structure growth (deterministic for a given call sequence),
+	// not a heap measurement; like the decode counters it is an
+	// execution trace, so StripSchedule zeroes it.
 	PeakAuxBytes int64
 }
 
@@ -191,12 +193,12 @@ func (s *Session) returnOwner(res *Result) {
 	res.owner = nil
 }
 
-// Release ends the session: the chunks of its decode index, walk marks
-// and owner workspace go to pools that later sessions' tables draw
-// from, so a short-lived session — delta replay builds two per request
-// — does not leave them to the garbage collector. Results the session
-// returned stay valid; a LocalWalk's verdicts panic, and the session
-// must not walk again.
+// Release ends the session: every chunk of its decode index, walk
+// marks and owner workspace goes to the pool of its slot type, which
+// later sessions' tables draw from, so a short-lived session — delta
+// replay builds two per request — does not leave them to the garbage
+// collector. Results the session returned stay valid; a LocalWalk's
+// verdicts panic, and the session must not walk again.
 func (s *Session) Release() {
 	s.cache.index.release()
 	s.pushed.release()
@@ -461,9 +463,9 @@ func (s *Session) pass(seeds []uint64, opts Options,
 				break
 			}
 			if owner, mid := own.get(addr); mid && owner != addr {
-				// The walk's one order-sensitive rule that leaves no
-				// trace in the instruction set: record that it fired
-				// so delta re-analysis refuses to reuse this walk.
+				// An order-sensitive rule that leaves no trace in the
+				// instruction set: record that it fired so delta
+				// re-analysis refuses to reuse this walk.
 				res.sawMid = true
 				strictErr(ErrMidInstruction, addr)
 				break
@@ -488,7 +490,13 @@ func (s *Session) pass(seeds []uint64, opts Options,
 			}
 			res.Insts = append(res.Insts, in)
 			decoded.add(addr)
-			own.setRange(addr, int(in.Len))
+			if own.setRange(addr, int(in.Len)) {
+				// The instruction overlaps one decoded earlier in the
+				// walk, and the shared bytes now belong to the later
+				// one: coverage depends on walk order, so this is
+				// order-sensitive too.
+				res.sawMid = true
+			}
 			for _, c := range e.consts {
 				res.Constants[c] = true
 			}

@@ -164,10 +164,10 @@ func orderInputs(t *testing.T) []orderInput {
 // reference agree on c: the same verdict and, for an accepted
 // candidate, the same extent and harvested constants. It reports the
 // verdict.
-func requireSameVerdict(t testing.TB, label string, img *elfx.Image, res *disasm.Result, c uint64, opts Options, probe *disasm.Session) bool {
+func requireSameVerdict(t testing.TB, label string, img *elfx.Image, res *disasm.Result, c uint64, opts Options) bool {
 	t.Helper()
-	v, ok := ValidateCandidate(img, res, c, opts, probe)
-	w, wok := validateWalkFirst(img, res, c, opts, probe)
+	v, ok := ValidateCandidate(img, res, c, opts)
+	w, wok := validateWalkFirst(img, res, c, opts, opts.Session)
 	if ok != wok {
 		t.Fatalf("%s: candidate %#x: verdict %v, walk-first reference %v", label, c, ok, wok)
 	}
@@ -200,10 +200,10 @@ func TestValidateOrderMatchesWalkFirst(t *testing.T) {
 	for _, in := range orderInputs(t) {
 		cands := Candidates(in.img, in.res)
 		for name, disable := range ruleSettings() {
-			opts := Options{KnownRanges: in.known, DisableRule: disable}
+			opts := Options{KnownRanges: in.known, DisableRule: disable, Session: in.sess}
 			accepted := 0
 			for _, c := range cands {
-				if requireSameVerdict(t, in.name+"/"+name, in.img, in.res, c, opts, in.sess) {
+				if requireSameVerdict(t, in.name+"/"+name, in.img, in.res, c, opts) {
 					accepted++
 				}
 			}
@@ -287,7 +287,7 @@ func TestWalkFormRejectionReturnsWalk(t *testing.T) {
 	const c = base + 0x10
 
 	p0 := sess.Stats().Probes
-	v, ok := ValidateCandidate(img, res, c, Options{}, sess)
+	v, ok := ValidateCandidate(img, res, c, Options{Session: sess})
 	if ok || v == nil {
 		t.Fatalf("validation = %v with result %v, want a walk-rejected verdict", ok, v != nil)
 	}
@@ -330,7 +330,7 @@ func FuzzValidateOrder(f *testing.F) {
 		for name, disable := range ruleSettings() {
 			opts := Options{KnownRanges: known, DisableRule: disable}
 			for off := range code {
-				requireSameVerdict(t, name, img, res, base+uint64(off), opts, nil)
+				requireSameVerdict(t, name, img, res, base+uint64(off), opts)
 			}
 		}
 	})

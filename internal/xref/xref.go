@@ -243,7 +243,7 @@ func Detect(img *elfx.Image, res *disasm.Result, funcs map[uint64]bool, opts Opt
 			if insideAccepted(c) {
 				continue
 			}
-			newRes, ok := ValidateCandidate(img, res, c, opts, opts.Session)
+			newRes, ok := ValidateCandidate(img, res, c, opts)
 			if opts.Observer != nil {
 				opts.Observer(c, ok, newRes)
 			}
@@ -297,11 +297,11 @@ func ContiguousEnd(v *disasm.Result, c uint64) uint64 {
 // verdict Detect would compute against the same state.
 //
 // res supplies the committed-coverage queries (a coverage-only result
-// suffices). A non-nil sess runs the walk as a probe with cached
-// decoding. The result is the validation walk's: nil when the
-// candidate was rejected before walking, else the walk (cut at its
-// first error on a strict rejection) whatever the verdict.
-func ValidateCandidate(img *elfx.Image, res *disasm.Result, c uint64, opts Options, sess *disasm.Session) (*disasm.Result, bool) {
+// suffices). With opts.Session set, the walk runs as a probe of that
+// session with cached decoding. The result is the validation walk's:
+// nil when the candidate was rejected before walking, else the walk
+// (cut at its first error on a strict rejection) whatever the verdict.
+func ValidateCandidate(img *elfx.Image, res *disasm.Result, c uint64, opts Options) (*disasm.Result, bool) {
 	// Rule (iii), seed form: the candidate itself must not point into
 	// a previously detected function's interior.
 	if !opts.DisableRule[2] {
@@ -337,8 +337,8 @@ func ValidateCandidate(img *elfx.Image, res *disasm.Result, c uint64, opts Optio
 		MaxInsts:          maxValidationInsts,
 	}
 	var v *disasm.Result
-	if sess != nil {
-		v = sess.Probe([]uint64{c}, vopts)
+	if opts.Session != nil {
+		v = opts.Session.Probe([]uint64{c}, vopts)
 	} else {
 		v = disasm.Recursive(img, []uint64{c}, vopts)
 	}
