@@ -191,15 +191,17 @@ func (c *Cache) lookup(k resultcache.Key) (*Result, []byte, bool) {
 	return res, blob, true
 }
 
-// store serializes and saves an analysis result under a key. Encoding
-// failures drop the entry silently: caching must never turn a
-// successful analysis into a failure.
-func (c *Cache) store(k resultcache.Key, res *Result) {
+// store serializes and saves an analysis result under a key, and
+// returns the stored encoding. Encoding failures drop the entry
+// silently (nil): caching must never turn a successful analysis into a
+// failure.
+func (c *Cache) store(k resultcache.Key, res *Result) []byte {
 	blob, err := EncodeResult(res)
 	if err != nil {
-		return
+		return nil
 	}
 	c.rc.Put(k, blob)
+	return blob
 }
 
 // strategyVariant renders a Strategy as the stable cache-key signature
@@ -232,7 +234,8 @@ func cacheKey(sum [sha256.Size]byte, s core.Strategy) resultcache.Key {
 //
 //   manifest ("mf.t<format>.<variant>", keyed by residue hash): the gob-encoded
 //   core.Trace of a recorded analysis — the roster of FDE-delimited
-//   range hashes plus everything ReplayDelta verifies against.
+//   range hashes plus everything ReplayDelta verifies against, and the
+//   recorded result a delta hit serves (see recordResult).
 //
 //   function range ("fn", keyed by resultcache.HashRange): the range's
 //   address (8 bytes little-endian) followed by its bytes. The key IS
@@ -348,7 +351,11 @@ func (c *Cache) tryDelta(img *elfx.Image, eh *core.EHFrame, o Options) (*Result,
 		c.deltaFallbacks.Add(1)
 		return nil, nil, outcome, false
 	}
-	res, blob, ok := c.lookup(cacheKey(tr.BinSHA, o.Strategy))
+	blob, ok := c.rc.Get(cacheKey(tr.BinSHA, o.Strategy))
+	var res *Result
+	if ok {
+		res, ok = servedResult(tr, blob)
+	}
 	if !ok {
 		// The recorded result itself was evicted; nothing to serve.
 		c.deltaFallbacks.Add(1)
@@ -358,4 +365,75 @@ func (c *Cache) tryDelta(img *elfx.Image, eh *core.EHFrame, o Options) (*Result,
 	}
 	c.deltaHits.Add(1)
 	return res, blob, outcome, true
+}
+
+// recordedResult is the form a trace carries its recorded result in
+// (core.Trace.Result): gob, which a delta hit decodes in a fraction of
+// the time the result's JSON takes. gob sends an empty list or map no
+// more than a nil one, which the JSON keeps apart, so bit i of Empty
+// is set when collection i of collections(Result) was empty but not
+// nil.
+type recordedResult struct {
+	Result Result
+	Empty  uint8
+}
+
+// collection is one of a Result's lists or maps: whether it is empty
+// but not nil, and how to make it so.
+type collection struct {
+	empty bool
+	set   func()
+}
+
+// collections returns r's lists and maps in recordedResult.Empty's
+// order.
+func collections(r *Result) []collection {
+	list := func(p *[]uint64) collection {
+		return collection{*p != nil && len(*p) == 0, func() { *p = []uint64{} }}
+	}
+	return []collection{
+		list(&r.FunctionStarts), list(&r.FDEStarts), list(&r.NewFromPointers),
+		list(&r.NewFromTailCalls), list(&r.RemovedBogusFDEs),
+		{r.MergedParts != nil && len(r.MergedParts) == 0, func() { r.MergedParts = map[uint64]uint64{} }},
+		{r.Stats.Passes != nil && len(r.Stats.Passes) == 0, func() { r.Stats.Passes = []PassStat{} }},
+	}
+}
+
+// recordResult returns the trace fields that carry res, whose stored
+// encoding is blob; nil when blob is (nothing was stored).
+func recordResult(res *Result, blob []byte) ([]byte, [sha256.Size]byte) {
+	if blob == nil {
+		return nil, [sha256.Size]byte{}
+	}
+	rr := recordedResult{Result: *res}
+	for i, c := range collections(res) {
+		if c.empty {
+			rr.Empty |= 1 << i
+		}
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&rr); err != nil {
+		return nil, [sha256.Size]byte{}
+	}
+	return buf.Bytes(), sha256.Sum256(blob)
+}
+
+// servedResult returns the recorded result a delta hit serves, whose
+// stored encoding is blob: the trace's own copy while blob is the
+// encoding the copy was recorded with, else the decoding of blob (a
+// later run of the same binary may have stored it again).
+func servedResult(tr *core.Trace, blob []byte) (*Result, bool) {
+	if tr.Result != nil && sha256.Sum256(blob) == tr.ResultSHA {
+		var rr recordedResult
+		if gob.NewDecoder(bytes.NewReader(tr.Result)).Decode(&rr) == nil {
+			for i, c := range collections(&rr.Result) {
+				if rr.Empty&(1<<i) != 0 {
+					c.set()
+				}
+			}
+			return &rr.Result, true
+		}
+	}
+	res, err := DecodeResult(blob)
+	return res, err == nil
 }

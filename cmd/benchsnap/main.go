@@ -5,7 +5,8 @@
 //	go test -run '^$' -bench '^BenchmarkCache' -benchtime 1x . | benchsnap > BENCH_7.json
 //
 // The snapshot records every benchmark's ns/op plus all custom
-// metrics (×vs-cold, fp, reused%, …) and the run's goos/goarch/cpu
+// metrics (×vs-cold, fp, reused%, …), every benchmark run that failed
+// with the message it failed with, and the run's goos/goarch/cpu
 // header, so speedup claims in docs and PRs can be diffed against a
 // measured baseline instead of prose. Output is stable JSON: one
 // object per benchmark, sorted by name, environment header separate —
@@ -36,6 +37,18 @@ type Snapshot struct {
 	CPU        string      `json:"cpu,omitempty"`
 	Pkg        string      `json:"pkg,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
+	// Failures are the benchmark runs that failed (b.Fatal, a gate):
+	// they print no result line, so without them a snapshot would read
+	// as if every run had passed.
+	Failures []Failure `json:"failures,omitempty"`
+}
+
+// Failure is one failed benchmark run: its name and the first line it
+// logged before failing.
+type Failure struct {
+	Name    string `json:"name"`
+	Procs   int    `json:"procs"`
+	Message string `json:"message"`
 }
 
 // Benchmark is one parsed result line. Metrics holds every
@@ -68,9 +81,19 @@ func run(r io.Reader, w io.Writer) error {
 	// same-named benchmarks from different packages stay distinct.
 	var curPkg string
 	pkgs := map[string]bool{}
-	var pkgOf []string
+	var pkgOf, failPkgOf []string
+	// failing is the failure whose logged lines follow, nil elsewhere.
+	var failing *Failure
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+		raw := sc.Text()
+		line := strings.TrimSpace(raw)
+		if failing != nil && line != "" && (raw[0] == ' ' || raw[0] == '\t') {
+			if failing.Message == "" {
+				failing.Message = line
+			}
+			continue
+		}
+		failing = nil
 		switch {
 		case strings.HasPrefix(line, "goos:"):
 			snap.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
@@ -90,12 +113,17 @@ func run(r io.Reader, w io.Writer) error {
 				snap.Benchmarks = append(snap.Benchmarks, b)
 				pkgOf = append(pkgOf, curPkg)
 			}
+		case strings.HasPrefix(line, "--- FAIL: Benchmark"):
+			name, procs := splitProcs(strings.Fields(strings.TrimPrefix(line, "--- FAIL: "))[0])
+			snap.Failures = append(snap.Failures, Failure{Name: name, Procs: procs})
+			failPkgOf = append(failPkgOf, curPkg)
+			failing = &snap.Failures[len(snap.Failures)-1]
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	if len(snap.Benchmarks) == 0 {
+	if len(snap.Benchmarks) == 0 && len(snap.Failures) == 0 {
 		return fmt.Errorf("no benchmark lines in input")
 	}
 	if len(pkgs) > 1 {
@@ -107,9 +135,17 @@ func run(r io.Reader, w io.Writer) error {
 				snap.Benchmarks[i].Name = pkgOf[i] + "." + snap.Benchmarks[i].Name
 			}
 		}
+		for i := range snap.Failures {
+			if failPkgOf[i] != "" {
+				snap.Failures[i].Name = failPkgOf[i] + "." + snap.Failures[i].Name
+			}
+		}
 	}
 	sort.Slice(snap.Benchmarks, func(i, j int) bool {
 		return snap.Benchmarks[i].Name < snap.Benchmarks[j].Name
+	})
+	sort.SliceStable(snap.Failures, func(i, j int) bool {
+		return snap.Failures[i].Name < snap.Failures[j].Name
 	})
 	out, err := json.MarshalIndent(&snap, "", "  ")
 	if err != nil {

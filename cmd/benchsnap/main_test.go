@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -100,5 +101,49 @@ func TestRunRejectsEmptyInput(t *testing.T) {
 	var out strings.Builder
 	if err := run(strings.NewReader("PASS\nok fetch 1s\n"), &out); err == nil {
 		t.Fatal("no error for input without benchmark lines")
+	}
+}
+
+const failedRunOutput = `goos: linux
+goarch: amd64
+pkg: fetch
+cpu: AMD EPYC 7B13
+BenchmarkDeltaReanalysis-2   	       5	   6035095 ns/op	        16.20 ×vs-cold
+BenchmarkDeltaReanalysis-2   	--- FAIL: BenchmarkDeltaReanalysis
+    bench_test.go:805: delta re-analysis only 9.3× faster than cold (need ≥10×)
+--- FAIL: BenchmarkDeltaReanalysis-2
+    bench_test.go:805: delta re-analysis only 9.3× faster than cold (need ≥10×)
+BenchmarkHugeBinary-2        	       5	   1872686 ns/op	         0.005982 peak-bytes/text-byte
+FAIL
+exit status 1
+FAIL	fetch	12.625s
+`
+
+// TestRunRecordsFailures pins that a failed benchmark run is kept in
+// the snapshot, with the first line it logged, beside the runs that
+// passed.
+func TestRunRecordsFailures(t *testing.T) {
+	var out strings.Builder
+	if err := run(strings.NewReader(failedRunOutput), &out); err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal([]byte(out.String()), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Benchmarks) != 2 {
+		t.Fatalf("parsed %d benchmarks, want 2", len(snap.Benchmarks))
+	}
+	want := []Failure{{Name: "BenchmarkDeltaReanalysis", Procs: 2,
+		Message: "bench_test.go:805: delta re-analysis only 9.3× faster than cold (need ≥10×)"}}
+	if !reflect.DeepEqual(snap.Failures, want) {
+		t.Fatalf("failures = %+v, want %+v", snap.Failures, want)
+	}
+	var clean strings.Builder
+	if err := run(strings.NewReader(sampleOutput), &clean); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(clean.String(), "failures") {
+		t.Fatal("a run without failures writes a failures field")
 	}
 }

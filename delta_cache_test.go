@@ -16,6 +16,7 @@ import (
 	"fetch/internal/disasm"
 	"fetch/internal/ehframe"
 	"fetch/internal/elfx"
+	"fetch/internal/resultcache"
 	"fetch/internal/synth"
 )
 
@@ -750,6 +751,155 @@ func TestMissReusesEHFrame(t *testing.T) {
 		}
 		if _, got := Analyze(raw, WithCache(cache)); got == nil || got.Error() != want.Error() {
 			t.Fatalf("%s .eh_frame: cached analysis error %v, uncached %v", name, got, want)
+		}
+	}
+}
+
+// TestDeltaServesRecordedResult pins where a delta hit's result comes
+// from: the manifest's copy of the recorded result while the recorded
+// JSON is the one the copy was recorded with, field for field what
+// decoding that JSON gives (pass wall times included), and the JSON
+// once the binary's entry was stored again since.
+func TestDeltaServesRecordedResult(t *testing.T) {
+	baseRaw, nextRaw, coldEnc := deltaPair(t)
+	img, err := elfx.LoadELF(nextRaw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eh := core.LoadEHFrame(img.Strip())
+	if eh == nil || eh.Roster == nil {
+		t.Fatal("no delta key")
+	}
+	mfKey := manifestKey(eh.Residue, core.FETCH)
+	baseKey := cacheKey(HashBinary(baseRaw), core.FETCH)
+	// serve records the base build into a fresh cache, lets edit
+	// change its stored entries, and returns the next build's delta
+	// result without its delta markers, and the base build's stored
+	// JSON at that point.
+	serve := func(edit func(c *Cache, tr *core.Trace)) (*Result, []byte) {
+		t.Helper()
+		cache, err := NewCache(CacheConfig{MaxEntries: 3 * deltaNumFuncs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Analyze(baseRaw, WithCache(cache)); err != nil {
+			t.Fatal(err)
+		}
+		tr, ok := cache.loadTrace(eh.Residue, core.FETCH)
+		if !ok || tr.Result == nil {
+			t.Fatal("the base build's manifest carries no recorded result")
+		}
+		edit(cache, tr)
+		blob, _ := cache.rc.Get(baseKey)
+		res, err := Analyze(nextRaw, WithCache(cache))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Stats.DeltaPath {
+			t.Fatalf("next build was not delta-served (reason %q)", res.Stats.DeltaFallbackReason)
+		}
+		enc, err := EncodeResult(StripSchedule(res))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, coldEnc) {
+			t.Fatal("delta-served result differs from cold analysis")
+		}
+		res.Stats.DeltaPath, res.Stats.DeltaDirtyRanges, res.Stats.DeltaTotalRanges = false, 0, 0
+		return res, blob
+	}
+	decoded := func(blob []byte) *Result {
+		t.Helper()
+		want, err := DecodeResult(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return want
+	}
+
+	got, blob := serve(func(*Cache, *core.Trace) {})
+	if want := decoded(blob); !reflect.DeepEqual(got, want) {
+		t.Fatalf("served %+v, the recorded JSON decodes to %+v", got, want)
+	}
+
+	// A copy whose JSON is still the one it was recorded with is what
+	// the hit serves: a planted copy shows through.
+	got, blob = serve(func(c *Cache, tr *core.Trace) {
+		var rr recordedResult
+		if err := gob.NewDecoder(bytes.NewReader(tr.Result)).Decode(&rr); err != nil {
+			t.Fatal(err)
+		}
+		rr.Result.Stats.Passes[0].Wall++
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&rr); err != nil {
+			t.Fatal(err)
+		}
+		tr.Result = buf.Bytes()
+		putTrace(t, c, mfKey, tr)
+	})
+	if want := decoded(blob).Stats.Passes[0].Wall + 1; got.Stats.Passes[0].Wall != want {
+		t.Fatalf("served pass wall %v; the manifest's copy holds %v", got.Stats.Passes[0].Wall, want)
+	}
+
+	// The base build's JSON stored again, as a later run of the same
+	// binary would: the hit serves the JSON, not the stale copy.
+	got, blob = serve(func(c *Cache, _ *core.Trace) {
+		stored, _ := c.rc.Get(baseKey)
+		res := decoded(stored)
+		res.Stats.Passes[0].Wall += 7
+		c.store(baseKey, res)
+	})
+	if want := decoded(blob); !reflect.DeepEqual(got, want) {
+		t.Fatalf("served %+v after the entry was stored again; it decodes to %+v", got, want)
+	}
+}
+
+// putTrace stores tr's gob encoding under the manifest key k.
+func putTrace(t *testing.T, c *Cache, k resultcache.Key, tr *core.Trace) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(tr); err != nil {
+		t.Fatal(err)
+	}
+	c.rc.Put(k, buf.Bytes())
+}
+
+// TestRecordedResultKeepsEmpties pins that a recorded result carried in
+// a trace comes back as the JSON decodes: lists and maps that were
+// empty stay empty rather than nil, and nil ones stay nil.
+func TestRecordedResultKeepsEmpties(t *testing.T) {
+	for name, res := range map[string]*Result{
+		"nil": {},
+		"empty": {
+			FunctionStarts: []uint64{}, FDEStarts: []uint64{}, NewFromPointers: []uint64{},
+			NewFromTailCalls: []uint64{}, RemovedBogusFDEs: []uint64{},
+			MergedParts: map[uint64]uint64{}, Stats: Stats{Passes: []PassStat{}},
+		},
+		"full": {
+			FunctionStarts: []uint64{0x401000, 0x401040}, FDEStarts: []uint64{0x401000},
+			NewFromPointers: []uint64{0x401040}, NewFromTailCalls: []uint64{0x401080},
+			RemovedBogusFDEs: []uint64{0x4010c0}, MergedParts: map[uint64]uint64{0x401100: 0x401000},
+			SkippedIncompleteCFI: 2,
+			Stats: Stats{Passes: []PassStat{{Name: "fde", Wall: 123}}, Probes: 4, XrefConverged: true,
+				DeltaFallbackReason: "residue: hash mismatch", PeakAuxBytes: 5},
+		},
+	} {
+		blob, err := EncodeResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := DecodeResult(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr core.Trace
+		tr.Result, tr.ResultSHA = recordResult(res, blob)
+		got, ok := servedResult(&tr, blob)
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: served %#v, the JSON decodes to %#v", name, got, want)
+		}
+		if again, err := EncodeResult(got); err != nil || !bytes.Equal(again, blob) {
+			t.Errorf("%s: the served result encodes differently from the stored JSON", name)
 		}
 	}
 }

@@ -317,9 +317,10 @@ func analyze(o Options, hash func() ([sha256.Size]byte, error), load func() (*el
 		return nil, false, err
 	}
 	cres := reportToResult(rep)
-	o.Cache.store(key, cres)
+	stored := o.Cache.store(key, cres)
 	if tr != nil {
 		tr.BinSHA = key.SHA256
+		tr.Result, tr.ResultSHA = recordResult(cres, stored)
 	}
 	o.Cache.storeTrace(tr, simg, o.Strategy)
 	// The fallback reason rides only on the returned copy, after the

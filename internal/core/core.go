@@ -344,7 +344,7 @@ func (p *pipeline) runRecursive() error {
 // fdeRanges returns the FDE extents minus the excluded starts, for the
 // §IV-E jump-into-function rule.
 func fdeRanges(sec *ehframe.Section, exclude map[uint64]bool) []disasm.FuncRange {
-	var out []disasm.FuncRange
+	out := make([]disasm.FuncRange, 0, len(sec.FDEs))
 	for _, f := range sec.FDEs {
 		if exclude != nil && exclude[f.PCBegin] {
 			continue

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -19,14 +20,18 @@ import (
 // residueHasher is a thin framing wrapper over SHA-256: every value is
 // length- or fixed-width-framed so distinct field sequences cannot
 // collide by concatenation.
-type residueHasher struct{ h hash.Hash }
+type residueHasher struct {
+	h hash.Hash
+	// buf holds the value writeU64 frames: a local array passed to the
+	// interface's Write would be a heap allocation per value.
+	buf [8]byte
+}
 
 func resultcacheHasher() *residueHasher { return &residueHasher{h: sha256.New()} }
 
 func (r *residueHasher) writeU64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	r.h.Write(b[:])
+	binary.LittleEndian.PutUint64(r.buf[:], v)
+	r.h.Write(r.buf[:])
 }
 
 func (r *residueHasher) writeString(s string) {
@@ -119,33 +124,200 @@ func (r Roster) GobEncode() ([]byte, error) {
 // otherwise malformed input is an error, so a damaged manifest fails
 // to load rather than replaying against a wrong roster.
 func (r *Roster) GobDecode(b []byte) error {
-	rd := func() (uint64, bool) {
-		v, n := binary.Uvarint(b)
-		if n <= 0 {
-			return 0, false
-		}
-		b = b[n:]
-		return v, true
-	}
-	n, ok := rd()
-	if !ok || n > uint64(len(b)/rosterEntryMin) {
-		return errBadRoster
-	}
-	out := make(Roster, n)
+	p := packed{b: b}
+	out := make(Roster, p.count(rosterEntryMin))
 	for i := range out {
-		start, ok1 := rd()
-		size, ok2 := rd()
-		if !ok1 || !ok2 || start+size < start || len(b) < 1+32 || b[0] > 1 {
+		start, size := p.uvarint(), p.uvarint()
+		foreign := p.flags(1)
+		if p.bad || start+size < start || len(p.b) < 32 {
 			return errBadRoster
 		}
-		out[i] = RangeInfo{Start: start, End: start + size, Foreign: b[0] == 1}
-		copy(out[i].Hash[:], b[1:1+32])
-		b = b[1+32:]
+		out[i] = RangeInfo{Start: start, End: start + size, Foreign: foreign == 1}
+		copy(out[i].Hash[:], p.b[:32])
+		p.b = p.b[32:]
 	}
-	if len(b) != 0 {
+	if !p.done() {
 		return errBadRoster
 	}
 	*r = out
+	return nil
+}
+
+// packed reads the packed gob forms of this file: uvarints, flag
+// bytes and list lengths. A read that runs out of input or finds a
+// malformed value marks the whole form bad.
+type packed struct {
+	b   []byte
+	bad bool
+}
+
+func (p *packed) uvarint() uint64 {
+	v, n := binary.Uvarint(p.b)
+	if n <= 0 {
+		p.bad = true
+		return 0
+	}
+	p.b = p.b[n:]
+	return v
+}
+
+// flags reads a flag byte, which must not exceed top.
+func (p *packed) flags(top byte) byte {
+	if len(p.b) == 0 || p.b[0] > top {
+		p.bad = true
+		return 0
+	}
+	f := p.b[0]
+	p.b = p.b[1:]
+	return f
+}
+
+// count reads a list length. Each entry takes at least entryMin
+// bytes, so a length the rest of the input cannot hold is malformed: a
+// hostile length reserves nothing.
+func (p *packed) count(entryMin int) int {
+	n := p.uvarint()
+	if n > uint64(len(p.b)/entryMin) {
+		p.bad = true
+		return 0
+	}
+	return int(n)
+}
+
+// done reports whether the form decoded well and used all its input.
+func (p *packed) done() bool { return !p.bad && len(p.b) == 0 }
+
+// flagBits packs flags into a byte, bit i for flag i.
+func flagBits(fs ...bool) byte {
+	var b byte
+	for i, f := range fs {
+		if f {
+			b |= 1 << i
+		}
+	}
+	return b
+}
+
+var errBadRecs = errors.New("core: malformed verdict records")
+
+// XrefRecs, ConvRecs and JumpRecs are persistable verdict lists with
+// packed gob forms like Roster's: gob's generic path decodes a slice of
+// structs field by field, which made these lists the costliest part of
+// loading a trace. Empty nested lists decode as nil, as they do under
+// the generic path.
+type (
+	XrefRecs []XrefRec
+	ConvRecs []ConvRec
+	JumpRecs []JumpRec
+)
+
+// GobEncode packs the list as a uvarint count, then per record C and
+// End as uvarints, an OK|Post<<1 flag byte, and Consts and Extent as
+// counted uvarint lists (an interval as Lo, Hi).
+func (rs XrefRecs) GobEncode() ([]byte, error) {
+	buf := binary.AppendUvarint(nil, uint64(len(rs)))
+	for _, r := range rs {
+		buf = binary.AppendUvarint(buf, r.C)
+		buf = binary.AppendUvarint(buf, r.End)
+		buf = append(buf, flagBits(r.OK, r.Post))
+		buf = binary.AppendUvarint(buf, uint64(len(r.Consts)))
+		for _, c := range r.Consts {
+			buf = binary.AppendUvarint(buf, c)
+		}
+		buf = binary.AppendUvarint(buf, uint64(len(r.Extent)))
+		for _, iv := range r.Extent {
+			buf = binary.AppendUvarint(buf, iv.Lo)
+			buf = binary.AppendUvarint(buf, iv.Hi)
+		}
+	}
+	return buf, nil
+}
+
+// GobDecode unpacks the GobEncode form; malformed input is an error.
+func (rs *XrefRecs) GobDecode(b []byte) error {
+	p := packed{b: b}
+	out := make(XrefRecs, p.count(5))
+	for i := range out {
+		r := &out[i]
+		r.C, r.End = p.uvarint(), p.uvarint()
+		f := p.flags(3)
+		r.OK, r.Post = f&1 != 0, f&2 != 0
+		if n := p.count(1); n > 0 {
+			r.Consts = make([]uint64, n)
+			for k := range r.Consts {
+				r.Consts[k] = p.uvarint()
+			}
+		}
+		if n := p.count(2); n > 0 {
+			r.Extent = make([]disasm.Interval, n)
+			for k := range r.Extent {
+				r.Extent[k] = disasm.Interval{Lo: p.uvarint(), Hi: p.uvarint()}
+			}
+		}
+		if p.bad {
+			return errBadRecs
+		}
+	}
+	if !p.done() {
+		return errBadRecs
+	}
+	*rs = out
+	return nil
+}
+
+// GobEncode packs the list as a uvarint count, then per record Addr
+// and End as uvarints and an OK byte.
+func (rs ConvRecs) GobEncode() ([]byte, error) {
+	buf := binary.AppendUvarint(nil, uint64(len(rs)))
+	for _, r := range rs {
+		buf = binary.AppendUvarint(buf, r.Addr)
+		buf = binary.AppendUvarint(buf, r.End)
+		buf = append(buf, flagBits(r.OK))
+	}
+	return buf, nil
+}
+
+// GobDecode unpacks the GobEncode form; malformed input is an error.
+func (rs *ConvRecs) GobDecode(b []byte) error {
+	p := packed{b: b}
+	out := make(ConvRecs, p.count(3))
+	for i := range out {
+		out[i] = ConvRec{Addr: p.uvarint(), End: p.uvarint(), OK: p.flags(1) == 1}
+	}
+	if !p.done() {
+		return errBadRecs
+	}
+	*rs = out
+	return nil
+}
+
+// GobEncode packs the list as a uvarint count, then per record FDE,
+// Addr and Target as uvarints and an HOK|HZero<<1 flag byte.
+func (rs JumpRecs) GobEncode() ([]byte, error) {
+	buf := binary.AppendUvarint(nil, uint64(len(rs)))
+	for _, r := range rs {
+		buf = binary.AppendUvarint(buf, r.FDE)
+		buf = binary.AppendUvarint(buf, r.Addr)
+		buf = binary.AppendUvarint(buf, r.Target)
+		buf = append(buf, flagBits(r.HOK, r.HZero))
+	}
+	return buf, nil
+}
+
+// GobDecode unpacks the GobEncode form; malformed input is an error.
+func (rs *JumpRecs) GobDecode(b []byte) error {
+	p := packed{b: b}
+	out := make(JumpRecs, p.count(4))
+	for i := range out {
+		r := JumpRec{FDE: p.uvarint(), Addr: p.uvarint(), Target: p.uvarint()}
+		f := p.flags(3)
+		r.HOK, r.HZero = f&1 != 0, f&2 != 0
+		out[i] = r
+	}
+	if !p.done() {
+		return errBadRecs
+	}
+	*rs = out
 	return nil
 }
 
@@ -193,8 +365,9 @@ type JumpRec struct {
 // assumed a fixed window. Format 3 sets SawMid also when the committed
 // walk decoded overlapping instructions, whose coverage the replay
 // cannot rebuild from the skeleton; a format-2 trace may have missed
-// that.
-const TraceFormat = 3
+// that. Format 4 carries the recorded result (Result, ResultSHA), so
+// a delta hit need not parse the result's wire form.
+const TraceFormat = 4
 
 // Trace is everything delta re-analysis needs to verify that a changed
 // binary is analysis-equivalent to the recorded one. It is stored
@@ -237,9 +410,9 @@ type Trace struct {
 
 	// XrefRecs, ConvRecs, and JumpRecs are the recorded per-site
 	// verdicts described above.
-	XrefRecs []XrefRec
-	ConvRecs []ConvRec
-	JumpRecs []JumpRec
+	XrefRecs XrefRecs
+	ConvRecs ConvRecs
+	JumpRecs JumpRecs
 
 	// Removed are the FDE starts the convention sweep removed;
 	// RemovedOrMerged additionally includes merged part starts. Changed
@@ -247,6 +420,14 @@ type Trace struct {
 	// is not replayed locally).
 	Removed         []uint64
 	RemovedOrMerged []uint64
+
+	// Result is the recorded run's result in the storing layer's own
+	// encoding, and ResultSHA the SHA-256 of the wire form that layer
+	// stored it under BinSHA in: a delta hit serves Result while that
+	// stored form is still the one it was recorded with. Core never
+	// reads either.
+	Result    []byte
+	ResultSHA [32]byte
 }
 
 // recorder accumulates the trace during a recorded cold run. It
@@ -395,8 +576,8 @@ func sortedKeys(m map[uint64]bool) []uint64 {
 // run, which is the safe direction. ok=false means the extents overlap
 // and no sound decomposition exists.
 func buildRoster(img *elfx.Image, sec *ehframe.Section) ([]RangeInfo, bool) {
-	var out []RangeInfo
-	seen := map[uint64]bool{}
+	out := make([]RangeInfo, 0, len(sec.FDEs))
+	seen := make(map[uint64]bool, len(sec.FDEs))
 	for _, f := range sec.FDEs {
 		start, end := f.PCBegin, f.End()
 		if end <= start || seen[start] {
@@ -413,7 +594,7 @@ func buildRoster(img *elfx.Image, sec *ehframe.Section) ([]RangeInfo, bool) {
 		seen[start] = true
 		out = append(out, RangeInfo{Start: start, End: end})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	slices.SortFunc(out, func(a, b RangeInfo) int { return cmp.Compare(a.Start, b.Start) })
 	for i := 1; i < len(out); i++ {
 		if out[i].Start < out[i-1].End {
 			return nil, false

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fetch/internal/disasm"
@@ -86,6 +87,89 @@ func mustEncode(t *testing.T, r Roster) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestVerdictRecordsGobRoundTrip round-trips the recorded verdict
+// lists through their packed forms, alone and inside a gob-encoded
+// Trace, and rejects every truncation, trailing data, and a flag byte
+// with an unknown bit.
+func TestVerdictRecordsGobRoundTrip(t *testing.T) {
+	xrefs := XrefRecs{
+		{C: 0x401000, OK: true, End: 0x401080, Consts: []uint64{7, 1 << 40},
+			Extent: []disasm.Interval{{Lo: 0x401000, Hi: 0x401080}, {Lo: 0x600000, Hi: 0x600010}}},
+		{C: 0x401200, Post: true},
+		{C: 1<<64 - 1, End: 3, Extent: []disasm.Interval{{Lo: 5, Hi: 2}}},
+	}
+	convs := ConvRecs{{Addr: 0x401000, End: 0x401010, OK: true}, {Addr: 0x401100, End: 0x401100}}
+	jumps := JumpRecs{{FDE: 0x401000, Addr: 0x401020, Target: 0x402000, HOK: true, HZero: true}, {FDE: 0x401000, Addr: 0x401030, Target: 1 << 63}}
+	lists := []struct {
+		name string
+		in   gobCodec
+		out  func() gobCodec
+		// flag is the offset of the first record's flag byte.
+		flag int
+	}{
+		{"XrefRecs", &xrefs, func() gobCodec { return new(XrefRecs) }, uvarintsLen(3, 0x401000, 0x401080)},
+		{"ConvRecs", &convs, func() gobCodec { return new(ConvRecs) }, uvarintsLen(2, 0x401000, 0x401010)},
+		{"JumpRecs", &jumps, func() gobCodec { return new(JumpRecs) }, uvarintsLen(2, 0x401000, 0x401020, 0x402000)},
+	}
+	for _, l := range lists {
+		blob, err := l.in.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := l.out()
+		if err := back.GobDecode(blob); err != nil {
+			t.Fatalf("%s: valid list rejected: %v", l.name, err)
+		}
+		if got, want := reflect.ValueOf(back).Elem().Interface(), reflect.ValueOf(l.in).Elem().Interface(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: round trip = %+v, want %+v", l.name, got, want)
+		}
+		for n := 0; n < len(blob); n++ {
+			if err := l.out().GobDecode(blob[:n]); err == nil {
+				t.Fatalf("%s truncated to %d of %d bytes accepted", l.name, n, len(blob))
+			}
+		}
+		if err := l.out().GobDecode(append(slices.Clone(blob), 0)); err == nil {
+			t.Fatalf("%s with trailing data accepted", l.name)
+		}
+		bad := slices.Clone(blob)
+		if bad[l.flag] != 1 && bad[l.flag] != 3 {
+			t.Fatalf("%s: byte %d = %d, want the first record's flags", l.name, l.flag, bad[l.flag])
+		}
+		bad[l.flag] = 4
+		if err := l.out().GobDecode(bad); err == nil {
+			t.Fatalf("%s with flag byte 4 accepted", l.name)
+		}
+	}
+
+	tr := &Trace{XrefRecs: xrefs, ConvRecs: convs, JumpRecs: jumps}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(tr); err != nil {
+		t.Fatal(err)
+	}
+	var trBack Trace
+	if err := gob.NewDecoder(&buf).Decode(&trBack); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(trBack.XrefRecs, xrefs) || !reflect.DeepEqual(trBack.ConvRecs, convs) || !reflect.DeepEqual(trBack.JumpRecs, jumps) {
+		t.Fatalf("trace round trip lost verdict records: %+v", trBack)
+	}
+}
+
+// uvarintsLen returns the bytes vs take as uvarints.
+func uvarintsLen(vs ...uint64) int {
+	var b []byte
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return len(b)
+}
+
+// gobCodec is a value with a packed gob form.
+type gobCodec interface {
+	GobEncode() ([]byte, error)
+	GobDecode([]byte) error
 }
 
 // TestXrefRecordCoversRejectingWalk records a candidate whose

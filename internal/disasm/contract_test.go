@@ -11,11 +11,13 @@ import (
 )
 
 // refInferNonReturning, refFuncReturns and refIsCondNonRet are the
-// map-based non-return inference the dense-state inference replaced,
-// kept verbatim (apart from their names) as the reference: they read
-// instructions from insts, the pass's instructions by address (see
-// instMap).
-func refInferNonReturning(res *Result, insts map[uint64]*arch.Inst, seen *walkMarks) (map[uint64]bool, map[uint64]bool) {
+// map-based, round-robin non-return inference the dense-state worklist
+// inference replaced, kept verbatim (apart from their names and the
+// walk counter) as the reference: they read instructions from insts,
+// the pass's instructions by address (see instMap), and every sweep
+// walks every function still presumed returning. walks counts the
+// refFuncReturns walks.
+func refInferNonReturning(res *Result, insts map[uint64]*arch.Inst, seen *walkMarks, walks *int) (map[uint64]bool, map[uint64]bool) {
 	funcs := res.SortedFuncs()
 	// Optimistic greatest fixed point, as in DYNINST: every function
 	// is presumed returning until no path to a ret remains under the
@@ -32,6 +34,7 @@ func refInferNonReturning(res *Result, insts map[uint64]*arch.Inst, seen *walkMa
 			if !returns[f] {
 				continue
 			}
+			*walks++
 			if !refFuncReturns(res, insts, f, returns, seen) {
 				returns[f] = false
 				changed = true
@@ -214,22 +217,32 @@ func contractProfiles(t *testing.T) []contractProfile {
 
 // inferenceCheck is an ExecObserver that runs the session's dense-state
 // inference on every committed pass and requires it to equal the
-// map-based reference over the same result.
+// map-based reference over the same result, in no more walks.
 type inferenceCheck struct {
 	t      *testing.T
 	label  string
 	sess   *Session
 	passes int
-	// nonRet and cond count the verdicts compared.
-	nonRet, cond int
+	// nonRet and cond count the verdicts compared; walks and refWalks
+	// the funcReturns walks of the inference and of the reference.
+	nonRet, cond    int
+	walks, refWalks int
 }
 
 func (c *inferenceCheck) OnPass(_, _ map[uint64]bool, res *Result) {
 	c.passes++
+	before := c.sess.stats.VerdictWalks
 	gotNR, gotCond := c.sess.inferNonReturning(res)
+	walks := c.sess.stats.VerdictWalks - before
 	c.nonRet += len(gotNR)
 	c.cond += len(gotCond)
-	wantNR, wantCond := refInferNonReturning(res, instMap(res), newWalkMarks(c.sess.layout))
+	refWalks := 0
+	wantNR, wantCond := refInferNonReturning(res, instMap(res), newWalkMarks(c.sess.layout), &refWalks)
+	c.walks += walks
+	c.refWalks += refWalks
+	if walks > refWalks {
+		c.t.Fatalf("%s pass %d: %d verdict walks, the round-robin reference %d", c.label, c.passes, walks, refWalks)
+	}
 	if !reflect.DeepEqual(gotNR, wantNR) {
 		c.t.Fatalf("%s pass %d: non-returning set %v, reference %v", c.label, c.passes, gotNR, wantNR)
 	}
@@ -238,12 +251,14 @@ func (c *inferenceCheck) OnPass(_, _ map[uint64]bool, res *Result) {
 	}
 }
 
-// TestInferenceMatchesMapReference compares the dense-state inference
-// with the map-based reference after every committed pass of a session
-// that extends, retracts and reruns, with strict probes in between
-// that reset the walk marks the inference reads.
+// TestInferenceMatchesMapReference compares the dense-state worklist
+// inference with the map-based round-robin reference after every
+// committed pass of a session that extends, retracts and reruns, with
+// strict probes in between that reset the walk marks the inference
+// reads. The worklist must reach the same verdicts in no more
+// funcReturns walks than the reference's sweeps.
 func TestInferenceMatchesMapReference(t *testing.T) {
-	nonRet, cond := 0, 0
+	nonRet, cond, walks, refWalks := 0, 0, 0, 0
 	for _, p := range contractProfiles(t) {
 		seeds := p.sec.FunctionStarts()
 		sess := NewSession(p.img, Options{ResolveJumpTables: true, NonReturning: true})
@@ -270,12 +285,15 @@ func TestInferenceMatchesMapReference(t *testing.T) {
 		}
 		nonRet += check.nonRet
 		cond += check.cond
+		walks += check.walks
+		refWalks += check.refWalks
 	}
 	if nonRet == 0 || cond == 0 {
 		t.Fatalf("compared %d non-returning and %d conditional verdicts: the profiles no longer exercise both", nonRet, cond)
 	}
 	if testing.Verbose() {
-		t.Logf("compared %d non-returning and %d conditional verdicts", nonRet, cond)
+		t.Logf("compared %d non-returning and %d conditional verdicts; %d verdict walks against the reference's %d",
+			nonRet, cond, walks, refWalks)
 	}
 }
 
@@ -286,7 +304,7 @@ func TestInferenceMatchesMapReference(t *testing.T) {
 func TestPassInstFallsBackToInsts(t *testing.T) {
 	img, _, sec := buildBinary(t, 21, nil)
 	sess := NewSession(img, defaultOpts())
-	res := sess.pass(sec.FunctionStarts(), defaultOpts(), map[uint64]bool{}, map[uint64]bool{}, newOwnerIndex(sess.layout), nil)
+	res := sess.pass(sec.FunctionStarts(), defaultOpts(), map[uint64]bool{}, map[uint64]bool{}, newOwnerIndex(sess.layout), nil, passBuffers{})
 	if len(res.Insts) == 0 {
 		t.Fatal("pass decoded nothing")
 	}

@@ -2,6 +2,7 @@ package disasm
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"unsafe"
 )
@@ -189,14 +190,42 @@ func (t *byteTable[T]) release() {
 // bytes and never invalidate, so the arena only grows. An address
 // outside the executable layout has no index slot: it is decoded on
 // every request and never memoized.
+//
+// The arena is a list of segments that never move: segment k holds
+// arenaFirstSeg<<k entries, so n entries take about log2(n) segments
+// and no entry is ever copied to grow it. Each entry holds its
+// instruction in place, and results point into the arena; the first
+// segment is small, so a short-lived session (delta replay builds two
+// per request) allocates little.
 type decodeCache struct {
-	index   byteTable[int32]
-	entries []decodeEntry
+	index byteTable[int32]
+	segs  [][]decodeEntry
+	// n is the number of entries in use.
+	n int
 }
+
+// arenaFirstSeg is the entry count of the arena's first segment.
+const arenaFirstSeg = 64
 
 // full reports whether the arena has reached the int32 bound of the
 // index, past which no decode is memoized.
-func (c *decodeCache) full() bool { return len(c.entries) >= math.MaxInt32 }
+func (c *decodeCache) full() bool { return c.n >= math.MaxInt32 }
+
+// entry returns the entry at position p (0-based).
+func (c *decodeCache) entry(p int32) *decodeEntry {
+	k := bits.Len(uint(p)/arenaFirstSeg+1) - 1
+	return &c.segs[k][int(p)-(1<<k-1)*arenaFirstSeg]
+}
+
+// add appends an entry and returns it, with the index value (1 + its
+// position) that locates it.
+func (c *decodeCache) add() (*decodeEntry, int32) {
+	if k := len(c.segs); c.n == (1<<k-1)*arenaFirstSeg {
+		c.segs = append(c.segs, make([]decodeEntry, arenaFirstSeg<<k))
+	}
+	c.n++
+	return c.entry(int32(c.n - 1)), int32(c.n)
+}
 
 // walkMarks is an epoch-stamped set of addresses: a slot holds the
 // epoch in which its byte was last marked, and only the current epoch

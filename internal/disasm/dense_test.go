@@ -54,14 +54,14 @@ func TestDecodeIndex(t *testing.T) {
 		}
 	}
 	if e := sess.decode(straddle); e.inst.Len != 5 || e.inst.Op != arch.OpCall {
-		t.Fatalf("straddling entry = %+v, want a five-byte call", *e.inst)
+		t.Fatalf("straddling entry = %+v, want a five-byte call", e.inst)
 	}
 	st := sess.Stats()
 	if st.InstsDecoded != 2 || st.InstsReused != 3 {
 		t.Fatalf("decoded %d, reused %d; want 2 and 3", st.InstsDecoded, st.InstsReused)
 	}
-	if len(c.entries) != 2 {
-		t.Fatalf("arena holds %d entries, want 2", len(c.entries))
+	if c.n != 2 {
+		t.Fatalf("arena holds %d entries, want 2", c.n)
 	}
 	// One chunk per section: the straddling entry's start chunk only.
 	if want := int64(2 * tableChunkLen * 4); c.index.alloc != want {
@@ -83,8 +83,8 @@ func TestDecodeIndex(t *testing.T) {
 		}
 	}
 	st = sess.Stats()
-	if st.InstsDecoded != 6 || len(c.entries) != 2 {
-		t.Fatalf("out-of-layout decodes: decoded %d, arena %d; want 6 and 2", st.InstsDecoded, len(c.entries))
+	if st.InstsDecoded != 6 || c.n != 2 {
+		t.Fatalf("out-of-layout decodes: decoded %d, arena %d; want 6 and 2", st.InstsDecoded, c.n)
 	}
 }
 

@@ -22,7 +22,9 @@ import (
 // and the committed coverage must be unchanged afterwards. Every
 // result must hold the sorted representation (requireSorted), and every
 // committed one the coverage delta replay rebuilds from its facts
-// (requireCoverageRebuilds).
+// (requireCoverageRebuilds). The Extend results must come through the
+// later walks unchanged: no pass appends to a result's arrays once it
+// has left the session.
 func FuzzSessionExtend(f *testing.F) {
 	f.Add([]byte{0xC3}, uint8(1))
 	f.Add([]byte{0x55, 0x48, 0x89, 0xE5, 0xC3, 0xE8, 0xF6, 0xFF, 0xFF, 0xFF}, uint8(3))
@@ -70,9 +72,12 @@ func FuzzSessionExtend(f *testing.F) {
 
 		opts := Options{ResolveJumpTables: true, NonReturning: true}
 		sess := NewSession(img, opts)
-		for _, r := range []*Result{sess.Extend(seeds[:n/2]), sess.Extend(seeds[n/2:])} {
+		var handed []resultSnapshot
+		for _, batch := range [][]uint64{seeds[:n/2], seeds[n/2:]} {
+			r := sess.Extend(batch)
 			requireSorted(t, "extend", r)
 			requireCoverageRebuilds(t, "extend", r, base, len(code))
+			handed = append(handed, snapshot("extend", r))
 		}
 		got := sess.Retract(retract)
 		want := Recursive(img, kept, opts)
@@ -127,6 +132,9 @@ func FuzzSessionExtend(f *testing.F) {
 		}
 		if sess.Result() != got {
 			t.Fatal("probing replaced the committed result")
+		}
+		for _, sn := range handed {
+			sn.requireUnchanged(t)
 		}
 		for i := range code {
 			var now owned

@@ -42,7 +42,7 @@ func (c jtCtx) ReadU64(addr uint64) (uint64, error) { return c.s.img.ReadU64(add
 func (c jtCtx) ReadU32(addr uint64) (uint32, error) { return c.s.img.ReadU32(addr) }
 
 // IsExec reports whether addr lies in an executable section.
-func (c jtCtx) IsExec(addr uint64) bool { return c.s.img.IsExec(addr) }
+func (c jtCtx) IsExec(addr uint64) bool { return c.s.isExec(addr) }
 
 // RecordTableRead records a data interval the resolution consulted.
 func (c jtCtx) RecordTableRead(lo, hi uint64) {

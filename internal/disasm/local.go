@@ -255,7 +255,7 @@ func (s *Session) WalkLocal(rng FuncRange, entries []uint64,
 	nonRet, condNonRet map[uint64]bool) *LocalWalk {
 
 	b := &walkBound{FuncRange: rng}
-	res := s.pass(entries, s.opts, nonRet, condNonRet, s.borrowOwner(), b)
+	res := s.pass(entries, s.opts, nonRet, condNonRet, s.borrowOwner(), b, passBuffers{})
 	s.returnOwner(res)
 	s.sortResult(res)
 
@@ -274,7 +274,7 @@ func (s *Session) WalkLocal(rng FuncRange, entries []uint64,
 	for _, in := range res.Insts {
 		switch in.Op {
 		case arch.OpCall:
-			if s.img.IsExec(in.Target) {
+			if s.isExec(in.Target) {
 				facts.Calls = append(facts.Calls, in.Target)
 			}
 		case arch.OpJcc, arch.OpJmp:

@@ -171,7 +171,7 @@ func refWalkLocal(s *Session, rng FuncRange, entries []uint64,
 			if e.kind != decodeOK {
 				break
 			}
-			in := e.inst
+			in := &e.inst
 			if in.Next() > rng.End {
 				// Straddles the range end: the decode itself reads
 				// neighbor bytes.

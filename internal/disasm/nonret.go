@@ -8,9 +8,12 @@ import (
 
 // verdictScope is what a non-return verdict walk (funcReturns,
 // condCalls) runs against. The committed inference scopes a verdict to
-// its own pass: the pass's function set, no range, no log. Delta replay
-// scopes one to a bounded walk (see LocalWalk): the recorded function
-// set, the walk's range and a query log.
+// its own pass: the pass's function set, no range, and for its
+// funcReturns walks a query log, from which it builds the worklist's
+// reader lists (verdictDeps). Delta replay scopes one to a bounded
+// walk (see LocalWalk): the recorded function set, the walk's range,
+// and a query log the caller uses to reject environments whose answers
+// were iteration-dependent.
 type verdictScope struct {
 	// res is the walk whose instructions the verdict reads, through
 	// passInst: it must be the session's last walk.
@@ -54,27 +57,50 @@ func (sc *verdictScope) escapes(a uint64) bool {
 // The per-function walks read the pass's instructions through passInst
 // and use pushed as their visited set, so exec calls this straight
 // after the pass (see walkMarks).
+//
+// The fixed point runs on a worklist. Every function is walked once,
+// in address order; a walk that finds f returning records the call and
+// tail-jump targets it consulted, and when one of them turns
+// non-returning, only the functions whose last walk consulted it are
+// walked again. funcReturns reads the non-returning set only at the
+// targets it consults, and a larger set never makes a function
+// return, so the set this reaches is the one a sweep over every
+// function until nothing changes reaches: the least set closed under
+// the walk, whatever order the functions are walked in.
 func (s *Session) inferNonReturning(res *Result) (map[uint64]bool, map[uint64]bool) {
 	funcs := res.SortedFuncs()
-	sc := &verdictScope{res: res, funcs: res.Funcs}
+	w := &s.deps
+	w.reset(len(funcs))
+	sc := &verdictScope{res: res, funcs: res.Funcs, log: &w.log}
 	// Optimistic greatest fixed point, as in DYNINST: every function
 	// is presumed returning until no path to a ret remains under the
 	// current knowledge. (A pessimistic least fixed point would
 	// deadlock on mutual recursion, wrongly marking the whole cycle
 	// non-returning.)
 	nonRet := map[uint64]bool{}
-	for changed := true; changed; {
-		changed = false
-		for _, f := range funcs {
-			if nonRet[f] {
-				continue
+	for head := 0; head < len(w.queue); head++ {
+		i := w.queue[head]
+		w.queued[i] = false
+		f := funcs[i]
+		w.log = w.log[:0]
+		if returns, _ := s.funcReturns(sc, f, nonRet); returns {
+			for _, t := range w.log {
+				if j, ok := slices.BinarySearch(funcs, t); ok && w.last[j] != i && !nonRet[t] {
+					w.last[j] = i
+					w.readers[j] = append(w.readers[j], i)
+				}
 			}
-			if returns, _ := s.funcReturns(sc, f, nonRet); !returns {
-				nonRet[f] = true
-				changed = true
+			continue
+		}
+		nonRet[f] = true
+		for _, r := range w.readers[i] {
+			if !w.queued[r] && !nonRet[funcs[r]] {
+				w.queued[r] = true
+				w.queue = append(w.queue, r)
 			}
 		}
 	}
+	sc.log = nil
 	isNonRet := func(t uint64) bool { return nonRet[t] }
 	cond := map[uint64]bool{}
 	for _, f := range funcs {
@@ -86,6 +112,45 @@ func (s *Session) inferNonReturning(res *Result) (map[uint64]bool, map[uint64]bo
 		}
 	}
 	return nonRet, cond
+}
+
+// verdictDeps is the inference worklist, indexed by position in the
+// pass's sorted function list and kept by the session between
+// inferences. readers[j] lists the functions whose walk consulted
+// function j and found them returning; a function walked again appends
+// itself anew, so the lists may hold stale or repeated readers, which
+// cost at most a walk that changes nothing.
+type verdictDeps struct {
+	// queue holds the functions to walk, in order; queued marks those
+	// not yet walked since they were queued.
+	queue  []int32
+	queued []bool
+	// readers are the dependency lists; last[j] is the reader appended
+	// to readers[j] most recently, which the next walk of that reader
+	// does not append again.
+	readers [][]int32
+	last    []int32
+	// log collects the current walk's consulted targets.
+	log []uint64
+}
+
+// reset sizes the worklist for n functions, all queued in order.
+func (w *verdictDeps) reset(n int) {
+	w.queue = w.queue[:0]
+	for i := 0; i < n; i++ {
+		w.queue = append(w.queue, int32(i))
+	}
+	w.queued = slices.Grow(w.queued[:0], n)[:n]
+	w.last = slices.Grow(w.last[:0], n)[:n]
+	if cap(w.readers) < n {
+		w.readers = append(w.readers[:cap(w.readers)], make([][]int32, n-cap(w.readers))...)
+	}
+	w.readers = w.readers[:n]
+	for i := 0; i < n; i++ {
+		w.queued[i] = true
+		w.last[i] = -1
+		w.readers[i] = w.readers[i][:0]
+	}
 }
 
 // passInst returns the instruction the session's last walk, whose
@@ -101,7 +166,7 @@ func (s *Session) passInst(res *Result, addr uint64) (*arch.Inst, bool) {
 		return nil, false
 	}
 	if p := s.cache.index.at(addr); p != nil && *p != 0 {
-		return s.cache.entries[*p-1].inst, true
+		return &s.cache.entry(*p - 1).inst, true
 	}
 	if i := slices.IndexFunc(res.Insts, func(in *arch.Inst) bool { return in.Addr == addr }); i >= 0 {
 		return res.Insts[i], true
@@ -118,6 +183,7 @@ func (s *Session) passInst(res *Result, addr uint64) (*arch.Inst, bool) {
 // Marking an address before knowing it holds an instruction is safe:
 // either way the path ends there.
 func (s *Session) funcReturns(sc *verdictScope, f uint64, nonRet map[uint64]bool) (returns, ok bool) {
+	s.stats.VerdictWalks++
 	res := sc.res
 	seen := s.pushed
 	seen.next()

@@ -2,6 +2,7 @@ package disasm
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"fetch/internal/arch"
@@ -33,6 +34,10 @@ type Stats struct {
 	// including the inner iterations of the non-returning fixed point,
 	// probe walks and bounded walks.
 	FixedPointPasses int
+	// VerdictWalks counts funcReturns walks: the non-return inference's
+	// per-function walks and the verdicts of bounded walks. It is an
+	// internal counter, not part of the wire stats.
+	VerdictWalks int
 
 	// PeakAuxBytes is the high-water accounted estimate of the
 	// auxiliary memory held at the end of any one pass: that pass's own
@@ -50,9 +55,9 @@ type Stats struct {
 }
 
 // decodeEntryCost is the accounted cost behind PeakAuxBytes of one
-// decode-cache entry: its 48-byte arena slot plus the 80-byte heap
-// arch.Inst it points to. The index slot that locates it is charged
-// with the index chunks.
+// decode-cache entry: its arena slot, which holds the instruction in
+// place. The index slot that locates it is charged with the index
+// chunks.
 const decodeEntryCost = 128
 
 // notePassMem folds one finished pass's data-structure footprint into
@@ -60,7 +65,7 @@ const decodeEntryCost = 128
 // workspace by now (res.owner is nil), so only the workspace's own
 // total is charged for it.
 func (s *Session) notePassMem(res *Result) {
-	aux := s.ws.alloc + s.cache.index.alloc + int64(len(s.cache.entries))*decodeEntryCost +
+	aux := s.ws.alloc + s.cache.index.alloc + int64(s.cache.n)*decodeEntryCost +
 		s.pushed.tab.alloc + s.decoded.tab.alloc
 	if res.owner != nil {
 		aux += res.owner.alloc
@@ -88,11 +93,11 @@ const (
 // image bytes at the address, so entries never invalidate and can be
 // shared across passes, probes, and strategy variants.
 type decodeEntry struct {
-	inst *arch.Inst
-	kind decodeKind
+	inst arch.Inst
 	// consts are the instruction's pointer-sized constants that land
 	// in mapped sections (the image is fixed per session).
 	consts []uint64
+	kind   decodeKind
 	rdi    arch.GateEffect
 }
 
@@ -120,6 +125,9 @@ type Session struct {
 	// layout is the executable-section layout (sorted by base) every
 	// owner index reserves its spans from.
 	layout []Range
+	// layoutExec is set when the layout answers IsExec: no two
+	// non-empty sections of the image overlap (see isExec).
+	layoutExec bool
 	// ws is the owner workspace that probes and bounded walks borrow.
 	ws *ownerIndex
 	// pushed and decoded are the walk marks: the worklist's enqueued
@@ -128,8 +136,13 @@ type Session struct {
 	// obs, when set, observes every committed pass (Extend, Retract,
 	// Rerun); probes never report.
 	obs ExecObserver
-	// addrs is the buffer sortResult sorts addresses in, kept between calls.
-	addrs []uint64
+	// keys is the buffer sortResult sorts addresses and packed
+	// references in, and radixTmp sortKeys' scratch, both kept between
+	// calls.
+	keys, radixTmp []uint64
+	// deps is the non-return inference's worklist, kept between
+	// inferences.
+	deps verdictDeps
 }
 
 // ExecObserver receives every committed fixed-point pass of a session:
@@ -166,6 +179,7 @@ func NewSession(img *elfx.Image, opts Options) *Session {
 	for _, sec := range img.ExecSections() {
 		s.layout = append(s.layout, Range{Start: sec.Addr, End: sec.End()})
 	}
+	s.layoutExec = !img.SectionsOverlap()
 	s.cache = &decodeCache{index: newByteTable[int32](s.layout)}
 	s.ws = newOwnerIndex(s.layout)
 	s.pushed = newWalkMarks(s.layout)
@@ -277,18 +291,31 @@ func (s *Session) Probe(seeds []uint64, opts Options) *Result {
 // the last one, and every pass an observer sees — are put in address
 // order: the inner passes of the fixed point are read through the walk
 // marks alone.
+//
+// A pass that leaves the session keeps its Insts and Refs arrays. An
+// unobserved inner pass is discarded once the inference after it has
+// run, and the next pass appends to its arrays; an observed one may be
+// kept by the observer, so the next pass appends to fresh arrays of its
+// capacity. The first committed pass appends to fresh arrays with the
+// capacity of the last committed result's, so a committed walk rarely
+// regrows them.
 func (s *Session) exec(seeds []uint64, opts Options, probe bool) *Result {
 	observed := !probe && s.obs != nil
 	nonRet := map[uint64]bool{}
 	condNonRet := map[uint64]bool{}
+	var buf passBuffers
+	if !probe && s.res != nil {
+		buf = buffersLike(s.res)
+	}
 	var res *Result
 	for iter := 0; iter < 6; iter++ {
 		if probe {
-			res = s.pass(seeds, opts, nonRet, condNonRet, s.borrowOwner(), nil)
+			res = s.pass(seeds, opts, nonRet, condNonRet, s.borrowOwner(), nil, buf)
 			s.returnOwner(res)
 		} else {
-			res = s.pass(seeds, opts, nonRet, condNonRet, newOwnerIndex(s.layout), nil)
+			res = s.pass(seeds, opts, nonRet, condNonRet, newOwnerIndex(s.layout), nil, buf)
 		}
+		buf = passBuffers{}
 		s.notePassMem(res)
 		if observed {
 			s.sortResult(res)
@@ -302,6 +329,11 @@ func (s *Session) exec(seeds []uint64, opts Options, probe bool) *Result {
 			break
 		}
 		nonRet, condNonRet = newNonRet, newCond
+		if observed {
+			buf = buffersLike(res)
+		} else {
+			buf = passBuffers{res.Insts[:0], res.Refs[:0]}
+		}
 	}
 	if !observed {
 		s.sortResult(res)
@@ -311,59 +343,182 @@ func (s *Session) exec(seeds []uint64, opts Options, probe bool) *Result {
 	return res
 }
 
+// passBuffers are the arrays a pass appends its Insts and Refs to:
+// fresh ones, or a discarded pass's, truncated.
+type passBuffers struct {
+	insts []*arch.Inst
+	refs  []Ref
+}
+
+// buffersLike returns fresh, empty arrays with the capacity of res's.
+func buffersLike(res *Result) passBuffers {
+	return passBuffers{make([]*arch.Inst, 0, cap(res.Insts)), make([]Ref, 0, cap(res.Refs))}
+}
+
 // sortResult puts a finished walk's Insts and Refs in address order.
 // The walk appended both in walk order. Instructions are ordered by
 // sorting their bare addresses and reading each decoding back from the
 // decode arena, which holds every instruction a walk decoded unless the
 // arena is full; only then are the instructions themselves sorted.
+// References are ordered by sorting keys that pack both addresses. A
+// walk that decoded nothing leaves with nil Insts and Refs, as one
+// that appended to no arrays does.
 func (s *Session) sortResult(res *Result) {
+	if len(res.Insts) == 0 {
+		res.Insts = nil
+	}
+	if len(res.Refs) == 0 {
+		res.Refs = nil
+	}
 	if s.cache.full() {
 		slices.SortFunc(res.Insts, func(a, b *arch.Inst) int { return cmp.Compare(a.Addr, b.Addr) })
 	} else {
-		addrs := s.addrs[:0]
+		addrs := s.keys[:0]
 		for _, in := range res.Insts {
 			addrs = append(addrs, in.Addr)
 		}
-		slices.Sort(addrs)
+		s.sortKeys(addrs)
 		for i, a := range addrs {
-			res.Insts[i] = s.cache.entries[*s.cache.index.at(a)-1].inst
+			res.Insts[i] = &s.cache.entry(*s.cache.index.at(a) - 1).inst
 		}
-		s.addrs = addrs[:0]
+		s.keys = addrs[:0]
 	}
-	slices.SortFunc(res.Refs, compareRefs)
+	s.sortRefs(res.Refs)
+}
+
+// sortRefs orders refs by target, then source. When both addresses of
+// every reference fit in half a uint64 above the lowest of them, each
+// reference packs into one key, (Target-lo)<<w | (From-lo), whose
+// order is the references' order.
+func (s *Session) sortRefs(refs []Ref) {
+	if len(refs) < radixMin {
+		slices.SortFunc(refs, compareRefs)
+		return
+	}
+	lo, hi := refs[0].Target, refs[0].Target
+	for _, r := range refs {
+		lo, hi = min(lo, r.Target, r.From), max(hi, r.Target, r.From)
+	}
+	w := bits.Len64(hi - lo)
+	if 2*w > 64 {
+		slices.SortFunc(refs, compareRefs)
+		return
+	}
+	keys := s.keys[:0]
+	for _, r := range refs {
+		keys = append(keys, (r.Target-lo)<<w|(r.From-lo))
+	}
+	s.sortKeys(keys)
+	mask := uint64(1)<<w - 1
+	for i, k := range keys {
+		refs[i] = Ref{Target: lo + k>>w, From: lo + k&mask}
+	}
+	s.keys = keys[:0]
+}
+
+// radixMin is the length from which sortKeys sorts by radix. Below it
+// slices.Sort is faster: on walk-order addresses spanning 1 MiB, radix
+// is 3.8× slower at 32 keys, level at about 600, 1.8× faster at 1,024
+// and 4× faster at 90,000.
+const radixMin = 1024
+
+// radixBits is the digit width of sortKeys' radix passes: a span of
+// 2^22 bytes, a large text section, takes two passes.
+const radixBits = 11
+
+// sortKeys sorts keys in ascending order: a short slice by slices.Sort,
+// a long one by least-significant-digit radix over the bits by which
+// its keys differ from the smallest, in the session's scratch buffer.
+func (s *Session) sortKeys(keys []uint64) {
+	if len(keys) < radixMin {
+		slices.Sort(keys)
+		return
+	}
+	lo, hi := keys[0], keys[0]
+	for _, k := range keys {
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	s.radixTmp = slices.Grow(s.radixTmp[:0], len(keys))[:len(keys)]
+	src, dst := keys, s.radixTmp
+	var counts [1 << radixBits]int
+	for shift := 0; shift < bits.Len64(hi-lo); shift += radixBits {
+		clear(counts[:])
+		for _, k := range src {
+			counts[(k-lo)>>shift&(1<<radixBits-1)]++
+		}
+		sum := 0
+		for d, c := range counts {
+			counts[d] = sum
+			sum += c
+		}
+		for _, k := range src {
+			d := (k - lo) >> shift & (1<<radixBits - 1)
+			dst[counts[d]] = k
+			counts[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
 }
 
 // decode memoizes the pure part of instruction decoding: the section
 // window fetch and the backend decode at addr. An address outside the
-// executable layout has no index slot and is decoded afresh each time.
-func (s *Session) decode(addr uint64) decodeEntry {
+// executable layout has no index slot and is decoded afresh each time,
+// into an entry of its own.
+func (s *Session) decode(addr uint64) *decodeEntry {
 	c := s.cache
 	slot := c.index.slot(addr)
 	if slot != nil && *slot != 0 {
 		s.stats.InstsReused++
-		return c.entries[*slot-1]
+		return c.entry(*slot - 1)
 	}
 	s.stats.InstsDecoded++
-	var e decodeEntry
+	var e *decodeEntry
+	if slot != nil && !c.full() {
+		e, *slot = c.add()
+	} else {
+		e = new(decodeEntry)
+	}
 	window, ok := s.img.BytesToSectionEnd(addr)
 	if !ok {
-		e = decodeEntry{kind: decodeNoWindow}
-	} else if in, err := s.isa.Decode(window, addr); err != nil {
-		e = decodeEntry{kind: decodeBad}
-	} else {
-		inst := in
-		e = decodeEntry{inst: &inst, kind: decodeOK, rdi: s.isa.GateEffect(&inst)}
-		for _, cv := range inst.Constants() {
-			if s.img.IsMapped(cv) {
-				e.consts = append(e.consts, cv)
-			}
+		e.kind = decodeNoWindow
+		return e
+	}
+	in, err := s.isa.Decode(window, addr)
+	if err != nil {
+		e.kind = decodeBad
+		return e
+	}
+	e.inst, e.kind = in, decodeOK
+	e.rdi = s.isa.GateEffect(&e.inst)
+	for _, cv := range e.inst.Constants() {
+		if s.img.IsMapped(cv) {
+			e.consts = append(e.consts, cv)
 		}
 	}
-	if slot != nil && !c.full() {
-		c.entries = append(c.entries, e)
-		*slot = int32(len(c.entries))
-	}
 	return e
+}
+
+// isExec reports whether addr lies in an executable section. Unless
+// the image's sections overlap, that is whether addr lies in the
+// layout, which holds a few ranges where the image's section index
+// searches every section; with overlapping sections the image answers,
+// by first match in its section order.
+func (s *Session) isExec(addr uint64) bool {
+	if !s.layoutExec {
+		return s.img.IsExec(addr)
+	}
+	for _, r := range s.layout {
+		if addr < r.Start {
+			break
+		}
+		if addr < r.End {
+			return true
+		}
+	}
+	return false
 }
 
 // walkBound confines a pass to one byte range: the bounded walk behind
@@ -382,15 +537,17 @@ type walkBound struct {
 // pass performs one full recursive descent with the current
 // non-return knowledge, identical to the historical from-scratch pass
 // except that instruction decodes come from the session cache. It
-// records coverage in own, which must be empty. bound, when non-nil,
-// confines the walk to one range; committed passes and probes pass nil.
+// records coverage in own, which must be empty, and appends its Insts
+// and Refs to buf's arrays. bound, when non-nil, confines the walk to
+// one range; committed passes and probes pass nil.
 func (s *Session) pass(seeds []uint64, opts Options,
-	nonRet, condNonRet map[uint64]bool, own *ownerIndex, bound *walkBound) *Result {
+	nonRet, condNonRet map[uint64]bool, own *ownerIndex, bound *walkBound, buf passBuffers) *Result {
 
 	s.stats.FixedPointPasses++
-	img := s.img
 	res := &Result{
 		isa:        s.isa,
+		Insts:      buf.insts,
+		Refs:       buf.refs,
 		Funcs:      make(map[uint64]bool),
 		Constants:  make(map[uint64]bool),
 		NonRet:     nonRet,
@@ -470,7 +627,7 @@ func (s *Session) pass(seeds []uint64, opts Options,
 				strictErr(ErrMidInstruction, addr)
 				break
 			}
-			if !img.IsExec(addr) {
+			if !s.isExec(addr) {
 				strictErr(ErrOutOfSection, addr)
 				break
 			}
@@ -483,7 +640,7 @@ func (s *Session) pass(seeds []uint64, opts Options,
 				strictErr(ErrInvalidOpcode, addr)
 				break
 			}
-			in := e.inst
+			in := &e.inst
 			if bound != nil && in.Next() > bound.End {
 				bound.escaped = true
 				break
@@ -517,7 +674,7 @@ func (s *Session) pass(seeds []uint64, opts Options,
 			switch in.Op {
 			case arch.OpCall:
 				t := in.Target
-				if !img.IsExec(t) {
+				if !s.isExec(t) {
 					strictErr(ErrOutOfSection, in.Addr)
 					break
 				}
@@ -541,7 +698,7 @@ func (s *Session) pass(seeds []uint64, opts Options,
 				continue
 			case arch.OpJcc:
 				t := in.Target
-				if img.IsExec(t) {
+				if s.isExec(t) {
 					if intoFunctionMiddle(t) {
 						strictErr(ErrIntoFunction, in.Addr)
 					}
@@ -554,7 +711,7 @@ func (s *Session) pass(seeds []uint64, opts Options,
 				continue
 			case arch.OpJmp:
 				t := in.Target
-				if img.IsExec(t) {
+				if s.isExec(t) {
 					if intoFunctionMiddle(t) {
 						strictErr(ErrIntoFunction, in.Addr)
 					}

@@ -1,9 +1,14 @@
 package disasm
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"fetch/internal/arch"
+	"fetch/internal/elfx"
 	"fetch/internal/synth"
 )
 
@@ -268,5 +273,177 @@ func TestSessionStatsAccounting(t *testing.T) {
 	sess.Probe(seeds[:1], Options{})
 	if st := sess.Stats(); st.ColdStarts != 1 {
 		t.Errorf("ColdStarts after a probe = %d, want 1", st.ColdStarts)
+	}
+}
+
+// resultSnapshot is a copy of a result's Insts (the pointers and the
+// instructions behind them) and Refs, taken when the result left the
+// session.
+type resultSnapshot struct {
+	label string
+	res   *Result
+	ptrs  []*arch.Inst
+	insts []arch.Inst
+	refs  []Ref
+}
+
+func snapshot(label string, res *Result) resultSnapshot {
+	sn := resultSnapshot{label: label, res: res, ptrs: slices.Clone(res.Insts), refs: slices.Clone(res.Refs)}
+	for _, in := range res.Insts {
+		sn.insts = append(sn.insts, *in)
+	}
+	return sn
+}
+
+// requireUnchanged fails when the result's Insts or Refs differ from
+// the snapshot.
+func (sn resultSnapshot) requireUnchanged(t *testing.T) {
+	t.Helper()
+	if !slices.Equal(sn.res.Insts, sn.ptrs) || !slices.Equal(sn.res.Refs, sn.refs) {
+		t.Fatalf("%s: Insts or Refs rewritten after the result left the session", sn.label)
+	}
+	for i, in := range sn.res.Insts {
+		if !reflect.DeepEqual(*in, sn.insts[i]) {
+			t.Fatalf("%s: instruction %#x rewritten after the result left the session", sn.label, sn.insts[i].Addr)
+		}
+	}
+}
+
+// keepPasses is an ExecObserver that snapshots every pass it sees.
+type keepPasses struct{ seen []resultSnapshot }
+
+func (k *keepPasses) OnPass(_, _ map[uint64]bool, res *Result) {
+	k.seen = append(k.seen, snapshot(fmt.Sprintf("observed pass %d", len(k.seen)), res))
+}
+
+// TestPassBuffersNeverAlias pins the recycling contract of exec: the
+// next pass appends to a discarded inner pass's arrays, but a result
+// handed out by Extend, Retract, Rerun or Probe, and every pass an
+// ExecObserver sees, is never written by a later walk of the session.
+func TestPassBuffersNeverAlias(t *testing.T) {
+	im, _, sec := buildBinary(t, 114, func(c *synth.Config) { c.IndirectOnlyRate = 0.1 })
+	seeds := sec.FunctionStarts()
+	probeOpts := Options{ResolveJumpTables: true, NonReturning: true, MaxInsts: 2000}
+	for _, observed := range []bool{false, true} {
+		sess := NewSession(im, defaultOpts())
+		obs := &keepPasses{}
+		if observed {
+			sess.SetExecObserver(obs)
+		}
+		var out []resultSnapshot
+		keep := func(label string, res *Result) {
+			out = append(out, snapshot(label, res))
+		}
+		keep("extend 1", sess.Extend(seeds[:len(seeds)/2]))
+		for _, c := range seeds[:8] {
+			keep("probe", sess.Probe([]uint64{c}, probeOpts))
+		}
+		keep("extend 2", sess.Extend(seeds[len(seeds)/2:]))
+		keep("retract", sess.Retract(seeds[:len(seeds)/3]))
+		keep("rerun", sess.Rerun(seeds))
+		keep("probe", sess.Probe(seeds[:4], probeOpts))
+		if st := sess.Stats(); st.FixedPointPasses <= st.Extends+st.Retracts+st.Reruns+st.Probes {
+			t.Fatalf("observed=%v: every exec ran one pass: no inner pass was recycled", observed)
+		}
+		for _, sn := range append(out, obs.seen...) {
+			sn.requireUnchanged(t)
+		}
+		if observed && len(obs.seen) == 0 {
+			t.Fatal("observer saw no passes")
+		}
+	}
+}
+
+// TestEmptyPassIsNil pins nil parity: a committed pass that decodes
+// nothing leaves with nil Insts and Refs, as Recursive's does, even
+// when it was handed arrays sized from the last committed result.
+func TestEmptyPassIsNil(t *testing.T) {
+	im, _, sec := buildBinary(t, 115, nil)
+	const stray = 0x10 // outside every section
+	obs := &keepPasses{}
+	sess := NewSession(im, defaultOpts())
+	sess.SetExecObserver(obs)
+	if res := sess.Extend(sec.FunctionStarts()); len(res.Insts) == 0 || len(res.Refs) == 0 {
+		t.Fatal("the committed walk decoded nothing")
+	}
+	obs.seen = nil
+	for _, res := range []*Result{sess.Rerun([]uint64{stray}), Recursive(im, []uint64{stray}, defaultOpts())} {
+		if res.Insts != nil || res.Refs != nil {
+			t.Fatalf("empty walk: Insts %#v, Refs %#v; want nil", res.Insts, res.Refs)
+		}
+	}
+	for _, sn := range obs.seen {
+		if sn.res.Insts != nil || sn.res.Refs != nil {
+			t.Fatalf("%s: empty pass reported with non-nil Insts or Refs", sn.label)
+		}
+	}
+}
+
+// TestSortKeysMatchesSort compares sortKeys and sortRefs with the
+// comparison sorts on both sides of radixMin, on keys that span a text
+// section and on keys that span all 64 bits, with repeats.
+func TestSortKeysMatchesSort(t *testing.T) {
+	sess := NewSession(&elfx.Image{}, Options{})
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 7, radixMin - 1, radixMin, 5000} {
+		for _, span := range []uint64{1, 1 << 20, 1 << 40, 0} { // 0: any uint64
+			draw := func() uint64 {
+				if span == 0 {
+					return rng.Uint64()
+				}
+				return 0x400000 + rng.Uint64()%span
+			}
+			keys := make([]uint64, n)
+			refs := make([]Ref, n)
+			for i := range keys {
+				keys[i] = draw()
+				refs[i] = Ref{Target: draw(), From: draw()}
+				if i > 0 && i%5 == 0 {
+					keys[i], refs[i] = keys[i-1], refs[i-1]
+				}
+			}
+			wantKeys, wantRefs := slices.Clone(keys), slices.Clone(refs)
+			slices.Sort(wantKeys)
+			slices.SortFunc(wantRefs, compareRefs)
+			sess.sortKeys(keys)
+			sess.sortRefs(refs)
+			if !slices.Equal(keys, wantKeys) {
+				t.Fatalf("n=%d span=%#x: sortKeys disagrees with slices.Sort", n, span)
+			}
+			if !slices.Equal(refs, wantRefs) {
+				t.Fatalf("n=%d span=%#x: sortRefs disagrees with compareRefs", n, span)
+			}
+		}
+	}
+}
+
+// TestIsExecFromLayout pins the session's executable test to the
+// image's: from the layout when no sections overlap, and by the image's
+// first-match rule when a data section overlapping the text comes
+// first.
+func TestIsExecFromLayout(t *testing.T) {
+	text := func() *elfx.Section {
+		return &elfx.Section{Name: ".text", Addr: 0x401000, Data: make([]byte, 0x200), Flags: elfx.FlagAlloc | elfx.FlagExec}
+	}
+	plt := &elfx.Section{Name: ".plt", Addr: 0x400800, Data: make([]byte, 0x40), Flags: elfx.FlagAlloc | elfx.FlagExec}
+	data := &elfx.Section{Name: ".data", Addr: 0x401100, Data: make([]byte, 0x200), Flags: elfx.FlagAlloc | elfx.FlagWrite}
+	for _, tc := range []struct {
+		name       string
+		secs       []*elfx.Section
+		layoutExec bool
+	}{
+		{"disjoint", []*elfx.Section{text(), plt, {Name: ".rodata", Addr: 0x402000, Data: make([]byte, 0x10), Flags: elfx.FlagAlloc}}, true},
+		{"overlapping", []*elfx.Section{data, text(), plt}, false},
+	} {
+		img := &elfx.Image{Sections: tc.secs}
+		sess := NewSession(img, Options{})
+		if sess.layoutExec != tc.layoutExec {
+			t.Fatalf("%s: layoutExec = %v, want %v", tc.name, sess.layoutExec, tc.layoutExec)
+		}
+		for a := uint64(0x400700); a < 0x402100; a++ {
+			if got, want := sess.isExec(a), img.IsExec(a); got != want {
+				t.Fatalf("%s: isExec(%#x) = %v, image says %v", tc.name, a, got, want)
+			}
+		}
 	}
 }

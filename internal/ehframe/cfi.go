@@ -270,244 +270,249 @@ func encodeCFIs(prog []CFI, codeAlign uint64, dataAlign int64) ([]byte, error) {
 
 // decodeCFIs parses a CFI byte program.
 func decodeCFIs(b []byte, codeAlign uint64, dataAlign int64) ([]CFI, error) {
-	return appendCFIs(nil, b, codeAlign, dataAlign)
+	var prog []CFI
+	if err := walkCFIs(b, codeAlign, dataAlign, func(c CFI) { prog = append(prog, c) }); err != nil {
+		return nil, err
+	}
+	return prog, nil
 }
 
-// appendCFIs parses a CFI byte program, appending its instructions to
-// prog. Decode uses it to give every FDE program of a section one
-// shared backing store.
-func appendCFIs(prog []CFI, b []byte, codeAlign uint64, dataAlign int64) ([]CFI, error) {
+// walkCFIs parses a CFI byte program, passing each instruction to emit
+// in order. Decode runs it to validate FDE programs without keeping
+// them, and an FDE's height evaluation runs it again over the kept
+// bytes, so a section's programs are never materialized at once.
+func walkCFIs(b []byte, codeAlign uint64, dataAlign int64, emit func(CFI)) error {
 	i := 0
 	for i < len(b) {
 		op := b[i]
 		i++
 		switch {
 		case op&0xC0 == rawAdvanceLoc:
-			prog = append(prog, CFI{Op: CFAAdvanceLoc, Delta: uint64(op&0x3F) * codeAlign})
+			emit(CFI{Op: CFAAdvanceLoc, Delta: uint64(op&0x3F) * codeAlign})
 		case op&0xC0 == rawOffset:
 			f, n, err := readULEB(b[i:])
 			if err != nil {
-				return nil, err
+				return err
 			}
 			i += n
-			prog = append(prog, CFI{Op: CFAOffset, Reg: uint64(op & 0x3F), Offset: int64(f) * -dataAlign})
+			emit(CFI{Op: CFAOffset, Reg: uint64(op & 0x3F), Offset: int64(f) * -dataAlign})
 		case op&0xC0 == rawRestore:
-			prog = append(prog, CFI{Op: CFARestore, Reg: uint64(op & 0x3F)})
+			emit(CFI{Op: CFARestore, Reg: uint64(op & 0x3F)})
 		default:
 			switch op {
 			case rawNop:
-				prog = append(prog, CFI{Op: CFANop})
+				emit(CFI{Op: CFANop})
 			case rawAdvanceLoc1:
 				if i >= len(b) {
-					return nil, ErrTruncated
+					return ErrTruncated
 				}
-				prog = append(prog, CFI{Op: CFAAdvanceLoc, Delta: uint64(b[i]) * codeAlign})
+				emit(CFI{Op: CFAAdvanceLoc, Delta: uint64(b[i]) * codeAlign})
 				i++
 			case rawAdvanceLoc2:
 				if i+2 > len(b) {
-					return nil, ErrTruncated
+					return ErrTruncated
 				}
 				d := uint64(b[i]) | uint64(b[i+1])<<8
-				prog = append(prog, CFI{Op: CFAAdvanceLoc, Delta: d * codeAlign})
+				emit(CFI{Op: CFAAdvanceLoc, Delta: d * codeAlign})
 				i += 2
 			case rawAdvanceLoc4:
 				if i+4 > len(b) {
-					return nil, ErrTruncated
+					return ErrTruncated
 				}
 				d := uint64(b[i]) | uint64(b[i+1])<<8 | uint64(b[i+2])<<16 | uint64(b[i+3])<<24
-				prog = append(prog, CFI{Op: CFAAdvanceLoc, Delta: d * codeAlign})
+				emit(CFI{Op: CFAAdvanceLoc, Delta: d * codeAlign})
 				i += 4
 			case rawDefCFA:
 				r, n, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n
 				o, n2, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n2
-				prog = append(prog, CFI{Op: CFADefCFA, Reg: r, Offset: int64(o)})
+				emit(CFI{Op: CFADefCFA, Reg: r, Offset: int64(o)})
 			case rawDefCFAReg:
 				r, n, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n
-				prog = append(prog, CFI{Op: CFADefCFARegister, Reg: r})
+				emit(CFI{Op: CFADefCFARegister, Reg: r})
 			case rawDefCFAOfs:
 				o, n, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n
-				prog = append(prog, CFI{Op: CFADefCFAOffset, Offset: int64(o)})
+				emit(CFI{Op: CFADefCFAOffset, Offset: int64(o)})
 			case rawOffsetExt:
 				r, n, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n
 				f, n2, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n2
-				prog = append(prog, CFI{Op: CFAOffset, Reg: r, Offset: int64(f) * -dataAlign})
+				emit(CFI{Op: CFAOffset, Reg: r, Offset: int64(f) * -dataAlign})
 			case rawRestoreExt:
 				r, n, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n
-				prog = append(prog, CFI{Op: CFARestore, Reg: r})
+				emit(CFI{Op: CFARestore, Reg: r})
 			case rawUndefined, rawSameValue:
 				r, n, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n
 				sem := CFAUndefined
 				if op == rawSameValue {
 					sem = CFASameValue
 				}
-				prog = append(prog, CFI{Op: sem, Reg: r})
+				emit(CFI{Op: sem, Reg: r})
 			case rawRegister:
 				r, n, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n
 				r2, n2, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n2
-				prog = append(prog, CFI{Op: CFARegister, Reg: r, Reg2: r2})
+				emit(CFI{Op: CFARegister, Reg: r, Reg2: r2})
 			case rawRememberSt:
-				prog = append(prog, CFI{Op: CFARememberState})
+				emit(CFI{Op: CFARememberState})
 			case rawRestoreSt:
-				prog = append(prog, CFI{Op: CFARestoreState})
+				emit(CFI{Op: CFARestoreState})
 			case rawOffsetExtSF, rawDefCFASF:
 				// Signed-factored forms of offset_extended / def_cfa:
 				// same semantics, SLEB-factored operand.
 				r, n, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n
 				s, n2, err := readSLEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n2
 				if op == rawOffsetExtSF {
-					prog = append(prog, CFI{Op: CFAOffset, Reg: r, Offset: s * -dataAlign})
+					emit(CFI{Op: CFAOffset, Reg: r, Offset: s * -dataAlign})
 				} else {
-					prog = append(prog, CFI{Op: CFADefCFA, Reg: r, Offset: s * dataAlign})
+					emit(CFI{Op: CFADefCFA, Reg: r, Offset: s * dataAlign})
 				}
 			case rawDefCFAOfsSF:
 				s, n, err := readSLEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n
-				prog = append(prog, CFI{Op: CFADefCFAOffset, Offset: s * dataAlign})
+				emit(CFI{Op: CFADefCFAOffset, Offset: s * dataAlign})
 			case rawValOffset:
 				r, n, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n
 				f, n2, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n2
-				prog = append(prog, CFI{Op: CFAValOffset, Reg: r, Offset: int64(f) * dataAlign})
+				emit(CFI{Op: CFAValOffset, Reg: r, Offset: int64(f) * dataAlign})
 			case rawValOffsetSF:
 				r, n, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n
 				s, n2, err := readSLEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n2
-				prog = append(prog, CFI{Op: CFAValOffset, Reg: r, Offset: s * dataAlign})
+				emit(CFI{Op: CFAValOffset, Reg: r, Offset: s * dataAlign})
 			case rawValExpr:
 				r, n, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n
 				ln, n2, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n2
 				if ln > uint64(len(b)-i) {
-					return nil, ErrTruncated
+					return ErrTruncated
 				}
-				prog = append(prog, CFI{Op: CFAValExpression, Reg: r, Expr: append([]byte(nil), b[i:i+int(ln)]...)})
+				emit(CFI{Op: CFAValExpression, Reg: r, Expr: append([]byte(nil), b[i:i+int(ln)]...)})
 				i += int(ln)
 			case rawGNUArgsSize:
 				sz, n, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n
-				prog = append(prog, CFI{Op: CFAGNUArgsSize, Offset: int64(sz)})
+				emit(CFI{Op: CFAGNUArgsSize, Offset: int64(sz)})
 			case rawGNUWinSave:
-				prog = append(prog, CFI{Op: CFAGNUWindowSave})
+				emit(CFI{Op: CFAGNUWindowSave})
 			case rawGNUNegOfs:
 				// Obsolete GNU form: the factored offset is subtracted,
 				// the negation of offset_extended.
 				r, n, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n
 				f, n2, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n2
-				prog = append(prog, CFI{Op: CFAOffset, Reg: r, Offset: int64(f) * dataAlign})
+				emit(CFI{Op: CFAOffset, Reg: r, Offset: int64(f) * dataAlign})
 			case rawDefCFAExpr:
 				ln, n, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n
 				if ln > uint64(len(b)-i) {
-					return nil, ErrTruncated
+					return ErrTruncated
 				}
-				prog = append(prog, CFI{Op: CFADefCFAExpression, Expr: append([]byte(nil), b[i:i+int(ln)]...)})
+				emit(CFI{Op: CFADefCFAExpression, Expr: append([]byte(nil), b[i:i+int(ln)]...)})
 				i += int(ln)
 			case rawExpression:
 				r, n, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n
 				ln, n2, err := readULEB(b[i:])
 				if err != nil {
-					return nil, err
+					return err
 				}
 				i += n2
 				if ln > uint64(len(b)-i) {
-					return nil, ErrTruncated
+					return ErrTruncated
 				}
-				prog = append(prog, CFI{Op: CFAExpression, Reg: r, Expr: append([]byte(nil), b[i:i+int(ln)]...)})
+				emit(CFI{Op: CFAExpression, Reg: r, Expr: append([]byte(nil), b[i:i+int(ln)]...)})
 				i += int(ln)
 			default:
-				return nil, fmt.Errorf("%w: unknown CFI opcode %#x", ErrUnsupported, op)
+				return fmt.Errorf("%w: unknown CFI opcode %#x", ErrUnsupported, op)
 			}
 		}
 	}
-	return prog, nil
+	return nil
 }

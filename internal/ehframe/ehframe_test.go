@@ -89,33 +89,42 @@ func TestCFIExpressionRoundTrip(t *testing.T) {
 	}
 }
 
-// paperFDE builds the FDE from Figure 4b of the paper.
-func paperFDE() *FDE {
-	return &FDE{
-		CIE:     NewDefaultCIE(),
-		PCBegin: 0xB0,
-		PCRange: 56,
-		Program: []CFI{
-			{Op: CFAAdvanceLoc, Delta: 1}, // to b1
-			{Op: CFADefCFAOffset, Offset: 16},
-			{Op: CFAOffset, Reg: DwRBP, Offset: 16},
-			{Op: CFAAdvanceLoc, Delta: 12}, // to bd
-			{Op: CFADefCFAOffset, Offset: 24},
-			{Op: CFAOffset, Reg: DwRBX, Offset: 24},
-			{Op: CFAAdvanceLoc, Delta: 11}, // to c8
-			{Op: CFADefCFAOffset, Offset: 32},
-			{Op: CFAAdvanceLoc, Delta: 29}, // to e5
-			{Op: CFADefCFAOffset, Offset: 24},
-			{Op: CFAAdvanceLoc, Delta: 1}, // to e6
-			{Op: CFADefCFAOffset, Offset: 16},
-			{Op: CFAAdvanceLoc, Delta: 1}, // to e7
-			{Op: CFADefCFAOffset, Offset: 8},
-		},
+// paperProg is the CFI program of the FDE in Figure 4b of the paper.
+var paperProg = []CFI{
+	{Op: CFAAdvanceLoc, Delta: 1}, // to b1
+	{Op: CFADefCFAOffset, Offset: 16},
+	{Op: CFAOffset, Reg: DwRBP, Offset: 16},
+	{Op: CFAAdvanceLoc, Delta: 12}, // to bd
+	{Op: CFADefCFAOffset, Offset: 24},
+	{Op: CFAOffset, Reg: DwRBX, Offset: 24},
+	{Op: CFAAdvanceLoc, Delta: 11}, // to c8
+	{Op: CFADefCFAOffset, Offset: 32},
+	{Op: CFAAdvanceLoc, Delta: 29}, // to e5
+	{Op: CFADefCFAOffset, Offset: 24},
+	{Op: CFAAdvanceLoc, Delta: 1}, // to e6
+	{Op: CFADefCFAOffset, Offset: 16},
+	{Op: CFAAdvanceLoc, Delta: 1}, // to e7
+	{Op: CFADefCFAOffset, Offset: 8},
+}
+
+// paperFDE builds the FDE from Figure 4b of the paper under cie.
+func paperFDE(tb testing.TB, cie *CIE) *FDE {
+	return mustFDE(tb, cie, 0xB0, 56, paperProg)
+}
+
+// mustFDE is NewFDE for tests: a program the encoder refuses fails the
+// test.
+func mustFDE(tb testing.TB, cie *CIE, pcBegin, pcRange uint64, prog []CFI) *FDE {
+	tb.Helper()
+	f, err := NewFDE(cie, pcBegin, pcRange, prog)
+	if err != nil {
+		tb.Fatalf("NewFDE: %v", err)
 	}
+	return f
 }
 
 func TestHeightsPaperFigure4(t *testing.T) {
-	ht := paperFDE().Heights()
+	ht := paperFDE(t, NewDefaultCIE()).Heights()
 	if !ht.Complete {
 		t.Fatal("paper FDE should have complete heights")
 	}
@@ -148,17 +157,12 @@ func TestHeightsPaperFigure4(t *testing.T) {
 func TestHeightsIncompleteFramePointer(t *testing.T) {
 	// A frame-pointer function: CFA switches to rbp, making later
 	// rsp-relative heights unknowable.
-	f := &FDE{
-		CIE:     NewDefaultCIE(),
-		PCBegin: 0x100,
-		PCRange: 0x40,
-		Program: []CFI{
-			{Op: CFAAdvanceLoc, Delta: 1},
-			{Op: CFADefCFAOffset, Offset: 16},
-			{Op: CFAAdvanceLoc, Delta: 3},
-			{Op: CFADefCFARegister, Reg: DwRBP},
-		},
-	}
+	f := mustFDE(t, NewDefaultCIE(), 0x100, 0x40, []CFI{
+		{Op: CFAAdvanceLoc, Delta: 1},
+		{Op: CFADefCFAOffset, Offset: 16},
+		{Op: CFAAdvanceLoc, Delta: 3},
+		{Op: CFADefCFARegister, Reg: DwRBP},
+	})
 	ht := f.Heights()
 	if ht.Complete {
 		t.Fatal("frame-pointer FDE must be incomplete")
@@ -169,31 +173,25 @@ func TestHeightsIncompleteFramePointer(t *testing.T) {
 }
 
 func TestHeightsIncompleteExpression(t *testing.T) {
-	f := &FDE{
-		CIE:     NewDefaultCIE(),
-		PCBegin: 0x100,
-		PCRange: 0x10,
-		Program: []CFI{
-			{Op: CFADefCFAExpression, Expr: []byte{0x77, 8}},
-		},
-	}
+	f := mustFDE(t, NewDefaultCIE(), 0x100, 0x10, []CFI{
+		{Op: CFADefCFAExpression, Expr: []byte{0x77, 8}},
+	})
 	if ht := f.Heights(); ht.Complete {
 		t.Fatal("expression-based CFA must be incomplete")
 	}
 }
 
 func TestSectionEncodeDecodeRoundTrip(t *testing.T) {
-	cie := NewDefaultCIE()
-	paper := paperFDE()
-	paper.CIE = cie // share one CIE across all three FDEs
+	cie := NewDefaultCIE() // one CIE shared by all three FDEs
+	progs := [][]CFI{paperProg, {
+		{Op: CFAAdvanceLoc, Delta: 4},
+		{Op: CFADefCFAOffset, Offset: 48},
+	}, nil}
 	sec := &Section{
 		Addr: 0x4F0000,
 		FDEs: []*FDE{
-			paper,
-			{CIE: cie, PCBegin: 0x200, PCRange: 0x80, Program: []CFI{
-				{Op: CFAAdvanceLoc, Delta: 4},
-				{Op: CFADefCFAOffset, Offset: 48},
-			}},
+			paperFDE(t, cie),
+			mustFDE(t, cie, 0x200, 0x80, progs[1]),
 			{CIE: cie, PCBegin: 0x300, PCRange: 0x10},
 		},
 	}
@@ -211,11 +209,25 @@ func TestSectionEncodeDecodeRoundTrip(t *testing.T) {
 	if len(got.CIEs) != 1 {
 		t.Fatalf("decoded %d CIEs, want 1 (shared)", len(got.CIEs))
 	}
+	// Decode keeps the programs as bytes of its own: the caller's
+	// buffer may change once it returns.
+	clear(data)
 	for k, f := range got.FDEs {
 		want := sec.FDEs[k]
 		if f.PCBegin != want.PCBegin || f.PCRange != want.PCRange {
 			t.Errorf("FDE %d = [%#x,+%#x), want [%#x,+%#x)",
 				k, f.PCBegin, f.PCRange, want.PCBegin, want.PCRange)
+		}
+		prog := f.CFIs()
+		for len(prog) > 0 && prog[len(prog)-1].Op == CFANop { // Encode's padding
+			prog = prog[:len(prog)-1]
+		}
+		if len(prog) != len(progs[k]) || (len(prog) > 0 && !reflect.DeepEqual(prog, progs[k])) {
+			t.Errorf("FDE %d: CFIs() = %v, want %v", k, prog, progs[k])
+		}
+		gotHT, wantHT := f.Heights(), want.Heights()
+		if !reflect.DeepEqual(gotHT.Rows, wantHT.Rows) || gotHT.Complete != wantHT.Complete {
+			t.Errorf("FDE %d: heights %+v, want %+v", k, gotHT, wantHT)
 		}
 	}
 	// Heights must survive the round trip.
@@ -290,19 +302,19 @@ func TestQuickHeightTableMonotonic(t *testing.T) {
 		if len(deltasRaw) > 24 {
 			deltasRaw = deltasRaw[:24]
 		}
-		fde := &FDE{CIE: NewDefaultCIE(), PCBegin: 0x1000}
 		offset := int64(8)
 		var loc uint64
+		var prog []CFI
 		for _, d := range deltasRaw {
 			delta := uint64(d%32 + 1)
 			loc += delta
 			offset += 8
-			fde.Program = append(fde.Program,
+			prog = append(prog,
 				CFI{Op: CFAAdvanceLoc, Delta: delta},
 				CFI{Op: CFADefCFAOffset, Offset: offset},
 			)
 		}
-		fde.PCRange = loc + 16
+		fde := mustFDE(t, NewDefaultCIE(), 0x1000, loc+16, prog)
 		ht := fde.Heights()
 		if !ht.Complete {
 			return false

@@ -12,15 +12,15 @@ func fuzzSectionBytes(tb testing.TB, enc byte) []byte {
 	cie.FDEEnc = enc
 	sec := &Section{Addr: 0x500000}
 	sec.FDEs = []*FDE{
-		{CIE: cie, PCBegin: 0x401000, PCRange: 0x40, Program: []CFI{
+		mustFDE(tb, cie, 0x401000, 0x40, []CFI{
 			{Op: CFAAdvanceLoc, Delta: 1},
 			{Op: CFADefCFAOffset, Offset: 16},
 			{Op: CFAOffset, Reg: DwRBX, Offset: 16},
-		}},
-		{CIE: cie, PCBegin: 0x401040, PCRange: 0x80, Program: []CFI{
+		}),
+		mustFDE(tb, cie, 0x401040, 0x80, []CFI{
 			{Op: CFAAdvanceLoc, Delta: 4},
 			{Op: CFADefCFARegister, Reg: DwRBP},
-		}},
+		}),
 	}
 	out, err := sec.Encode()
 	if err != nil {

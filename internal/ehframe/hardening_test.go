@@ -2,6 +2,7 @@ package ehframe
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -46,11 +47,11 @@ func TestDecodeGarbageReturnsErrors(t *testing.T) {
 	}
 }
 
-// TestDecodeFDELongProgramAllocation pins that FDE programs share
-// arena blocks without reserving memory in proportion to an FDE's
-// length: a 1 MiB program whose first opcode is unsupported must be
-// rejected without allocating anything near 64 bytes per program byte,
-// while short programs still decode, each capped at its own length.
+// TestDecodeFDELongProgramAllocation pins that decoding an FDE
+// validates its program without materializing it: a 1 MiB program
+// whose first opcode is unsupported must be rejected without
+// allocating anything near 64 bytes per program byte, and CFIs and the
+// height evaluation read a short program from its kept bytes.
 func TestDecodeFDELongProgramAllocation(t *testing.T) {
 	cie := NewDefaultCIE()
 	fdeBody := func(prog []byte) []byte {
@@ -61,7 +62,7 @@ func TestDecodeFDELongProgramAllocation(t *testing.T) {
 	long[9] = 0x1F // the first opcode: not one the codec knows
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := decodeFDE(long, cie, 0x500000, new([]CFI))
+	_, err := decodeFDE(long, cie, 0x500000)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("decodeFDE = %v, want ErrUnsupported", err)
@@ -70,18 +71,17 @@ func TestDecodeFDELongProgramAllocation(t *testing.T) {
 		t.Fatalf("rejecting a 1 MiB program allocated %d bytes", got)
 	}
 
-	var arena []CFI
-	a, err := decodeFDE(fdeBody([]byte{0x41, 0x0E, 0x10}), cie, 0x500000, &arena) // advance 1; def_cfa_offset 16
+	f, err := decodeFDE(fdeBody([]byte{0x41, 0x0E, 0x10}), cie, 0x500000) // advance 1; def_cfa_offset 16
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := decodeFDE(fdeBody([]byte{0x42}), cie, 0x500000, &arena) // advance 2
-	if err != nil {
-		t.Fatal(err)
+	want := []CFI{{Op: CFAAdvanceLoc, Delta: 1}, {Op: CFADefCFAOffset, Offset: 16}}
+	if got := f.CFIs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("CFIs() = %v, want %v", got, want)
 	}
-	if len(arena) != 3 || len(a.Program) != 2 || cap(a.Program) != 2 || len(b.Program) != 1 ||
-		&a.Program[0] != &arena[0] || &b.Program[0] != &arena[2] {
-		t.Fatalf("programs %v / %v do not share one block, each capped at its length", a.Program, b.Program)
+	ht := f.Heights()
+	if h, ok := ht.HeightAt(f.PCBegin + 1); !ok || h != 8 {
+		t.Fatalf("height after the push = %d, %v; want 8", h, ok)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestDecodeFDEHugeAugLen(t *testing.T) {
 		0, 0, 0, 0, 0x40, 0, 0, 0, // PC begin rel, range
 		0xFF, 0xFF, 0xFF, 0xFF, 0x7F, // augmentation length: huge
 	}
-	if _, err := decodeFDE(body, cie, 0x500000, new([]CFI)); !errors.Is(err, ErrTruncated) {
+	if _, err := decodeFDE(body, cie, 0x500000); !errors.Is(err, ErrTruncated) {
 		t.Errorf("decodeFDE = %v, want ErrTruncated", err)
 	}
 }

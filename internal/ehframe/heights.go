@@ -98,17 +98,17 @@ func (f *FDE) HeightsABI(spReg uint64, entryOffset int64) HeightTable {
 		t.Complete = false
 	}
 	emit()
-	for _, c := range f.Program {
+	f.eachCFI(func(c CFI) {
 		if c.Op == CFAAdvanceLoc {
 			loc += c.Delta
-			continue
+			return
 		}
 		before := st
 		apply(c)
 		if st != before {
 			emit()
 		}
-	}
+	})
 	return t
 }
 

@@ -230,13 +230,13 @@ func TestRealCFIOpcodes(t *testing.T) {
 
 	// The non-CFA ops must not disturb height evaluation.
 	cie := NewDefaultCIE()
-	fde := &FDE{CIE: cie, PCBegin: 0x401000, PCRange: 0x40, Program: []CFI{
+	fde := mustFDE(t, cie, 0x401000, 0x40, []CFI{
 		{Op: CFAGNUArgsSize, Offset: 16},
 		{Op: CFAAdvanceLoc, Delta: 4},
 		{Op: CFADefCFAOffset, Offset: 24},
 		{Op: CFAValOffset, Reg: 6, Offset: -8},
 		{Op: CFAGNUWindowSave},
-	}}
+	})
 	ht := fde.Heights()
 	if !ht.Complete {
 		t.Fatalf("heights not Complete with neutral real-CFI ops: %+v", ht)

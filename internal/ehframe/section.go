@@ -1,6 +1,7 @@
 package ehframe
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -60,11 +61,39 @@ func NewDefaultCIEA64() *CIE {
 }
 
 // FDE is a Frame Description Entry covering one contiguous code range.
+// Its CFI program is kept encoded, as the section holds it: Decode
+// validates each program and keeps its bytes, and NewFDE encodes the
+// program it is given. Read a program through CFIs.
 type FDE struct {
 	CIE     *CIE
 	PCBegin uint64
 	PCRange uint64
-	Program []CFI
+	// program is the encoded CFI program, under CIE's alignment
+	// factors.
+	program []byte
+}
+
+// NewFDE returns the FDE over [pcBegin, pcBegin+pcRange) described by
+// cie and the CFI program prog, which it encodes under cie's alignment
+// factors.
+func NewFDE(cie *CIE, pcBegin, pcRange uint64, prog []CFI) (*FDE, error) {
+	b, err := encodeCFIs(prog, cie.CodeAlign, cie.DataAlign)
+	if err != nil {
+		return nil, err
+	}
+	return &FDE{CIE: cie, PCBegin: pcBegin, PCRange: pcRange, program: b}, nil
+}
+
+// CFIs decodes the FDE's CFI program.
+func (f *FDE) CFIs() []CFI {
+	prog, _ := decodeCFIs(f.program, f.CIE.CodeAlign, f.CIE.DataAlign) // Decode validated it, or NewFDE encoded it
+	return prog
+}
+
+// eachCFI passes the FDE's CFI program to fn in order, decoding it as
+// it goes rather than materializing it.
+func (f *FDE) eachCFI(fn func(CFI)) {
+	_ = walkCFIs(f.program, f.CIE.CodeAlign, f.CIE.DataAlign, fn) // Decode validated it, or NewFDE encoded it
 }
 
 // End returns the first address past the FDE's range.
@@ -205,11 +234,7 @@ func (s *Section) Encode() ([]byte, error) {
 			return nil, fmt.Errorf("ehframe: unsupported FDE encoding %#x", f.CIE.FDEEnc)
 		}
 		out = appendULEB(out, 0) // augmentation data length
-		prog, err := encodeCFIs(f.Program, f.CIE.CodeAlign, f.CIE.DataAlign)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, prog...)
+		out = append(out, f.program...)
 		for (len(out)-start)%8 != 0 {
 			out = append(out, rawNop)
 		}
@@ -230,15 +255,14 @@ func (s *Section) Encode() ([]byte, error) {
 // Section.Stats, so one vendor extension in one object file no longer
 // aborts the analysis of a whole real binary.
 func Decode(data []byte, addr uint64) (*Section, error) {
+	// The FDEs keep their programs as bytes of this copy: the caller's
+	// buffer may be a window of a file that closes with its image.
+	data = bytes.Clone(data)
 	s := &Section{Addr: addr}
 	// cies maps entry offset to the decoded CIE; a nil value marks a
 	// CIE that was skipped as unsupported, so its FDEs skip too rather
 	// than failing as orphans.
 	cies := make(map[int]*CIE)
-	// arena backs the FDE programs: a few large blocks instead of one
-	// allocation per program. Programs never grow after decoding, and
-	// each is capped at its own length, so sharing a block is invisible.
-	var arena []CFI
 	i := 0
 	for i+4 <= len(data) {
 		length := uint64(binary.LittleEndian.Uint32(data[i:]))
@@ -307,7 +331,7 @@ func Decode(data []byte, addr uint64) (*Section, error) {
 			continue
 		}
 		pcFieldAddr := addr + uint64(i-len(body)) + uint64(idSize)
-		fde, err := decodeFDE(body[idSize:], cie, pcFieldAddr, &arena)
+		fde, err := decodeFDE(body[idSize:], cie, pcFieldAddr)
 		switch {
 		case errors.Is(err, ErrUnsupported):
 			s.Stats.SkippedFDEs++
@@ -480,9 +504,11 @@ func readEncodedPC(b []byte, enc byte, fieldAddr uint64) (uint64, int, error) {
 
 // decodeFDE parses an FDE body; pcFieldAddr is the virtual address of
 // the PC Begin field (needed for pcrel encodings). The program is
-// appended to *arena; an FDE that fails to decode leaves no trace
-// there.
-func decodeFDE(b []byte, cie *CIE, pcFieldAddr uint64, arena *[]CFI) (*FDE, error) {
+// validated, and kept as bytes for CFIs and the height evaluation to
+// decode on request: a section's programs are never all materialized
+// at once, and a hostile program makes the decoder reserve nothing in
+// proportion to its length.
+func decodeFDE(b []byte, cie *CIE, pcFieldAddr uint64) (*FDE, error) {
 	f := &FDE{CIE: cie}
 	begin, n, err := readEncodedPC(b, cie.FDEEnc, pcFieldAddr)
 	if err != nil {
@@ -517,33 +543,11 @@ func decodeFDE(b []byte, cie *CIE, pcFieldAddr uint64, arena *[]CFI) (*FDE, erro
 	}
 	i += int(augLen)
 	body := b[i:]
-	if len(body) > cfiArenaBlock {
-		// Too long to reserve room for up front (the bytes come from
-		// the binary): decode into its own slice, grown as it goes.
-		if f.Program, err = decodeCFIs(body, cie.CodeAlign, cie.DataAlign); err != nil {
-			return nil, err
-		}
-		return f, nil
-	}
-	// Every CFI instruction takes at least one byte, so the program
-	// needs at most len(body) slots: with that much room reserved, the
-	// append below never reallocates the block earlier programs share.
-	if cap(*arena)-len(*arena) < len(body) {
-		*arena = make([]CFI, 0, cfiArenaBlock)
-	}
-	start := len(*arena)
-	prog, err := appendCFIs(*arena, body, cie.CodeAlign, cie.DataAlign)
-	if err != nil {
+	if err := walkCFIs(body, cie.CodeAlign, cie.DataAlign, func(CFI) {}); err != nil {
 		return nil, err
 	}
-	*arena = prog
-	if end := len(prog); end > start {
-		f.Program = prog[start:end:end]
+	if len(body) > 0 {
+		f.program = body
 	}
 	return f, nil
 }
-
-// cfiArenaBlock is the CFI capacity of one program arena block (32
-// KiB), and so the longest program body, in bytes, that decodes into
-// the arena.
-const cfiArenaBlock = 512

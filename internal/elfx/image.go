@@ -248,6 +248,12 @@ func (im *Image) SectionAt(addr uint64) (*Section, bool) {
 	return nil, false
 }
 
+// SectionsOverlap reports whether two non-empty sections of the image
+// overlap. Address queries then answer by the first containing section
+// in Sections order; otherwise an address lies in at most one section,
+// so it is executable exactly when it lies in one of ExecSections.
+func (im *Image) SectionsOverlap() bool { return im.index().linear }
+
 // IsExec reports whether addr lies in an executable section.
 func (im *Image) IsExec(addr uint64) bool {
 	s, ok := im.SectionAt(addr)

@@ -69,7 +69,8 @@ func loadSelf(t testing.TB) *Image {
 // TestSectionIndexMatchesLinear pins the byte-identity contract of the
 // sorted-range index against the linear reference on three shapes: a
 // synthetic handful of sections, a real 25+-section host binary, and
-// an overlapping layout that must take the fallback path.
+// an overlapping layout that must take the fallback path, which
+// SectionsOverlap reports.
 func TestSectionIndexMatchesLinear(t *testing.T) {
 	synthIm := &Image{Sections: []*Section{
 		{Name: ".text", Addr: 0x401000, Data: make([]byte, 0x300), Flags: FlagAlloc | FlagExec},
@@ -78,6 +79,9 @@ func TestSectionIndexMatchesLinear(t *testing.T) {
 		{Name: ".data", Addr: 0x403000, Data: make([]byte, 0x40), Flags: FlagAlloc | FlagWrite},
 	}}
 	checkIndexMatchesLinear(t, synthIm, "synth")
+	if synthIm.SectionsOverlap() {
+		t.Error("synth: SectionsOverlap with disjoint sections (an empty one at a section end)")
+	}
 
 	overlapIm := &Image{Sections: []*Section{
 		{Name: "a", Addr: 0x1000, Data: make([]byte, 0x100), Flags: FlagAlloc},
@@ -87,6 +91,9 @@ func TestSectionIndexMatchesLinear(t *testing.T) {
 	// First-match semantics on the overlapped range must hold exactly.
 	if s, ok := overlapIm.SectionAt(0x10C0); !ok || s.Name != "a" {
 		t.Errorf("overlap: SectionAt(0x10c0) = %v, %v; want first-in-slice section a", s, ok)
+	}
+	if !overlapIm.SectionsOverlap() {
+		t.Error("overlap: SectionsOverlap is false")
 	}
 
 	checkIndexMatchesLinear(t, loadSelf(t), "real")

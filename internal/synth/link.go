@@ -436,11 +436,9 @@ func Generate(cfg Config) (*elfx.Image, *groundtruth.Truth, error) {
 				pcRange = half
 			}
 		}
-		fde := &ehframe.FDE{
-			CIE:     cieFor(fdeIdx),
-			PCBegin: ch.addr,
-			PCRange: pcRange,
-			Program: convertCFI(ch.cfi),
+		fde, err := ehframe.NewFDE(cieFor(fdeIdx), ch.addr, pcRange, convertCFI(ch.cfi))
+		if err != nil {
+			return nil, nil, err
 		}
 		sec.FDEs = append(sec.FDEs, fde)
 		fdeIdx++
