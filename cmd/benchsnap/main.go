@@ -14,17 +14,34 @@
 // (go test -bench ./pkg1 ./pkg2) qualify each benchmark name with its
 // package path, so cross-backend twins like the x64/a64
 // DecodeThroughput pair stay distinct.
+//
+// With -base, benchsnap compares instead: it reads a benchmark run (or
+// a snapshot) on stdin and prints, per benchmark, the median of ns/op,
+// B/op, allocs/op and every custom metric in the base snapshot and in
+// the new run, with the relative change, and the failed runs on each
+// side:
+//
+//	go test -run '^$' -bench . -count 3 . | benchsnap -base BENCH_22.json
+//	benchsnap -base BENCH_22.json < BENCH_23.json
+//
+// Snapshots taken on different hosts do not compare, so nothing gates
+// on the result.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 )
 
 // Snapshot is the BENCH_N.json document: the machine header of the
@@ -64,7 +81,19 @@ type Benchmark struct {
 }
 
 func main() {
-	if err := run(os.Stdin, os.Stdout); err != nil {
+	base := flag.String("base", "", "compare stdin against this `BENCH_N.json` snapshot instead of writing a snapshot")
+	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "benchsnap: unexpected arguments:", flag.Args())
+		os.Exit(2)
+	}
+	var err error
+	if *base != "" {
+		err = compareFile(*base, os.Stdin, os.Stdout)
+	} else {
+		err = run(os.Stdin, os.Stdout)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchsnap:", err)
 		os.Exit(1)
 	}
@@ -73,6 +102,20 @@ func main() {
 // run parses benchmark output from r and writes the snapshot JSON to
 // w. It is separated from main so tests can drive it directly.
 func run(r io.Reader, w io.Writer) error {
+	snap, err := parse(r)
+	if err != nil {
+		return err
+	}
+	out, err := json.MarshalIndent(&snap, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "%s\n", out)
+	return err
+}
+
+// parse reads benchmark output into a snapshot.
+func parse(r io.Reader) (Snapshot, error) {
 	snap := Snapshot{Schema: "fetch-benchsnap-1"}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -121,10 +164,10 @@ func run(r io.Reader, w io.Writer) error {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return err
+		return snap, err
 	}
 	if len(snap.Benchmarks) == 0 && len(snap.Failures) == 0 {
-		return fmt.Errorf("no benchmark lines in input")
+		return snap, fmt.Errorf("no benchmark lines in input")
 	}
 	if len(pkgs) > 1 {
 		// More than one package: the single Pkg header is dropped and
@@ -147,12 +190,157 @@ func run(r io.Reader, w io.Writer) error {
 	sort.SliceStable(snap.Failures, func(i, j int) bool {
 		return snap.Failures[i].Name < snap.Failures[j].Name
 	})
-	out, err := json.MarshalIndent(&snap, "", "  ")
+	return snap, nil
+}
+
+// compareFile compares the run or snapshot on r with the snapshot at
+// basePath (see compare).
+func compareFile(basePath string, r io.Reader, w io.Writer) error {
+	raw, err := os.ReadFile(basePath)
 	if err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(w, "%s\n", out)
-	return err
+	var base Snapshot
+	if err := json.Unmarshal(raw, &base); err != nil {
+		return fmt.Errorf("%s: %w", basePath, err)
+	}
+	in, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	var cur Snapshot
+	if t := bytes.TrimSpace(in); len(t) > 0 && t[0] == '{' {
+		if err := json.Unmarshal(t, &cur); err != nil {
+			return fmt.Errorf("stdin: %w", err)
+		}
+	} else if cur, err = parse(bytes.NewReader(in)); err != nil {
+		return err
+	}
+	return compare(base, cur, w)
+}
+
+// compare writes one table row per benchmark and metric: the metric's
+// median over the base's runs and over the new runs, and the relative
+// change; then, per benchmark with failed runs on either side, the
+// failure counts. A benchmark or metric missing on one side shows "-"
+// there. Metrics come in the order ns/op, B/op, allocs/op, then the
+// custom ones by name.
+func compare(base, cur Snapshot, w io.Writer) error {
+	type side struct {
+		runs   int
+		values map[string][]float64
+	}
+	collect := func(s Snapshot) map[string]*side {
+		out := map[string]*side{}
+		for _, b := range s.Benchmarks {
+			sd := out[b.Name]
+			if sd == nil {
+				sd = &side{values: map[string][]float64{}}
+				out[b.Name] = sd
+			}
+			sd.runs++
+			sd.values["ns/op"] = append(sd.values["ns/op"], b.NsPerOp)
+			for unit, v := range b.Metrics {
+				sd.values[unit] = append(sd.values[unit], v)
+			}
+		}
+		return out
+	}
+	failures := func(s Snapshot) map[string]int {
+		out := map[string]int{}
+		for _, f := range s.Failures {
+			out[f.Name]++
+		}
+		return out
+	}
+	bs, cs := collect(base), collect(cur)
+	bf, cf := failures(base), failures(cur)
+	var names []string
+	for _, m := range []map[string]*side{bs, cs} {
+		for n := range m {
+			names = append(names, n)
+		}
+	}
+	for _, m := range []map[string]int{bf, cf} {
+		for n := range m {
+			names = append(names, n)
+		}
+	}
+	slices.Sort(names)
+	names = slices.Compact(names)
+
+	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "benchmark\tmetric\tbase\tnew\tchange")
+	for _, n := range names {
+		b, c := bs[n], cs[n]
+		if b == nil {
+			b = &side{}
+		}
+		if c == nil {
+			c = &side{}
+		}
+		fmt.Fprintf(tw, "%s\truns\t%d\t%d\t\n", n, b.runs, c.runs)
+		for _, unit := range metricOrder(b.values, c.values) {
+			bv, bok := median(b.values[unit])
+			cv, cok := median(c.values[unit])
+			change := ""
+			if bok && cok && bv != 0 {
+				change = fmt.Sprintf("%+.1f%%", 100*(cv-bv)/bv)
+			}
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\n", n, unit, number(bv, bok), number(cv, cok), change)
+		}
+		if bf[n]+cf[n] > 0 {
+			fmt.Fprintf(tw, "%s\tfailures\t%d\t%d\t\n", n, bf[n], cf[n])
+		}
+	}
+	return tw.Flush()
+}
+
+// metricOrder lists the units either side reported: ns/op, B/op and
+// allocs/op first, then the rest by name.
+func metricOrder(a, b map[string][]float64) []string {
+	var out, rest []string
+	for _, u := range []string{"ns/op", "B/op", "allocs/op"} {
+		if a[u] != nil || b[u] != nil {
+			out = append(out, u)
+		}
+	}
+	for _, m := range []map[string][]float64{a, b} {
+		for u := range m {
+			if u != "ns/op" && u != "B/op" && u != "allocs/op" {
+				rest = append(rest, u)
+			}
+		}
+	}
+	slices.Sort(rest)
+	return append(out, slices.Compact(rest)...)
+}
+
+// median returns the middle value of vs (the mean of the two middle
+// ones for an even count), and false for no values.
+func median(vs []float64) (float64, bool) {
+	if len(vs) == 0 {
+		return 0, false
+	}
+	s := slices.Clone(vs)
+	slices.Sort(s)
+	m := len(s) / 2
+	if len(s)%2 == 1 {
+		return s[m], true
+	}
+	return (s[m-1] + s[m]) / 2, true
+}
+
+// number formats a table value: "-" when absent, whole units from
+// 1,000 up, else four significant digits.
+func number(v float64, ok bool) string {
+	switch {
+	case !ok:
+		return "-"
+	case math.Abs(v) >= 1000:
+		return strconv.FormatFloat(v, 'f', 0, 64)
+	}
+	return strconv.FormatFloat(v, 'g', 4, 64)
 }
 
 // parseLine decodes one `BenchmarkName-P  N  V unit  V unit ...`

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -145,5 +147,75 @@ func TestRunRecordsFailures(t *testing.T) {
 	}
 	if strings.Contains(clean.String(), "failures") {
 		t.Fatal("a run without failures writes a failures field")
+	}
+}
+
+// TestCompareMedians drives the -base mode: the medians of each metric
+// over the base snapshot's runs and the new run's, the relative
+// change, "-" for a side without the benchmark or metric, and the
+// failure counts.
+func TestCompareMedians(t *testing.T) {
+	base := Snapshot{
+		Benchmarks: []Benchmark{
+			{Name: "BenchmarkA", NsPerOp: 100, Metrics: map[string]float64{"B/op": 10, "×vs-cold": 12}},
+			{Name: "BenchmarkA", NsPerOp: 300, Metrics: map[string]float64{"B/op": 30, "×vs-cold": 14}},
+			{Name: "BenchmarkA", NsPerOp: 200, Metrics: map[string]float64{"B/op": 20, "×vs-cold": 16}},
+			{Name: "BenchmarkGone", NsPerOp: 50},
+		},
+		Failures: []Failure{{Name: "BenchmarkA", Message: "gate"}},
+	}
+	cur := `pkg: fetch
+BenchmarkA-2   	 10	  100 ns/op	  5 B/op	  3 allocs/op	  15.5 ×vs-cold
+BenchmarkA-2   	 10	  120 ns/op	  7 B/op	  3 allocs/op	  16.5 ×vs-cold
+BenchmarkNew-2 	  1	  999 ns/op
+`
+	var out strings.Builder
+	snap, err := parse(strings.NewReader(cur))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := compare(base, snap, &out); err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string][]string{}
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n")[1:] {
+		f := strings.Fields(line)
+		rows[f[0]+" "+f[1]] = f[2:]
+	}
+	want := map[string][]string{
+		"BenchmarkA runs":      {"3", "2"},
+		"BenchmarkA ns/op":     {"200", "110", "-45.0%"},
+		"BenchmarkA B/op":      {"20", "6", "-70.0%"},
+		"BenchmarkA allocs/op": {"-", "3"},
+		"BenchmarkA ×vs-cold":  {"14", "16", "+14.3%"},
+		"BenchmarkA failures":  {"1", "0"},
+		"BenchmarkGone runs":   {"1", "0"},
+		"BenchmarkGone ns/op":  {"50", "-"},
+		"BenchmarkNew runs":    {"0", "1"},
+		"BenchmarkNew ns/op":   {"-", "999"},
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("comparison rows:\n%v\nwant\n%v\noutput:\n%s", rows, want, out.String())
+	}
+	// The new side may be a snapshot too.
+	enc, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := dir + "/BENCH_0.json"
+	raw, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var fromSnap strings.Builder
+	if err := compareFile(path, bytes.NewReader(enc), &fromSnap); err != nil {
+		t.Fatal(err)
+	}
+	if fromSnap.String() != out.String() {
+		t.Fatalf("comparing a snapshot printed\n%s\nwant\n%s", fromSnap.String(), out.String())
 	}
 }

@@ -395,15 +395,19 @@ func (p *pipeline) xrefIterBound() int {
 // runXref iterates pointer detection to convergence (a round that
 // accepts nothing), extending the session with each accepted batch.
 // Candidate validation probes the session, so speculative decodes
-// land in the shared cache without touching the committed state. The
-// iteration count is recorded in Stats; hitting the safety bound
-// before the fixed point marks the analysis Truncated — loudly, where
-// the historical cap of 3 truncated silently.
+// land in the shared cache without touching the committed state, and
+// each candidate is walked at most once per call: a candidate a round
+// rejected after walking is re-validated in later rounds on its kept
+// walk (xref.Walks), which lives exactly as long as this call's
+// KnownRanges. The iteration count is recorded in Stats; hitting the
+// safety bound before the fixed point marks the analysis Truncated —
+// loudly, where the historical cap of 3 truncated silently.
 func (p *pipeline) runXref(exclude map[uint64]bool) {
 	opts := xref.Options{
 		KnownRanges: fdeRanges(p.rep.Sec, exclude),
 		Session:     p.sess,
 		Index:       p.dataIndex(),
+		Walks:       xref.NewWalks(),
 	}
 	if p.rec != nil {
 		p.rec.post = exclude != nil

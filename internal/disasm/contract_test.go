@@ -1,7 +1,10 @@
 package disasm
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fetch/internal/arch"
@@ -213,6 +216,189 @@ func contractProfiles(t *testing.T) []contractProfile {
 		}
 	}
 	return out
+}
+
+// refExec is the fixed-point loop exec replaced, kept verbatim (apart
+// from its name and its receiver, a parameter here) as the reference
+// for the pass skip: it walks every pass until the verdicts settle or
+// the bound is reached, and puts every result that leaves the session,
+// probes included, in address order.
+func refExec(s *Session, seeds []uint64, opts Options, probe bool) *Result {
+	observed := !probe && s.obs != nil
+	nonRet := map[uint64]bool{}
+	condNonRet := map[uint64]bool{}
+	var buf passBuffers
+	if !probe && s.res != nil {
+		buf = buffersLike(s.res)
+	}
+	var res *Result
+	for iter := 0; iter < 6; iter++ {
+		if probe {
+			res = s.pass(seeds, opts, nonRet, condNonRet, s.borrowOwner(), nil, buf)
+			s.returnOwner(res)
+		} else {
+			res = s.pass(seeds, opts, nonRet, condNonRet, newOwnerIndex(s.layout), nil, buf)
+		}
+		buf = passBuffers{}
+		s.notePassMem(res)
+		if observed {
+			s.sortResult(res)
+			s.obs.OnPass(nonRet, condNonRet, res)
+		}
+		if !opts.NonReturning {
+			break
+		}
+		newNonRet, newCond := s.inferNonReturning(res)
+		if setsEqual(newNonRet, nonRet) && setsEqual(newCond, condNonRet) {
+			break
+		}
+		nonRet, condNonRet = newNonRet, newCond
+		if observed {
+			buf = buffersLike(res)
+		} else {
+			buf = passBuffers{res.Insts[:0], res.Refs[:0]}
+		}
+	}
+	if !observed {
+		s.sortResult(res)
+	}
+	res.NonRet = nonRet
+	res.CondNonRet = condNonRet
+	return res
+}
+
+// refCommit commits seeds on ref through refExec, as Extend, Retract
+// and Rerun commit their seed lists through exec.
+func refCommit(ref *Session, seeds []uint64) *Result {
+	ref.seeds = append(ref.seeds[:0:0], seeds...)
+	ref.res = refExec(ref, ref.seeds, ref.opts, false)
+	return ref.res
+}
+
+// loggedPass is one pass an ExecObserver saw: the verdicts it ran
+// under and its instruction addresses, each sorted.
+type loggedPass struct {
+	nonRet, cond, insts []uint64
+}
+
+// passLog is an ExecObserver that logs every pass it sees.
+type passLog struct{ passes []loggedPass }
+
+func (l *passLog) OnPass(nonRet, condNonRet map[uint64]bool, res *Result) {
+	keys := func(m map[uint64]bool) []uint64 {
+		out := make([]uint64, 0, len(m))
+		for a := range m {
+			out = append(out, a)
+		}
+		slices.Sort(out)
+		return out
+	}
+	p := loggedPass{nonRet: keys(nonRet), cond: keys(condNonRet)}
+	for _, in := range res.Insts {
+		p.insts = append(p.insts, in.Addr)
+	}
+	slices.Sort(p.insts)
+	l.passes = append(l.passes, p)
+}
+
+// skipCheck drives one observed session through Extend, Extend,
+// Retract and Rerun, and a second one through the same seed lists by
+// refExec. Every result must be byte-identical to the reference's, and
+// the observer of each must see the same passes: the same verdicts and
+// the same instructions, pass for pass. It returns how many passes the
+// session walked and how many the reference walked.
+func skipCheck(t *testing.T, label string, img *elfx.Image, seeds []uint64) (walked, refWalked int) {
+	t.Helper()
+	opts := Options{ResolveJumpTables: true, NonReturning: true}
+	sess, ref := NewSession(img, opts), NewSession(img, opts)
+	got, want := &passLog{}, &passLog{}
+	sess.SetExecObserver(got)
+	ref.SetExecObserver(want)
+	half := len(seeds) / 2
+	var drop, kept []uint64
+	for i := 0; i < len(seeds); i += 3 {
+		drop = append(drop, seeds[i])
+	}
+	for _, sd := range seeds {
+		if !slices.Contains(drop, sd) {
+			kept = append(kept, sd)
+		}
+	}
+	reversed := slices.Clone(seeds)
+	slices.Reverse(reversed)
+	steps := []struct {
+		name string
+		run  func() *Result
+		ref  []uint64
+	}{
+		{"extend 1", func() *Result { return sess.Extend(seeds[:half]) }, seeds[:half]},
+		{"extend 2", func() *Result { return sess.Extend(seeds[half:]) }, seeds},
+		{"retract", func() *Result { return sess.Retract(drop) }, kept},
+		{"rerun", func() *Result { return sess.Rerun(reversed) }, reversed},
+	}
+	for _, st := range steps {
+		r := st.run()
+		w := refCommit(ref, st.ref)
+		requireEqualResults(t, label+" "+st.name, r, w)
+		if !reflect.DeepEqual(got.passes, want.passes) {
+			t.Fatalf("%s %s: observer saw %d passes, the reference's %d, or different ones",
+				label, st.name, len(got.passes), len(want.passes))
+		}
+	}
+	return sess.Stats().FixedPointPasses, ref.Stats().FixedPointPasses
+}
+
+// TestPassSkipMatchesReference compares the session's fixed point,
+// which skips a pass that would repeat the last one, with refExec's,
+// which walks it, on every adversarial profile on both ISAs and on the
+// committed real binaries: results and observed passes must be equal,
+// and the session must have skipped some passes.
+func TestPassSkipMatchesReference(t *testing.T) {
+	type input struct {
+		name  string
+		img   *elfx.Image
+		seeds []uint64
+	}
+	var inputs []input
+	for _, p := range contractProfiles(t) {
+		inputs = append(inputs, input{p.name, p.img, p.sec.FunctionStarts()})
+	}
+	bins, err := filepath.Glob(filepath.Join("..", "..", "testdata", "realbin", "*.bin"))
+	if err != nil || len(bins) == 0 {
+		t.Fatalf("no real binaries: %v", err)
+	}
+	for _, path := range bins {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := elfx.LoadELF(data)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		img = img.Strip()
+		eh, ok := img.Section(".eh_frame")
+		if !ok {
+			t.Fatalf("%s: no .eh_frame", path)
+		}
+		sec, err := ehframe.Decode(eh.Bytes(), eh.Addr)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		inputs = append(inputs, input{filepath.Base(path), img, sec.FunctionStarts()})
+	}
+	walked, refWalked := 0, 0
+	for _, in := range inputs {
+		w, rw := skipCheck(t, in.name, in.img, in.seeds)
+		walked += w
+		refWalked += rw
+	}
+	if testing.Verbose() {
+		t.Logf("%d inputs: %d passes walked, the reference %d", len(inputs), walked, refWalked)
+	}
+	if walked >= refWalked {
+		t.Fatalf("%d passes walked, the reference %d: no pass was skipped", walked, refWalked)
+	}
 }
 
 // inferenceCheck is an ExecObserver that runs the session's dense-state

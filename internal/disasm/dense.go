@@ -38,6 +38,10 @@ type byteTable[T uint8 | int32 | uint32] struct {
 	// allocator so far — an input of Stats.PeakAuxBytes. A chunk taken
 	// from the free list is not counted again.
 	alloc int64
+	// stamp, set on a walk-mark table, is its set's live epoch: a
+	// released chunk whose values all lie below it needs no clearing,
+	// and the table's own chunks hold no value above it.
+	stamp *uint32
 }
 
 // tableSpan covers one reserved range of size bytes starting at base.
@@ -119,15 +123,20 @@ func (t *byteTable[T]) slots(addr uint64, n int) []T {
 }
 
 // fill gives the unwritten chunk pointer c a cleared chunk: one from
-// the free list, else one from the pool or the allocator, charged to
-// alloc.
+// the free list, else one from the store or the allocator, charged to
+// alloc. A walk-mark table may take a released chunk uncleared (see
+// chunkStore.get).
 func (t *byteTable[T]) fill(c **[tableChunkLen]T) {
 	if n := len(t.free); n > 0 {
 		*c = t.free[n-1]
 		t.free = t.free[:n-1]
 		**c = [tableChunkLen]T{}
 	} else {
-		*c = newChunk[T]()
+		var live uint32
+		if t.stamp != nil {
+			live = *t.stamp
+		}
+		*c = newChunk[T](live)
 		t.alloc += int64(unsafe.Sizeof(**c))
 	}
 	t.written = append(t.written, c)
@@ -144,42 +153,133 @@ func (t *byteTable[T]) reset() {
 }
 
 // Chunks outlive the session that filled them: Session.Release hands a
-// finished session's chunks to a pool, and a table that needs a chunk
-// and has none free takes one from the pool, cleared, before
-// allocating. Delta replay builds two sessions per request, each
-// touching a few chunks of every table around the changed ranges;
-// recycling keeps those chunks from being allocated anew for every
-// request. A recycled chunk is charged to alloc like a fresh one.
-var uint8Chunks, int32Chunks, uint32Chunks sync.Pool
+// finished session's chunks to the store of their slot type, and a
+// table that needs a chunk and has none free takes one from the store,
+// cleared, before allocating. Delta replay builds two sessions per
+// request, each touching a few chunks of every table around the
+// changed ranges; recycling keeps those chunks from being allocated
+// anew for every request. A recycled chunk is charged to alloc like a
+// fresh one.
+var (
+	uint8Chunks  chunkStore[uint8]
+	int32Chunks  chunkStore[int32]
+	uint32Chunks chunkStore[uint32]
+)
 
-// chunkPool returns the pool of T chunks.
-func chunkPool[T uint8 | int32 | uint32]() *sync.Pool {
-	switch any(*new(T)).(type) {
-	case uint8:
-		return &uint8Chunks
-	case int32:
-		return &int32Chunks
-	}
-	return &uint32Chunks
+// reservedChunks is how many released chunks of each slot type a store
+// keeps out of the garbage collector's reach: more than the two replay
+// sessions of a delta request touch (24 four-byte chunks in all on
+// the delta benchmark's shape).
+const reservedChunks = 48
+
+// chunkStore holds released chunks of one slot type: up to
+// reservedChunks in a reserve the garbage collector never empties, the
+// rest in a sync.Pool, which every second collection does. A cached
+// service's delta request follows the cold run that recorded its base,
+// and that run's collections would leave a pool alone empty by the
+// time the replay asks.
+//
+// A reserved chunk keeps its stamp: no value in it is above the stamp.
+// A walk-mark chunk's stamp is its set's epoch at release; every other
+// chunk's is the largest uint32, which no epoch exceeds.
+type chunkStore[T uint8 | int32 | uint32] struct {
+	mu      sync.Mutex
+	reserve []stampedChunk[T]
+	pool    sync.Pool
+	// top is the highest stamp put so far (see startEpoch).
+	top uint32
 }
 
-// newChunk returns a zeroed chunk, a recycled one when the pool has
-// one.
-func newChunk[T uint8 | int32 | uint32]() *[tableChunkLen]T {
-	if c, _ := chunkPool[T]().Get().(*[tableChunkLen]T); c != nil {
-		*c = [tableChunkLen]T{}
+// stampedChunk is a reserved chunk and its stamp.
+type stampedChunk[T uint8 | int32 | uint32] struct {
+	c     *[tableChunkLen]T
+	stamp uint32
+}
+
+// get returns a released chunk, or nil when the store has none, and
+// whether it is clean for a walk-mark set whose live epoch is live:
+// every value in it below live, so that it reads as empty to the set
+// now and for every later epoch until the set's epoch wraps. A chunk
+// that is not clean must be cleared.
+func (st *chunkStore[T]) get(live uint32) (c *[tableChunkLen]T, clean bool) {
+	st.mu.Lock()
+	if n := len(st.reserve); n > 0 {
+		sc := st.reserve[n-1]
+		st.reserve = st.reserve[:n-1]
+		st.mu.Unlock()
+		return sc.c, sc.stamp < live
+	}
+	st.mu.Unlock()
+	c, _ = st.pool.Get().(*[tableChunkLen]T)
+	return c, false
+}
+
+// put takes a released chunk with its stamp: into the reserve while it
+// has room, else into the pool.
+func (st *chunkStore[T]) put(c *[tableChunkLen]T, stamp uint32) {
+	st.mu.Lock()
+	st.top = max(st.top, stamp)
+	if len(st.reserve) < reservedChunks {
+		st.reserve = append(st.reserve, stampedChunk[T]{c, stamp})
+		st.mu.Unlock()
+		return
+	}
+	st.mu.Unlock()
+	st.pool.Put(c)
+}
+
+// startEpoch returns the epoch a new walk-mark set starts at: one above
+// every stamp put so far, so that the set takes every reserved chunk
+// without clearing it. When that would overflow, the count restarts at
+// 1, and chunks stamped higher are cleared when taken.
+func (st *chunkStore[T]) startEpoch() uint32 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.top == math.MaxUint32 {
+		st.top = 0
+	}
+	return st.top + 1
+}
+
+// chunkPool returns the store of T chunks.
+func chunkPool[T uint8 | int32 | uint32]() *chunkStore[T] {
+	var st any
+	switch any(*new(T)).(type) {
+	case uint8:
+		st = &uint8Chunks
+	case int32:
+		st = &int32Chunks
+	default:
+		st = &uint32Chunks
+	}
+	return st.(*chunkStore[T])
+}
+
+// newChunk returns a chunk that reads as empty to a table whose live
+// walk-mark epoch is live (0 for tables without epochs): a recycled one
+// when the store has one, cleared unless it is clean for live.
+func newChunk[T uint8 | int32 | uint32](live uint32) *[tableChunkLen]T {
+	if c, clean := chunkPool[T]().get(live); c != nil {
+		if !clean {
+			*c = [tableChunkLen]T{}
+		}
 		return c
 	}
 	return new([tableChunkLen]T)
 }
 
 // release empties the table and hands every chunk it holds, written or
-// free, to the pool.
+// free, to the store, stamped with the table's live epoch if it has
+// one.
 func (t *byteTable[T]) release() {
 	t.reset()
-	pool := chunkPool[T]()
+	stamp := uint32(math.MaxUint32)
+	if t.stamp != nil {
+		stamp = *t.stamp
+	}
+	st := chunkPool[T]()
 	for _, c := range t.free {
-		pool.Put(c)
+		st.put(c, stamp)
 	}
 	t.free = nil
 }
@@ -244,20 +344,32 @@ func (c *decodeCache) add() (*decodeEntry, int32) {
 // verdicts run before any other walk resets the marks: exec runs the
 // inference straight after the pass, and a LocalWalk checks the
 // decoded epoch its walk left.
+//
+// A set's chunks go back to the chunk store stamped with its epoch, and
+// a set whose epoch is above a reserved chunk's stamp takes the chunk
+// without clearing it: no stale mark in it can equal the set's epoch
+// now or later. A new set therefore starts above every epoch a released
+// set reached (chunkStore.startEpoch), so that a delta replay's
+// sessions, built after the recorded run released its own, clear none
+// of the walk-mark chunks they take.
 type walkMarks struct {
 	tab byteTable[uint32]
 	// epoch is the live stamp. It is never 0, so slots in fresh chunks
-	// read as unmarked.
+	// read as unmarked, and it only grows until it wraps.
 	epoch uint32
 	extra map[uint64]bool
 }
 
 func newWalkMarks(layout []Range) *walkMarks {
-	return &walkMarks{tab: newByteTable[uint32](layout), epoch: 1}
+	m := &walkMarks{tab: newByteTable[uint32](layout), epoch: uint32Chunks.startEpoch()}
+	m.tab.stamp = &m.epoch
+	return m
 }
 
 // next empties the set. When the epoch wraps, the table is reset, so
-// no mark from 2^32 sets ago can alias the new epoch.
+// no mark from 2^32 sets ago can alias the new epoch, and the set stops
+// stamping: the reset chunks hold epochs above the new one, so every
+// chunk it takes or releases from then on is cleared before reuse.
 func (m *walkMarks) next() {
 	if len(m.extra) > 0 {
 		clear(m.extra)
@@ -265,11 +377,12 @@ func (m *walkMarks) next() {
 	m.epoch++
 	if m.epoch == 0 {
 		m.tab.reset()
+		m.tab.stamp = nil
 		m.epoch = 1
 	}
 }
 
-// release empties the set and hands its chunks to the pool. The epoch
+// release empties the set and hands its chunks to the store. The epoch
 // moves on, so a LocalWalk over the released marks panics on its next
 // verdict read rather than reading an empty set.
 func (m *walkMarks) release() {

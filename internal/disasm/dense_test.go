@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -223,9 +224,9 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 		for k := range own {
 			own[k] = 0xFF
 		}
-		int32Chunks.Put(&i32)
-		uint32Chunks.Put(&u32)
-		uint8Chunks.Put(&own)
+		int32Chunks.put(&i32, math.MaxUint32)
+		uint32Chunks.put(&u32, math.MaxUint32)
+		uint8Chunks.put(&own, math.MaxUint32)
 	}
 	for i := 0; i < 3; i++ {
 		b := NewSession(im, defaultOpts())
@@ -237,6 +238,103 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 		}
 		b.Release()
 	}
+}
+
+// TestChunkReserveSurvivesGC pins the chunk stores' reserve: released
+// chunks up to reservedChunks per slot type come back after garbage
+// collections, which empty a sync.Pool, and the reserve holds no more
+// than that.
+func TestChunkReserveSurvivesGC(t *testing.T) {
+	st := &chunkStore[int32]{}
+	put := map[*[tableChunkLen]int32]bool{}
+	for i := 0; i < reservedChunks+5; i++ {
+		c := new([tableChunkLen]int32)
+		put[c] = true
+		st.put(c, math.MaxUint32)
+	}
+	if len(st.reserve) != reservedChunks {
+		t.Fatalf("reserve holds %d chunks, want %d", len(st.reserve), reservedChunks)
+	}
+	runtime.GC()
+	runtime.GC()
+	for i := 0; i < reservedChunks; i++ {
+		c, _ := st.get(0)
+		if c == nil || !put[c] {
+			t.Fatalf("get %d after two collections returned %p, want a released chunk", i, c)
+		}
+		delete(put, c)
+	}
+}
+
+// TestWalkMarkChunksCleanByStamp pins when a walk-mark set takes a
+// released chunk without clearing it: only when every stamp in it is
+// below the set's epoch. A set built after the release starts above the
+// released epoch and takes the chunk as it is; a set at the released
+// epoch, or built before the release with a lower one, takes it
+// cleared, and no stale stamp aliases its epochs as they grow past the
+// released ones.
+func TestWalkMarkChunksCleanByStamp(t *testing.T) {
+	layout := []Range{{Start: 0x10000, End: 0x10000 + tableChunkLen}}
+	drain := func() {
+		for c, _ := uint32Chunks.get(0); c != nil; c, _ = uint32Chunks.get(0) {
+		}
+	}
+	drain()
+	early := newWalkMarks(layout) // built before the release below
+	a := newWalkMarks(layout)
+	for i := 0; i < 5; i++ {
+		a.next()
+		a.add(0x10000 + uint64(i))
+	}
+	released := a.epoch
+	chunk := *a.tab.at(0x10000) // the stamp of a's last mark of that byte
+	a.release()
+	if chunk == 0 || chunk > released {
+		t.Fatalf("a's mark at 0x10000 is %d, released at epoch %d", chunk, released)
+	}
+
+	late := newWalkMarks(layout)
+	if late.epoch <= released {
+		t.Fatalf("a set built after the release starts at epoch %d, not above %d", late.epoch, released)
+	}
+	late.add(0x10100)
+	if got := *late.tab.at(0x10000); got != chunk {
+		t.Fatalf("late set's chunk holds %d at 0x10000, want a's stale %d: it was cleared", got, chunk)
+	}
+	for i := 0; i < 5; i++ {
+		if late.has(0x10000 + uint64(i)) {
+			t.Fatalf("late set sees a's mark at %#x", 0x10000+i)
+		}
+	}
+	lateStamp := late.epoch
+	late.release()
+
+	// A set whose epoch equals the stamp would read late's mark as its
+	// own: it must clear the chunk.
+	eq := newWalkMarks(layout)
+	eq.epoch = lateStamp
+	eq.add(0x10200)
+	if eq.has(0x10100) {
+		t.Fatalf("a set at the released epoch %d sees the released mark at 0x10100", lateStamp)
+	}
+	eq.release()
+
+	if early.epoch >= released {
+		t.Fatalf("early set at epoch %d, want below %d", early.epoch, released)
+	}
+	early.add(0x10100)
+	if got := *early.tab.at(0x10000); got != 0 {
+		t.Fatalf("early set took a chunk holding %d at 0x10000 uncleared", got)
+	}
+	for early.epoch <= released {
+		early.next()
+		for i := 0; i < 5; i++ {
+			if early.has(0x10000 + uint64(i)) {
+				t.Fatalf("early set at epoch %d sees a stale mark at %#x", early.epoch, 0x10000+i)
+			}
+		}
+	}
+	drain()
 }
 
 // TestReleaseConcurrent runs sessions on several goroutines at once,

@@ -90,7 +90,8 @@ func compareRefs(a, b Ref) int {
 // Result is the outcome of a recursive disassembly.
 type Result struct {
 	// Insts holds every decoded instruction once, sorted by address.
-	// Inst and InstsIn look instructions up by address.
+	// Inst and InstsIn look instructions up by address. A Probe result
+	// holds them, and its Refs, in walk order until Session.Sort.
 	Insts []*arch.Inst
 	// Funcs is the detected function-start set: seeds plus direct
 	// call targets.

@@ -28,11 +28,14 @@ type Stats struct {
 	Retracts int
 	Reruns   int
 	// Probes counts speculative one-shot walks (candidate validation,
-	// jump-table resolution) that left committed state untouched.
+	// jump-table resolution) that left committed state untouched: the
+	// walks Probe ran, not the validations that reused one.
 	Probes int
-	// FixedPointPasses counts individual recursive-descent passes,
+	// FixedPointPasses counts the recursive-descent passes walked,
 	// including the inner iterations of the non-returning fixed point,
-	// probe walks and bounded walks.
+	// probe walks and bounded walks. A pass the fixed point skips
+	// because it would repeat the last one (see exec) is not counted,
+	// though an ExecObserver sees it.
 	FixedPointPasses int
 	// VerdictWalks counts funcReturns walks: the non-return inference's
 	// per-function walks and the verdicts of bounded walks. It is an
@@ -148,7 +151,11 @@ type Session struct {
 // ExecObserver receives every committed fixed-point pass of a session:
 // the non-return knowledge the pass ran under and the pass result,
 // whose Insts and Refs are already in address order, as on every
-// result that leaves the session. The delta-analysis recorder uses it
+// committed result that leaves the session. A pass the fixed point
+// skipped because it would have repeated the last one is reported too,
+// with the last pass's result and the verdicts the skipped pass would
+// have run under, so the observer sees every pass a fixed point
+// without the skip would have walked. The delta-analysis recorder uses it
 // to capture the verdict-environment trajectory a cold run traversed;
 // replay verifies changed functions against exactly these
 // environments. The maps are live session state — observers must copy
@@ -275,22 +282,46 @@ func (s *Session) Rerun(seeds []uint64) *Result {
 //
 // The walk records coverage in the session's owner workspace and
 // returns it when done, so the result carries no coverage index:
-// Covered and InstStartAt report nothing on it. Every other field is
-// byte-identical to Recursive(img, seeds, opts).
+// Covered and InstStartAt report nothing on it. Its Insts and Refs are
+// in walk order, the order the walk decoded and referenced them, since
+// no caller of a probe reads them by address; Inst, InstsIn and RefsTo
+// need the result put in address order by Sort first. Once sorted,
+// every field is byte-identical to Recursive(img, seeds, opts).
 func (s *Session) Probe(seeds []uint64, opts Options) *Result {
 	s.stats.Probes++
 	return s.exec(seeds, opts, true)
 }
+
+// Sort puts a Probe result's Insts and Refs in address order, as they
+// are on every committed result, through the decode arena and the
+// session's radix sort. A sorted result sorts to itself. Call it before
+// the session is released: it reads the session's decode index.
+func (s *Session) Sort(res *Result) { s.sortResult(res) }
+
+// maxPasses bounds the non-return fixed point: exec walks at most this
+// many passes per call.
+const maxPasses = 6
 
 // exec runs the full Recursive fixed point from the given seeds with
 // cached decoding. Knowledge always restarts from empty so the
 // iteration trajectory — and therefore the result — matches a
 // from-scratch run exactly. A probe's passes borrow the owner workspace
 // and go unreported; the others allocate an owner index per pass and
-// report to the ExecObserver. Only the passes that leave the session —
-// the last one, and every pass an observer sees — are put in address
-// order: the inner passes of the fixed point are read through the walk
-// marks alone.
+// report to the ExecObserver. Only the committed passes that leave the
+// session — the last one, and every pass an observer sees — are put in
+// address order: the inner passes of the fixed point are read through
+// the walk marks alone, and a probe leaves in walk order.
+//
+// exec stops as soon as the next pass would repeat the last one. A pass
+// reads the non-return verdicts only at the targets of the calls it
+// walks, so when the verdicts inferred from a pass differ from those it
+// ran under only at addresses it never consulted (see repeats), the
+// next pass would take every branch this one took, build the same
+// result, and infer the same verdicts again, after which the loop would
+// stop. exec returns the last pass's result under the new verdicts
+// instead, and reports the pass it skipped to the observer, with that
+// result, whenever the skipped pass would have run inside the maxPasses
+// bound, so an observer sees the passes a loop without the skip sees.
 //
 // A pass that leaves the session keeps its Insts and Refs arrays. An
 // unobserved inner pass is discarded once the inference after it has
@@ -308,7 +339,7 @@ func (s *Session) exec(seeds []uint64, opts Options, probe bool) *Result {
 		buf = buffersLike(s.res)
 	}
 	var res *Result
-	for iter := 0; iter < 6; iter++ {
+	for iter := 0; iter < maxPasses; iter++ {
 		if probe {
 			res = s.pass(seeds, opts, nonRet, condNonRet, s.borrowOwner(), nil, buf)
 			s.returnOwner(res)
@@ -328,6 +359,14 @@ func (s *Session) exec(seeds []uint64, opts Options, probe bool) *Result {
 		if setsEqual(newNonRet, nonRet) && setsEqual(newCond, condNonRet) {
 			break
 		}
+		if s.repeats(res, seeds, nonRet, condNonRet, newNonRet, newCond) {
+			nonRet, condNonRet = newNonRet, newCond
+			if observed && iter+1 < maxPasses {
+				res.NonRet, res.CondNonRet = nonRet, condNonRet
+				s.obs.OnPass(nonRet, condNonRet, res)
+			}
+			break
+		}
 		nonRet, condNonRet = newNonRet, newCond
 		if observed {
 			buf = buffersLike(res)
@@ -335,12 +374,53 @@ func (s *Session) exec(seeds []uint64, opts Options, probe bool) *Result {
 			buf = passBuffers{res.Insts[:0], res.Refs[:0]}
 		}
 	}
-	if !observed {
+	if !observed && !probe {
 		s.sortResult(res)
 	}
 	res.NonRet = nonRet
 	res.CondNonRet = condNonRet
 	return res
+}
+
+// repeats reports whether a pass under the verdicts newNonRet and
+// newCond would repeat the pass behind res, which ran under nonRet and
+// cond: whether the two differ only at addresses that pass never
+// consulted. A pass consults the verdicts at the target of each call it
+// walks and nowhere else. Every such target is in res.Funcs, and every
+// member of Funcs that is not a seed was put there by such a call: so
+// an address outside Funcs was not consulted, a non-seed in Funcs was,
+// and a seed in Funcs was consulted only if a walked call refers to it.
+func (s *Session) repeats(res *Result, seeds []uint64, nonRet, cond, newNonRet, newCond map[uint64]bool) bool {
+	var seedSet, changedSeeds map[uint64]bool
+	for _, d := range [][2]map[uint64]bool{{nonRet, newNonRet}, {newNonRet, nonRet}, {cond, newCond}, {newCond, cond}} {
+		for a := range d[0] {
+			if d[1][a] || !res.Funcs[a] {
+				continue
+			}
+			if seedSet == nil {
+				seedSet = make(map[uint64]bool, len(seeds))
+				for _, sd := range seeds {
+					seedSet[sd] = true
+				}
+				changedSeeds = map[uint64]bool{}
+			}
+			if !seedSet[a] {
+				return false
+			}
+			changedSeeds[a] = true
+		}
+	}
+	if len(changedSeeds) == 0 {
+		return true
+	}
+	for _, r := range res.Refs {
+		if changedSeeds[r.Target] {
+			if in, ok := s.passInst(res, r.From); ok && in.Op == arch.OpCall {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // passBuffers are the arrays a pass appends its Insts and Refs to:

@@ -199,7 +199,8 @@ type passCounter struct{ passes int }
 func (c *passCounter) OnPass(_, _ map[uint64]bool, _ *Result) { c.passes++ }
 
 // TestSessionProbe validates the probe contract on the one session:
-// probes are byte-identical to scratch runs under their own options,
+// probes, put in address order by Sort, are byte-identical to scratch
+// runs under their own options,
 // they leave the committed result in place and unchanged, they never
 // report to the ExecObserver, and they reuse the committed walk's
 // decodes.
@@ -212,9 +213,13 @@ func TestSessionProbe(t *testing.T) {
 	obs := &passCounter{}
 	sess.SetExecObserver(obs)
 	committed := sess.Extend(seeds)
-	passes := sess.Stats().FixedPointPasses
+	// The observer sees every pass the fixed point would walk without
+	// skipping a repeat: all the reference loop walks.
+	ref := NewSession(im, opts)
+	refCommit(ref, seeds)
+	passes := ref.Stats().FixedPointPasses
 	if obs.passes != passes {
-		t.Fatalf("observer saw %d passes, Extend ran %d", obs.passes, passes)
+		t.Fatalf("observer saw %d passes, the reference Extend ran %d", obs.passes, passes)
 	}
 
 	probeOpts := Options{ResolveJumpTables: true, Strict: true, MaxInsts: 2000}
@@ -223,6 +228,7 @@ func TestSessionProbe(t *testing.T) {
 	for _, c := range seeds {
 		for _, cand := range []uint64{c, c + 1} {
 			got := sess.Probe([]uint64{cand}, probeOpts)
+			sess.Sort(got)
 			want := Recursive(im, []uint64{cand}, probeOpts)
 			requireEqualProbe(t, "probe", got, want)
 		}

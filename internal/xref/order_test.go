@@ -1,13 +1,16 @@
 package xref
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
+	"fetch/internal/arch"
 	"fetch/internal/callconv"
 	"fetch/internal/disasm"
 	"fetch/internal/ehframe"
@@ -18,12 +21,14 @@ import (
 // validateWalkFirst is the walk-first validation order
 // ValidateCandidate replaced, kept as the reference for the rule-order
 // differential: the strict walk runs before rule (iv), and every
-// rejection returns a nil result. It is verbatim but for one token. The
-// engine it ran on walked on past a strict walk's first error, and the
-// engine now stops there; a strict walk's path does not depend on
-// Strict, so the full strict walk the rule-(i) ablation ran is the
-// non-strict walk, and the reference asks for a strict walk only when
-// it reads the errors.
+// rejection returns a nil result. It is verbatim but for one token and
+// one call. The engine it ran on walked on past a strict walk's first
+// error, and the engine now stops there; a strict walk's path does not
+// depend on Strict, so the full strict walk the rule-(i) ablation ran
+// is the non-strict walk, and the reference asks for a strict walk
+// only when it reads the errors. The engine it ran on returned probes
+// in address order, and probes now leave in walk order, so the
+// reference sorts its probe.
 func validateWalkFirst(img *elfx.Image, res *disasm.Result, c uint64, opts Options, probe *disasm.Session) (*disasm.Result, bool) {
 	// Rule (iii), seed form: the candidate itself must not point into
 	// a previously detected function's interior.
@@ -55,6 +60,7 @@ func validateWalkFirst(img *elfx.Image, res *disasm.Result, c uint64, opts Optio
 	var v *disasm.Result
 	if probe != nil {
 		v = probe.Probe([]uint64{c}, vopts)
+		probe.Sort(v)
 	} else {
 		v = disasm.Recursive(img, []uint64{c}, vopts)
 	}
@@ -294,7 +300,9 @@ func TestWalkFormRejectionReturnsWalk(t *testing.T) {
 	if sess.Stats().Probes == p0 {
 		t.Fatal("the candidate was rejected without a walk")
 	}
-	if _, walked := v.Inst(base + 1); len(v.Errors) != 0 || !walked {
+	// A rejected walk may be in walk order: look for base+1 by scan.
+	walked := slices.ContainsFunc(v.Insts, func(in *arch.Inst) bool { return in.Addr == base+1 })
+	if len(v.Errors) != 0 || !walked {
 		t.Fatalf("walk errors %+v, decoded base+1: %v; want an error-free walk through base+1", v.Errors, walked)
 	}
 	if _, wok := validateWalkFirst(img, res, c, Options{}, nil); wok {
@@ -334,4 +342,104 @@ func FuzzValidateOrder(f *testing.F) {
 			}
 		}
 	})
+}
+
+// validation is one Observer call in a comparable form: the candidate,
+// the verdict, and the extent of the walk — its instructions as sorted
+// (address, length) pairs, its error and jump-table reads — with the
+// contiguous end of an accepted walk. walked is false for a nil walk.
+type validation struct {
+	c          uint64
+	ok, walked bool
+	insts      [][2]uint64
+	errors     []disasm.Error
+	reads      []disasm.Interval
+	end        uint64
+}
+
+func observed(c uint64, ok bool, v *disasm.Result) validation {
+	rec := validation{c: c, ok: ok, walked: v != nil}
+	if v == nil {
+		return rec
+	}
+	for _, in := range v.Insts {
+		rec.insts = append(rec.insts, [2]uint64{in.Addr, uint64(in.Len)})
+	}
+	slices.SortFunc(rec.insts, func(a, b [2]uint64) int { return cmp.Compare(a[0], b[0]) })
+	rec.errors = v.Errors
+	rec.reads = v.TableReads()
+	if ok {
+		rec.end = ContiguousEnd(v, c)
+	}
+	return rec
+}
+
+// detectRounds runs Detect round by round to convergence on a fresh
+// session over in's binary, extending it with each accepted batch as
+// the pipeline does, with or without a walk memo shared by the rounds.
+// It returns the accepted batches, every Observer call, and the probes
+// the rounds ran.
+func detectRounds(t *testing.T, in orderInput, disable [4]bool, memo bool) ([][]uint64, []validation, int) {
+	t.Helper()
+	fresh := newOrderInput(t, in.name, in.img)
+	funcs := map[uint64]bool{}
+	for f := range fresh.res.Funcs {
+		funcs[f] = true
+	}
+	var seen []validation
+	opts := Options{KnownRanges: fresh.known, DisableRule: disable, Session: fresh.sess,
+		Observer: func(c uint64, ok bool, v *disasm.Result) { seen = append(seen, observed(c, ok, v)) }}
+	if memo {
+		opts.Walks = NewWalks()
+	}
+	p0 := fresh.sess.Stats().Probes
+	var batches [][]uint64
+	for round := 0; round < 16; round++ {
+		newly := Detect(fresh.img, fresh.sess.Result(), funcs, opts)
+		batches = append(batches, newly)
+		if len(newly) == 0 {
+			break
+		}
+		for f := range fresh.sess.Extend(newly).Funcs {
+			funcs[f] = true
+		}
+	}
+	return batches, seen, fresh.sess.Stats().Probes - p0
+}
+
+// TestWalkMemoMatchesWalking pins the walk memo: detection run round
+// by round to convergence with one Walks for all rounds accepts the
+// same batches as detection that walks every candidate it validates,
+// and hands the Observer the same verdicts and walk extents in the
+// same order, on every differential input under every rule setting.
+// The memo must save some probes.
+func TestWalkMemoMatchesWalking(t *testing.T) {
+	probes, memoProbes := 0, 0
+	for _, in := range orderInputs(t) {
+		for name, disable := range ruleSettings() {
+			label := in.name + "/" + name
+			wantBatches, want, p := detectRounds(t, in, disable, false)
+			gotBatches, got, mp := detectRounds(t, in, disable, true)
+			if !reflect.DeepEqual(gotBatches, wantBatches) {
+				t.Fatalf("%s: accepted %v with the memo, %v without", label, gotBatches, wantBatches)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d validations observed with the memo, %d without", label, len(got), len(want))
+			}
+			for i := range got {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("%s: validation %d of %#x differs with the memo:\n got %+v\nwant %+v",
+						label, i, want[i].c, got[i], want[i])
+				}
+			}
+			probes += p
+			memoProbes += mp
+		}
+	}
+	if testing.Verbose() {
+		t.Logf("%d probes with the memo, %d without", memoProbes, probes)
+	}
+	if memoProbes >= probes {
+		t.Fatalf("%d probes with the memo, %d without: no walk was reused", memoProbes, probes)
+	}
 }

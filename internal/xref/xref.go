@@ -16,7 +16,9 @@
 // entry. Only a candidate that passes them is walked: the strict walk
 // checks (i)-(iii) along its control flow and stops at its first error,
 // and its instructions are then checked against the committed
-// disassembly (rule (ii)).
+// disassembly (rule (ii)). A round that rejects a candidate after
+// walking it can keep the walk (Walks), so a later round of the same
+// fixed point re-checks only rule (ii) instead of walking again.
 package xref
 
 import (
@@ -203,13 +205,59 @@ type Options struct {
 	// Observer, when set, receives every candidate validation in the
 	// exact order the sequential accept loop consults verdicts: the
 	// candidate, the verdict, and the validation walk's result. v is
-	// nil exactly when the candidate was rejected before walking (by a
-	// seed-form rule or rule (iv)); otherwise it is the walk whatever
-	// the verdict, and a walk that met an error ends there (v.Errors).
-	// The delta-analysis recorder uses it to capture each verdict
-	// together with the byte extent it depends on. Observers must not
-	// mutate v.
+	// nil exactly when the candidate was rejected before its walk (by a
+	// seed-form rule or rule (iv)); otherwise it is the walk, run now or
+	// kept in Walks, whatever the verdict, and a walk that met an error
+	// ends there (v.Errors). An accepted candidate's walk is in address
+	// order; a rejected one's may be in walk order. The delta-analysis
+	// recorder uses it to capture each verdict together with the byte
+	// extent it depends on. Observers must not mutate v.
 	Observer func(c uint64, ok bool, v *disasm.Result)
+	// Walks, when set, keeps the walks of rejected candidates, and a
+	// later validation of the same candidate reuses its kept walk
+	// instead of walking again. Validations sharing one Walks must be
+	// of one image under the same KnownRanges and DisableRule.
+	Walks *Walks
+}
+
+// Walks keeps the validation walks of rejected candidates for one
+// pointer-detection fixed point, in which KnownRanges and the rules
+// stay fixed and only the committed disassembly grows. A strict walk
+// depends only on the candidate, KnownRanges and the rules, never on
+// the committed disassembly, so walking a candidate again in a later
+// round would return the same walk: ValidateCandidate takes the kept
+// one, and checks again only rule (ii), the one rule that reads the
+// committed disassembly. An accepted candidate's walk is not kept: it
+// becomes a function, and later rounds skip it.
+type Walks struct {
+	rejected map[uint64]*disasm.Result
+}
+
+// NewWalks returns an empty walk memo.
+func NewWalks() *Walks {
+	return &Walks{rejected: map[uint64]*disasm.Result{}}
+}
+
+// kept returns c's kept walk, or nil; a nil Walks keeps nothing.
+func (w *Walks) kept(c uint64) *disasm.Result {
+	if w == nil {
+		return nil
+	}
+	return w.rejected[c]
+}
+
+// keep records v as the walk of the rejected candidate c.
+func (w *Walks) keep(c uint64, v *disasm.Result) {
+	if w != nil {
+		w.rejected[c] = v
+	}
+}
+
+// drop forgets c's walk once c is accepted.
+func (w *Walks) drop(c uint64) {
+	if w != nil {
+		delete(w.rejected, c)
+	}
 }
 
 // Detect validates candidates against the current disassembly and
@@ -298,13 +346,19 @@ func ContiguousEnd(v *disasm.Result, c uint64) uint64 {
 //
 // res supplies the committed-coverage queries (a coverage-only result
 // suffices). With opts.Session set, the walk runs as a probe of that
-// session with cached decoding. The result is the validation walk's:
-// nil when the candidate was rejected before walking, else the walk
-// (cut at its first error on a strict rejection) whatever the verdict.
+// session with cached decoding. With opts.Walks holding a walk of c,
+// that walk is taken instead: its candidate passed the seed form of
+// (iii) and rule (iv) before it was walked, and neither depends on the
+// committed disassembly, so of the walk-free rules only (ii)'s seed
+// form runs again. The result is the validation walk's: nil when the
+// candidate was rejected before walking, else the walk (cut at its
+// first error on a strict rejection) whatever the verdict, in address
+// order when the candidate is accepted.
 func ValidateCandidate(img *elfx.Image, res *disasm.Result, c uint64, opts Options) (*disasm.Result, bool) {
+	v := opts.Walks.kept(c)
 	// Rule (iii), seed form: the candidate itself must not point into
 	// a previously detected function's interior.
-	if !opts.DisableRule[2] {
+	if v == nil && !opts.DisableRule[2] {
 		for _, r := range opts.KnownRanges {
 			if c > r.Start && c < r.End {
 				return nil, false
@@ -318,14 +372,43 @@ func ValidateCandidate(img *elfx.Image, res *disasm.Result, c uint64, opts Optio
 			return nil, false
 		}
 	}
-	// Rule (iv): calling convention at the candidate entry — a bounded
-	// straight-line read, far cheaper than the walk.
-	if !opts.DisableRule[3] && !callconv.Validate(img, c) {
-		return nil, false
+	if v == nil {
+		// Rule (iv): calling convention at the candidate entry — a
+		// bounded straight-line read, far cheaper than the walk.
+		if !opts.DisableRule[3] && !callconv.Validate(img, c) {
+			return nil, false
+		}
+		v = walk(img, c, opts)
 	}
-	// Rules (i)-(iii), walk form: conservative recursive disassembly.
-	// With rule (i) off the walk records no errors; its path, and so
-	// its instructions, are the same either way.
+	if len(v.Errors) > 0 {
+		opts.Walks.keep(c, v)
+		return v, false
+	}
+	// Rule (ii) against the pre-existing disassembly: any instruction
+	// decoded by the validation walk that overlaps a previously
+	// decoded instruction at a different phase is a misalignment.
+	if !opts.DisableRule[1] {
+		for _, in := range v.Insts {
+			if start, covered := res.InstStartAt(in.Addr); covered && start != in.Addr {
+				opts.Walks.keep(c, v)
+				return v, false
+			}
+		}
+	}
+	opts.Walks.drop(c)
+	if opts.Session != nil {
+		// The accept loop and the recorder read the accepted walk by
+		// address (ContiguousEnd).
+		opts.Session.Sort(v)
+	}
+	return v, true
+}
+
+// walk runs c's validation walk: rules (i)-(iii), walk form, by
+// conservative recursive disassembly. With rule (i) off the walk
+// records no errors; its path, and so its instructions, are the same
+// either way.
+func walk(img *elfx.Image, c uint64, opts Options) *disasm.Result {
 	ranges := opts.KnownRanges
 	if opts.DisableRule[2] {
 		ranges = nil
@@ -336,24 +419,8 @@ func ValidateCandidate(img *elfx.Image, res *disasm.Result, c uint64, opts Optio
 		KnownRanges:       ranges,
 		MaxInsts:          maxValidationInsts,
 	}
-	var v *disasm.Result
 	if opts.Session != nil {
-		v = opts.Session.Probe([]uint64{c}, vopts)
-	} else {
-		v = disasm.Recursive(img, []uint64{c}, vopts)
+		return opts.Session.Probe([]uint64{c}, vopts)
 	}
-	if len(v.Errors) > 0 {
-		return v, false
-	}
-	// Rule (ii) against the pre-existing disassembly: any instruction
-	// decoded by the validation walk that overlaps a previously
-	// decoded instruction at a different phase is a misalignment.
-	if !opts.DisableRule[1] {
-		for _, in := range v.Insts {
-			if start, covered := res.InstStartAt(in.Addr); covered && start != in.Addr {
-				return v, false
-			}
-		}
-	}
-	return v, true
+	return disasm.Recursive(img, []uint64{c}, vopts)
 }
