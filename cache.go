@@ -232,10 +232,11 @@ func cacheKey(sum [sha256.Size]byte, s core.Strategy) resultcache.Key {
 //
 // Two extra entry families live beside the whole-binary results:
 //
-//   manifest ("mf.t<format>.<variant>", keyed by residue hash): the gob-encoded
-//   core.Trace of a recorded analysis — the roster of FDE-delimited
-//   range hashes plus everything ReplayDelta verifies against, and the
-//   recorded result a delta hit serves (see recordResult).
+//   manifest ("mf.t<format>.<variant>", keyed by residue hash): the
+//   packed core.Trace (MarshalBinary) of a recorded analysis — the
+//   roster of FDE-delimited range hashes plus everything ReplayDelta
+//   verifies against, and the recorded result a delta hit serves (see
+//   recordResult).
 //
 //   function range ("fn", keyed by resultcache.HashRange): the range's
 //   address (8 bytes little-endian) followed by its bytes. The key IS
@@ -267,11 +268,11 @@ func (c *Cache) storeTrace(tr *core.Trace, img *elfx.Image, s core.Strategy) {
 	if tr == nil {
 		return
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(tr); err != nil {
+	blob, err := tr.MarshalBinary()
+	if err != nil {
 		return
 	}
-	c.rc.Put(manifestKey(tr.ResidueHash, s), buf.Bytes())
+	c.rc.Put(manifestKey(tr.ResidueHash, s), blob)
 	c.deltaPuts.Add(1)
 	for i := range tr.Roster {
 		ri := &tr.Roster[i]
@@ -294,13 +295,13 @@ func (c *Cache) loadTrace(sum [sha256.Size]byte, s core.Strategy) (*core.Trace, 
 		c.manifestMisses.Add(1)
 		return nil, false
 	}
-	var tr core.Trace
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&tr); err != nil {
+	tr := new(core.Trace)
+	if err := tr.UnmarshalBinary(blob); err != nil {
 		c.manifestMisses.Add(1)
 		return nil, false
 	}
 	c.manifestHits.Add(1)
-	return &tr, true
+	return tr, true
 }
 
 // fnRangeBytes fetches one recorded range's bytes from the function

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"fetch/internal/core"
-	"fetch/internal/disasm"
 	"fetch/internal/ehframe"
 	"fetch/internal/elfx"
 	"fetch/internal/resultcache"
@@ -425,67 +424,45 @@ func TestDeltaFnTierCorruption(t *testing.T) {
 // build must run cold, never replay against the planted coverage.
 func TestDeltaTraceImpossibleInstLen(t *testing.T) {
 	requirePlantedTraceMisses(t, func(tr *core.Trace) []byte {
-		facts := tr.GlobalInsts.Unpack()
+		// Read the skeleton's (step, length) pairs, then pack them
+		// again with the middle fact's length set to 256.
+		var facts [][2]uint64
+		for b := tr.GlobalInsts; len(b) > 0; {
+			step, n := binary.Uvarint(b)
+			l, m := binary.Uvarint(b[n:])
+			if n <= 0 || m <= 0 {
+				t.Fatal("recorded skeleton is malformed")
+			}
+			facts = append(facts, [2]uint64{step, l})
+			b = b[n+m:]
+		}
 		if len(facts) == 0 {
 			t.Fatal("trace has no instruction facts")
 		}
-		facts[len(facts)/2].Len = 256
-		tr.GlobalInsts = disasm.PackInstFacts(facts)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(tr); err != nil {
-			t.Fatal(err)
+		facts[len(facts)/2][1] = 256
+		tr.GlobalInsts = nil
+		for _, f := range facts {
+			tr.GlobalInsts = binary.AppendUvarint(binary.AppendUvarint(tr.GlobalInsts, f[0]), f[1])
 		}
-		return buf.Bytes()
+		return marshalTrace(t, tr)
 	})
 }
 
 // TestDeltaTraceTruncatedRoster stores a manifest whose packed roster
-// is cut short by one byte, with every other field intact. The roster
-// must fail to decode, so the trace counts as a manifest miss and the
-// next build runs cold.
+// is cut short by one byte — the last byte of its last range's hash —
+// with every other field intact. The trace must fail to decode, so it
+// counts as a manifest miss and the next build runs cold.
 func TestDeltaTraceTruncatedRoster(t *testing.T) {
 	requirePlantedTraceMisses(t, func(tr *core.Trace) []byte {
-		roster, err := tr.Roster.GobEncode()
-		if err != nil {
-			t.Fatal(err)
+		blob := marshalTrace(t, tr)
+		last := tr.Roster[len(tr.Roster)-1].Hash
+		at := bytes.Index(blob, last[:])
+		if at < 0 || bytes.Index(blob[at+1:], last[:]) >= 0 {
+			t.Fatal("the last roster hash is not in the manifest exactly once")
 		}
-		return encodeTraceWithRoster(t, tr, roster[:len(roster)-1])
+		end := at + len(last)
+		return append(blob[:end-1:end-1], blob[end:]...)
 	})
-}
-
-// rawGob is a gob field whose encoding is its bytes verbatim.
-type rawGob []byte
-
-func (r rawGob) GobEncode() ([]byte, error) { return r, nil }
-
-// encodeTraceWithRoster gob-encodes tr with the Roster field's packed
-// bytes replaced by roster. It encodes a mirror struct of core.Trace,
-// field for field, whose Roster is a rawGob: gob matches fields by
-// name, so the mirror decodes as a core.Trace.
-func encodeTraceWithRoster(t *testing.T, tr *core.Trace, roster []byte) []byte {
-	t.Helper()
-	v := reflect.ValueOf(tr).Elem()
-	fields := make([]reflect.StructField, v.NumField())
-	for i := range fields {
-		f := v.Type().Field(i)
-		fields[i] = reflect.StructField{Name: f.Name, Type: f.Type}
-		if f.Name == "Roster" {
-			fields[i].Type = reflect.TypeOf(rawGob(nil))
-		}
-	}
-	mirror := reflect.New(reflect.StructOf(fields)).Elem()
-	for i := range fields {
-		if fields[i].Name == "Roster" {
-			mirror.Field(i).Set(reflect.ValueOf(rawGob(roster)))
-			continue
-		}
-		mirror.Field(i).Set(v.Field(i))
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(mirror.Addr().Interface()); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // requirePlantedTraceMisses records the base build's trace, replaces
@@ -517,7 +494,7 @@ func requirePlantedTraceMisses(t *testing.T, plant func(*core.Trace) []byte) {
 		t.Fatal("base analysis stored no manifest under the next build's residue key")
 	}
 	var tr core.Trace
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&tr); err != nil {
+	if err := tr.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
 	cache.rc.Put(key, plant(&tr))
@@ -688,7 +665,6 @@ func TestMissReusesEHFrame(t *testing.T) {
 	if eh == nil || eh.Roster == nil {
 		t.Fatal("no delta key")
 	}
-	cfg := core.Config{Strategy: core.FETCH}
 	encodeRep := func(rep *core.Report) []byte {
 		res, err := EncodeResult(StripSchedule(reportToResult(rep)))
 		if err != nil {
@@ -697,19 +673,15 @@ func TestMissReusesEHFrame(t *testing.T) {
 		return res
 	}
 	encodeRun := func(eh *core.EHFrame) ([]byte, []byte) {
-		rep, tr, err := core.AnalyzeRecorded(simg, cfg, eh)
+		rep, tr, err := core.AnalyzeRecorded(simg, core.FETCH, eh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var trace bytes.Buffer
-		if err := gob.NewEncoder(&trace).Encode(tr); err != nil {
-			t.Fatal(err)
-		}
-		return encodeRep(rep), trace.Bytes()
+		return encodeRep(rep), marshalTrace(t, tr)
 	}
 	gotRes, gotTrace := encodeRun(eh)
 	_, wantTrace := encodeRun(nil)
-	plain, err := core.AnalyzeConfig(simg, cfg)
+	plain, err := core.Analyze(simg, core.FETCH)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -854,14 +826,19 @@ func TestDeltaServesRecordedResult(t *testing.T) {
 	}
 }
 
-// putTrace stores tr's gob encoding under the manifest key k.
+// putTrace stores tr's packed form under the manifest key k.
 func putTrace(t *testing.T, c *Cache, k resultcache.Key, tr *core.Trace) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(tr); err != nil {
+	c.rc.Put(k, marshalTrace(t, tr))
+}
+
+func marshalTrace(t *testing.T, tr *core.Trace) []byte {
+	t.Helper()
+	b, err := tr.MarshalBinary()
+	if err != nil {
 		t.Fatal(err)
 	}
-	c.rc.Put(k, buf.Bytes())
+	return b
 }
 
 // TestRecordedResultKeepsEmpties pins that a recorded result carried in

@@ -285,9 +285,8 @@ func analyze(o Options, hash func() ([sha256.Size]byte, error), load func() (*el
 	}
 	defer img.Close()
 	simg := img.Strip()
-	cfg := core.Config{Strategy: o.Strategy}
 	if o.Cache == nil {
-		rep, err := core.AnalyzeConfig(simg, cfg)
+		rep, err := core.Analyze(simg, o.Strategy)
 		if err != nil {
 			return nil, false, err
 		}
@@ -312,7 +311,7 @@ func analyze(o Options, hash func() ([sha256.Size]byte, error), load func() (*el
 	// Cold run with recording, so a future recompilation of this binary
 	// can be served by delta replay. It reuses the decoded .eh_frame
 	// and delta key of the attempt above.
-	rep, tr, err := core.AnalyzeRecorded(simg, cfg, eh)
+	rep, tr, err := core.AnalyzeRecorded(simg, o.Strategy, eh)
 	if err != nil {
 		return nil, false, err
 	}

@@ -27,23 +27,15 @@ type Strategy struct {
 // FETCH is the full pipeline configuration.
 var FETCH = Strategy{Recursive: true, Xref: true, TailCall: true}
 
-// DefaultXrefIterBound is the default safety bound on the
-// pointer-detection fixed point per invocation. It is a stuck-loop
-// backstop, not a tuning knob: the fixed point must converge (a Detect
-// round that finds nothing new) well below it on real inputs, and
+// DefaultXrefIterBound is the safety bound on the pointer-detection
+// fixed point per invocation. It is a stuck-loop backstop, not a
+// tuning knob: the fixed point must converge (a Detect round that
+// finds nothing new) well below it on real inputs, and
 // Stats.Truncated records the pathological case where it did not.
 // (The historical cap of 3 silently truncated convergent iterations —
 // chains of pointer-only-reachable functions whose pointers surface
 // one committed extension at a time need one round per link.)
 const DefaultXrefIterBound = 64
-
-// Config is the resolved per-analysis configuration.
-type Config struct {
-	// Strategy selects the pipeline stages.
-	Strategy Strategy
-	// XrefIterBound overrides DefaultXrefIterBound when positive.
-	XrefIterBound int
-}
 
 // PassStat is one pipeline pass's wall-clock cost.
 type PassStat struct {
@@ -133,8 +125,9 @@ func safeOpts() disasm.Options {
 type pipeline struct {
 	img   *elfx.Image
 	strat Strategy
-	cfg   Config
-	rep   *Report
+	// xrefBound bounds each pointer-detection fixed point.
+	xrefBound int
+	rep       *Report
 	// sess is the one incremental disassembly session every pass
 	// reuses; created by the recursive pass.
 	sess *disasm.Session
@@ -192,10 +185,11 @@ var Passes = []Pass{
 // Symbols are never consulted: the pipeline treats every input as
 // stripped.
 func Analyze(img *elfx.Image, strat Strategy) (*Report, error) {
-	return AnalyzeConfig(img, Config{Strategy: strat})
+	rep, _, err := analyzeWith(img, strat, DefaultXrefIterBound, nil, nil)
+	return rep, err
 }
 
-// AnalyzeRecorded runs the pipeline like AnalyzeConfig while recording
+// AnalyzeRecorded runs the pipeline like Analyze while recording
 // the delta-analysis trace: the verdict environments, per-site
 // validation verdicts, and byte extents ReplayDelta later verifies a
 // changed binary against. The Report is byte-identical to an
@@ -204,13 +198,13 @@ func Analyze(img *elfx.Image, strat Strategy) (*Report, error) {
 //
 // eh, when non-nil, is LoadEHFrame(img): the run takes the decoded
 // .eh_frame and the delta key from it instead of deriving both again.
-// A missing or malformed .eh_frame fails the run as in AnalyzeConfig.
-func AnalyzeRecorded(img *elfx.Image, cfg Config, eh *EHFrame) (*Report, *Trace, error) {
+// A missing or malformed .eh_frame fails the run as in Analyze.
+func AnalyzeRecorded(img *elfx.Image, strat Strategy, eh *EHFrame) (*Report, *Trace, error) {
 	if eh == nil {
 		eh = LoadEHFrame(img)
 	}
 	rec := newRecorder(img.ISA().MaxInstLen())
-	rep, sess, err := analyzeWith(img, cfg, rec, eh)
+	rep, sess, err := analyzeWith(img, strat, DefaultXrefIterBound, rec, eh)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -227,32 +221,25 @@ func AnalyzeRecorded(img *elfx.Image, cfg Config, eh *EHFrame) (*Report, *Trace,
 	return rep, tr, nil
 }
 
-// AnalyzeConfig runs the pipeline under a full Config. The Report is a
-// function of the binary bytes, the Strategy, and the xref iteration
-// bound alone.
-func AnalyzeConfig(img *elfx.Image, cfg Config) (*Report, error) {
-	rep, _, err := analyzeWith(img, cfg, nil, nil)
-	return rep, err
-}
-
-// analyzeWith is the shared pipeline driver; rec, when non-nil,
-// observes the run for delta-trace recording, and eh, when non-nil,
-// supplies the decoded .eh_frame.
-func analyzeWith(img *elfx.Image, cfg Config, rec *recorder, eh *EHFrame) (*Report, *disasm.Session, error) {
+// analyzeWith is the shared pipeline driver. The Report is a function
+// of the binary bytes, the strategy and xrefBound, the bound on each
+// pointer-detection fixed point, alone; rec, when non-nil, observes the
+// run for delta-trace recording, and eh, when non-nil, supplies the
+// decoded .eh_frame.
+func analyzeWith(img *elfx.Image, strat Strategy, xrefBound int, rec *recorder, eh *EHFrame) (*Report, *disasm.Session, error) {
 	p := &pipeline{
-		img:    img,
-		strat:  cfg.Strategy,
-		cfg:    cfg,
-		banned: map[uint64]bool{},
-		rec:    rec,
-		eh:     eh,
+		img:       img,
+		strat:     strat,
+		xrefBound: xrefBound,
+		banned:    map[uint64]bool{},
+		rec:       rec,
+		eh:        eh,
 		rep: &Report{
 			Funcs:  make(map[uint64]bool),
 			Merged: make(map[uint64]uint64),
 			Stats:  Stats{XrefConverged: true},
 		},
 	}
-	strat := cfg.Strategy
 	for _, pass := range Passes {
 		if !pass.Need(strat) {
 			continue
@@ -384,14 +371,6 @@ func (p *pipeline) dataRefCount(a uint64) int {
 	return p.dataIndex().Count(a)
 }
 
-// xrefIterBound resolves the configured pointer-detection bound.
-func (p *pipeline) xrefIterBound() int {
-	if p.cfg.XrefIterBound > 0 {
-		return p.cfg.XrefIterBound
-	}
-	return DefaultXrefIterBound
-}
-
 // runXref iterates pointer detection to convergence (a round that
 // accepts nothing), extending the session with each accepted batch.
 // Candidate validation probes the session, so speculative decodes
@@ -413,8 +392,7 @@ func (p *pipeline) runXref(exclude map[uint64]bool) {
 		p.rec.post = exclude != nil
 		opts.Observer = p.rec.onXref
 	}
-	bound := p.xrefIterBound()
-	for iter := 0; iter < bound; iter++ {
+	for iter := 0; iter < p.xrefBound; iter++ {
 		newly := xref.Detect(p.img, p.sess.Result(), p.rep.Funcs, opts)
 		p.rep.Stats.XrefIterations++
 		if len(newly) == 0 {

@@ -551,9 +551,15 @@ func substituteCoverage(tr *Trace, dirty []int, freshFacts map[int]*disasm.Local
 	for _, i := range dirty {
 		fresh = append(fresh, freshFacts[i].Insts...)
 	}
-	out := make([]disasm.InstFact, 0, tr.GlobalInsts.Len()+len(fresh))
+	// The skeleton was checked when the trace was loaded; every fact in
+	// it takes at least two bytes.
+	out := make([]disasm.InstFact, 0, len(tr.GlobalInsts)/2+len(fresh))
 	k, d := 0, 0
-	for _, f := range tr.GlobalInsts.Unpack() {
+	var addr uint64
+	for b := tr.GlobalInsts; len(b) > 0; {
+		step, l, rest, _ := skeletonFact(b)
+		b, addr = rest, addr+step
+		f := disasm.InstFact{Addr: addr, Len: uint16(l)}
 		for d < len(dirty) && tr.Roster[dirty[d]].End <= f.Addr {
 			d++
 		}

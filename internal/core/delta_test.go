@@ -101,7 +101,7 @@ func TestReplayRefusesOverlappingWalk(t *testing.T) {
 	strat := Strategy{Recursive: true}
 	oldImg, _ := overlapBinary(t, []byte{0x90, 0x90, 0x90, 0xC3})
 	newImg, f := overlapBinary(t, []byte{0x90, 0x90, 0xC3, 0xC3})
-	_, tr, err := AnalyzeRecorded(oldImg, Config{Strategy: strat}, nil)
+	_, tr, err := AnalyzeRecorded(oldImg, strat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash"
 	"slices"
 	"sort"
@@ -86,241 +85,6 @@ type RangeInfo struct {
 	Foreign bool
 }
 
-// Roster is a persistable range roster. It carries a packed gob form,
-// like disasm.InstFacts: the generic gob path decodes each [32]byte
-// hash one byte at a time, which dominates trace decode time on
-// binaries with thousands of FDEs.
-type Roster []RangeInfo
-
-var errBadRoster = errors.New("core: malformed roster")
-
-// rosterEntryMin is the smallest packed range: two one-byte uvarints,
-// the flag byte, and the hash.
-const rosterEntryMin = 3 + 32
-
-// GobEncode packs the roster as a uvarint count, then per range: Start
-// and End-Start as uvarints, a Foreign byte (0 or 1), and the 32-byte
-// hash.
-func (r Roster) GobEncode() ([]byte, error) {
-	buf := make([]byte, 0, binary.MaxVarintLen64+len(r)*(2*binary.MaxVarintLen64+1+32))
-	buf = binary.AppendUvarint(buf, uint64(len(r)))
-	for _, ri := range r {
-		if ri.End < ri.Start {
-			return nil, fmt.Errorf("core: roster range %#x ends before it starts", ri.Start)
-		}
-		buf = binary.AppendUvarint(buf, ri.Start)
-		buf = binary.AppendUvarint(buf, ri.End-ri.Start)
-		var foreign byte
-		if ri.Foreign {
-			foreign = 1
-		}
-		buf = append(buf, foreign)
-		buf = append(buf, ri.Hash[:]...)
-	}
-	return buf, nil
-}
-
-// GobDecode unpacks the GobEncode form. Truncated, overlong or
-// otherwise malformed input is an error, so a damaged manifest fails
-// to load rather than replaying against a wrong roster.
-func (r *Roster) GobDecode(b []byte) error {
-	p := packed{b: b}
-	out := make(Roster, p.count(rosterEntryMin))
-	for i := range out {
-		start, size := p.uvarint(), p.uvarint()
-		foreign := p.flags(1)
-		if p.bad || start+size < start || len(p.b) < 32 {
-			return errBadRoster
-		}
-		out[i] = RangeInfo{Start: start, End: start + size, Foreign: foreign == 1}
-		copy(out[i].Hash[:], p.b[:32])
-		p.b = p.b[32:]
-	}
-	if !p.done() {
-		return errBadRoster
-	}
-	*r = out
-	return nil
-}
-
-// packed reads the packed gob forms of this file: uvarints, flag
-// bytes and list lengths. A read that runs out of input or finds a
-// malformed value marks the whole form bad.
-type packed struct {
-	b   []byte
-	bad bool
-}
-
-func (p *packed) uvarint() uint64 {
-	v, n := binary.Uvarint(p.b)
-	if n <= 0 {
-		p.bad = true
-		return 0
-	}
-	p.b = p.b[n:]
-	return v
-}
-
-// flags reads a flag byte, which must not exceed top.
-func (p *packed) flags(top byte) byte {
-	if len(p.b) == 0 || p.b[0] > top {
-		p.bad = true
-		return 0
-	}
-	f := p.b[0]
-	p.b = p.b[1:]
-	return f
-}
-
-// count reads a list length. Each entry takes at least entryMin
-// bytes, so a length the rest of the input cannot hold is malformed: a
-// hostile length reserves nothing.
-func (p *packed) count(entryMin int) int {
-	n := p.uvarint()
-	if n > uint64(len(p.b)/entryMin) {
-		p.bad = true
-		return 0
-	}
-	return int(n)
-}
-
-// done reports whether the form decoded well and used all its input.
-func (p *packed) done() bool { return !p.bad && len(p.b) == 0 }
-
-// flagBits packs flags into a byte, bit i for flag i.
-func flagBits(fs ...bool) byte {
-	var b byte
-	for i, f := range fs {
-		if f {
-			b |= 1 << i
-		}
-	}
-	return b
-}
-
-var errBadRecs = errors.New("core: malformed verdict records")
-
-// XrefRecs, ConvRecs and JumpRecs are persistable verdict lists with
-// packed gob forms like Roster's: gob's generic path decodes a slice of
-// structs field by field, which made these lists the costliest part of
-// loading a trace. Empty nested lists decode as nil, as they do under
-// the generic path.
-type (
-	XrefRecs []XrefRec
-	ConvRecs []ConvRec
-	JumpRecs []JumpRec
-)
-
-// GobEncode packs the list as a uvarint count, then per record C and
-// End as uvarints, an OK|Post<<1 flag byte, and Consts and Extent as
-// counted uvarint lists (an interval as Lo, Hi).
-func (rs XrefRecs) GobEncode() ([]byte, error) {
-	buf := binary.AppendUvarint(nil, uint64(len(rs)))
-	for _, r := range rs {
-		buf = binary.AppendUvarint(buf, r.C)
-		buf = binary.AppendUvarint(buf, r.End)
-		buf = append(buf, flagBits(r.OK, r.Post))
-		buf = binary.AppendUvarint(buf, uint64(len(r.Consts)))
-		for _, c := range r.Consts {
-			buf = binary.AppendUvarint(buf, c)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(r.Extent)))
-		for _, iv := range r.Extent {
-			buf = binary.AppendUvarint(buf, iv.Lo)
-			buf = binary.AppendUvarint(buf, iv.Hi)
-		}
-	}
-	return buf, nil
-}
-
-// GobDecode unpacks the GobEncode form; malformed input is an error.
-func (rs *XrefRecs) GobDecode(b []byte) error {
-	p := packed{b: b}
-	out := make(XrefRecs, p.count(5))
-	for i := range out {
-		r := &out[i]
-		r.C, r.End = p.uvarint(), p.uvarint()
-		f := p.flags(3)
-		r.OK, r.Post = f&1 != 0, f&2 != 0
-		if n := p.count(1); n > 0 {
-			r.Consts = make([]uint64, n)
-			for k := range r.Consts {
-				r.Consts[k] = p.uvarint()
-			}
-		}
-		if n := p.count(2); n > 0 {
-			r.Extent = make([]disasm.Interval, n)
-			for k := range r.Extent {
-				r.Extent[k] = disasm.Interval{Lo: p.uvarint(), Hi: p.uvarint()}
-			}
-		}
-		if p.bad {
-			return errBadRecs
-		}
-	}
-	if !p.done() {
-		return errBadRecs
-	}
-	*rs = out
-	return nil
-}
-
-// GobEncode packs the list as a uvarint count, then per record Addr
-// and End as uvarints and an OK byte.
-func (rs ConvRecs) GobEncode() ([]byte, error) {
-	buf := binary.AppendUvarint(nil, uint64(len(rs)))
-	for _, r := range rs {
-		buf = binary.AppendUvarint(buf, r.Addr)
-		buf = binary.AppendUvarint(buf, r.End)
-		buf = append(buf, flagBits(r.OK))
-	}
-	return buf, nil
-}
-
-// GobDecode unpacks the GobEncode form; malformed input is an error.
-func (rs *ConvRecs) GobDecode(b []byte) error {
-	p := packed{b: b}
-	out := make(ConvRecs, p.count(3))
-	for i := range out {
-		out[i] = ConvRec{Addr: p.uvarint(), End: p.uvarint(), OK: p.flags(1) == 1}
-	}
-	if !p.done() {
-		return errBadRecs
-	}
-	*rs = out
-	return nil
-}
-
-// GobEncode packs the list as a uvarint count, then per record FDE,
-// Addr and Target as uvarints and an HOK|HZero<<1 flag byte.
-func (rs JumpRecs) GobEncode() ([]byte, error) {
-	buf := binary.AppendUvarint(nil, uint64(len(rs)))
-	for _, r := range rs {
-		buf = binary.AppendUvarint(buf, r.FDE)
-		buf = binary.AppendUvarint(buf, r.Addr)
-		buf = binary.AppendUvarint(buf, r.Target)
-		buf = append(buf, flagBits(r.HOK, r.HZero))
-	}
-	return buf, nil
-}
-
-// GobDecode unpacks the GobEncode form; malformed input is an error.
-func (rs *JumpRecs) GobDecode(b []byte) error {
-	p := packed{b: b}
-	out := make(JumpRecs, p.count(4))
-	for i := range out {
-		r := JumpRec{FDE: p.uvarint(), Addr: p.uvarint(), Target: p.uvarint()}
-		f := p.flags(3)
-		r.HOK, r.HZero = f&1 != 0, f&2 != 0
-		out[i] = r
-	}
-	if !p.done() {
-		return errBadRecs
-	}
-	*rs = out
-	return nil
-}
-
 // XrefRec is one recorded pointer-candidate validation, in the exact
 // order Detect's sequential accept loop consulted verdicts.
 type XrefRec struct {
@@ -366,13 +130,14 @@ type JumpRec struct {
 // walk decoded overlapping instructions, whose coverage the replay
 // cannot rebuild from the skeleton; a format-2 trace may have missed
 // that. Format 4 carries the recorded result (Result, ResultSHA), so
-// a delta hit need not parse the result's wire form.
-const TraceFormat = 4
+// a delta hit need not parse the result's wire form. Format 5 is the
+// packed form of MarshalBinary, where earlier formats were gob.
+const TraceFormat = 5
 
 // Trace is everything delta re-analysis needs to verify that a changed
 // binary is analysis-equivalent to the recorded one. It is stored
-// alongside the whole-binary result, keyed by the residue hash, and
-// serialized with encoding/gob by the fetch cache layer.
+// alongside the whole-binary result, keyed by the residue hash, in the
+// form of MarshalBinary.
 type Trace struct {
 	// BinSHA is the whole-binary content hash of the recorded build —
 	// the key its full Result is cached under.
@@ -382,7 +147,7 @@ type Trace struct {
 	ResidueHash [32]byte
 	// Roster is the FDE-delimited range set, sorted by Start,
 	// non-overlapping.
-	Roster Roster
+	Roster []RangeInfo
 
 	// UNonRet and UCondNonRet are the unions of every non-return /
 	// conditional-non-return environment any committed pass or
@@ -402,17 +167,22 @@ type Trace struct {
 	// committed walk arrived mid-instruction or decoded overlapping
 	// instructions (disasm.Result.SawMid).
 	SawMid bool
-	// GlobalInsts is the final committed coverage skeleton.
-	GlobalInsts disasm.InstFacts
+	// GlobalInsts is the final committed coverage skeleton, packed: for
+	// each instruction in address order, the step from the previous
+	// one's address (the first's from 0) and its length, as uvarints.
+	// A trace is loaded for every delta attempt, while replay reads the
+	// skeleton only when a pointer candidate needs the committed
+	// coverage, so it stays packed and is read in place.
+	GlobalInsts []byte
 	// TableReads are the data intervals jump-table resolution consulted
 	// anywhere in the committed analysis.
 	TableReads []disasm.Interval
 
 	// XrefRecs, ConvRecs, and JumpRecs are the recorded per-site
 	// verdicts described above.
-	XrefRecs XrefRecs
-	ConvRecs ConvRecs
-	JumpRecs JumpRecs
+	XrefRecs []XrefRec
+	ConvRecs []ConvRec
+	JumpRecs []JumpRec
 
 	// Removed are the FDE starts the convention sweep removed;
 	// RemovedOrMerged additionally includes merged part starts. Changed
@@ -429,6 +199,294 @@ type Trace struct {
 	Result    []byte
 	ResultSHA [32]byte
 }
+
+// MarshalBinary packs the trace field by field, in declaration order:
+// a hash as its 32 bytes, a number as a uvarint, a list as a uvarint
+// count and its elements, a byte string as a uvarint length and its
+// bytes, and booleans as one flag byte (bit i for flag i). A roster
+// range is Start, End-Start, a Foreign byte and its hash; an xref
+// record C, End, an OK|Post<<1 byte, Consts and Extent (an interval as
+// Lo, Hi); a convention record Addr, End and an OK byte; a jump record
+// FDE, Addr, Target and an HOK|HZero<<1 byte. SawMid's byte also tells
+// whether Result is set (bit 1), and Result is written only when it
+// is, so a nil Result comes back nil and an empty one empty; every
+// other empty list comes back nil.
+func (tr *Trace) MarshalBinary() ([]byte, error) {
+	w := packer{b: make([]byte, 0, 256+len(tr.Roster)*(rosterEntryMin+16)+len(tr.GlobalInsts)+len(tr.Result))}
+	w.b = append(append(w.b, tr.BinSHA[:]...), tr.ResidueHash[:]...)
+	putList(&w, tr.Roster, func(ri RangeInfo) {
+		w.uvarint(ri.Start)
+		w.uvarint(ri.End - ri.Start)
+		w.flags(ri.Foreign)
+		w.b = append(w.b, ri.Hash[:]...)
+	})
+	for _, l := range [][]uint64{tr.UNonRet, tr.UCondNonRet, tr.FinalNonRet, tr.FinalCondNonRet, tr.EV, tr.Funcs} {
+		putList(&w, l, w.uvarint)
+	}
+	w.flags(tr.SawMid, tr.Result != nil)
+	w.bytes(tr.GlobalInsts)
+	interval := func(iv disasm.Interval) {
+		w.uvarint(iv.Lo)
+		w.uvarint(iv.Hi)
+	}
+	putList(&w, tr.TableReads, interval)
+	putList(&w, tr.XrefRecs, func(r XrefRec) {
+		w.uvarint(r.C)
+		w.uvarint(r.End)
+		w.flags(r.OK, r.Post)
+		putList(&w, r.Consts, w.uvarint)
+		putList(&w, r.Extent, interval)
+	})
+	putList(&w, tr.ConvRecs, func(r ConvRec) {
+		w.uvarint(r.Addr)
+		w.uvarint(r.End)
+		w.flags(r.OK)
+	})
+	putList(&w, tr.JumpRecs, func(r JumpRec) {
+		w.uvarint(r.FDE)
+		w.uvarint(r.Addr)
+		w.uvarint(r.Target)
+		w.flags(r.HOK, r.HZero)
+	})
+	putList(&w, tr.Removed, w.uvarint)
+	putList(&w, tr.RemovedOrMerged, w.uvarint)
+	if tr.Result != nil {
+		w.bytes(tr.Result)
+	}
+	w.b = append(w.b, tr.ResultSHA[:]...)
+	return w.b, nil
+}
+
+var errBadTrace = errors.New("core: malformed trace")
+
+// rosterEntryMin is the smallest packed roster range: two one-byte
+// uvarints, the flag byte, and the hash.
+const rosterEntryMin = 3 + 32
+
+// UnmarshalBinary unpacks the MarshalBinary form into tr. Input that is
+// truncated, runs on past the trace, holds a flag byte above its range
+// or a count the rest of the input cannot hold, or whose skeleton has a
+// truncated value or a length outside [1, disasm.MaxFactLen], is an
+// error and leaves tr unchanged: a damaged manifest fails to load
+// rather than replaying against wrong facts.
+func (tr *Trace) UnmarshalBinary(data []byte) error {
+	p := packed{b: data}
+	var t Trace
+	p.fixed(t.BinSHA[:])
+	p.fixed(t.ResidueHash[:])
+	if n := p.count(rosterEntryMin); n > 0 {
+		t.Roster = make([]RangeInfo, n)
+		for i := range t.Roster {
+			ri := &t.Roster[i]
+			ri.Start = p.uvarint()
+			ri.End = ri.Start + p.uvarint()
+			p.bad = p.bad || ri.End < ri.Start
+			ri.Foreign = p.flags(1) == 1
+			p.fixed(ri.Hash[:])
+		}
+	}
+	t.UNonRet, t.UCondNonRet, t.FinalNonRet = p.uint64s(), p.uint64s(), p.uint64s()
+	t.FinalCondNonRet, t.EV, t.Funcs = p.uint64s(), p.uint64s(), p.uint64s()
+	f := p.flags(3)
+	t.SawMid = f&1 != 0
+	t.GlobalInsts = p.bytes()
+	p.bad = p.bad || !validSkeleton(t.GlobalInsts)
+	t.TableReads = p.intervals()
+	if n := p.count(5); n > 0 {
+		t.XrefRecs = make([]XrefRec, n)
+		for i := range t.XrefRecs {
+			r := &t.XrefRecs[i]
+			r.C, r.End = p.uvarint(), p.uvarint()
+			rf := p.flags(3)
+			r.OK, r.Post = rf&1 != 0, rf&2 != 0
+			r.Consts, r.Extent = p.uint64s(), p.intervals()
+		}
+	}
+	if n := p.count(3); n > 0 {
+		t.ConvRecs = make([]ConvRec, n)
+		for i := range t.ConvRecs {
+			t.ConvRecs[i] = ConvRec{Addr: p.uvarint(), End: p.uvarint(), OK: p.flags(1) == 1}
+		}
+	}
+	if n := p.count(4); n > 0 {
+		t.JumpRecs = make([]JumpRec, n)
+		for i := range t.JumpRecs {
+			r := JumpRec{FDE: p.uvarint(), Addr: p.uvarint(), Target: p.uvarint()}
+			jf := p.flags(3)
+			r.HOK, r.HZero = jf&1 != 0, jf&2 != 0
+			t.JumpRecs[i] = r
+		}
+	}
+	t.Removed, t.RemovedOrMerged = p.uint64s(), p.uint64s()
+	if f&2 != 0 {
+		if t.Result = p.bytes(); t.Result == nil {
+			t.Result = []byte{}
+		}
+	}
+	p.fixed(t.ResultSHA[:])
+	if !p.done() {
+		return errBadTrace
+	}
+	*tr = t
+	return nil
+}
+
+// validSkeleton reports whether b is a well-formed coverage skeleton
+// (Trace.GlobalInsts): whole facts, each of a length in [1,
+// disasm.MaxFactLen].
+func validSkeleton(b []byte) bool {
+	for len(b) > 0 {
+		if len(b) >= 2 && b[0]|b[1] < 0x80 && b[1] != 0 {
+			// Both values fit one byte: a step below 128 and any real
+			// length, nearly every fact.
+			b = b[2:]
+			continue
+		}
+		var ok bool
+		if _, _, b, ok = skeletonFact(b); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// skeletonFact reads the first fact of a packed coverage skeleton: its
+// address step and length, and the rest of the skeleton. ok is false,
+// and rest empty, when a value is truncated or the length lies outside
+// [1, disasm.MaxFactLen].
+func skeletonFact(b []byte) (step, l uint64, rest []byte, ok bool) {
+	step, n := binary.Uvarint(b)
+	if n <= 0 {
+		return 0, 0, nil, false
+	}
+	l, m := binary.Uvarint(b[n:])
+	if m <= 0 || l == 0 || l > disasm.MaxFactLen {
+		return 0, 0, nil, false
+	}
+	return step, l, b[n+m:], true
+}
+
+// packer writes the packed form that packed reads.
+type packer struct{ b []byte }
+
+func (w *packer) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
+
+// flags writes fs as one flag byte, bit i for flag i.
+func (w *packer) flags(fs ...bool) {
+	var f byte
+	for i, v := range fs {
+		if v {
+			f |= 1 << i
+		}
+	}
+	w.b = append(w.b, f)
+}
+
+func (w *packer) bytes(b []byte) {
+	w.uvarint(uint64(len(b)))
+	w.b = append(w.b, b...)
+}
+
+// putList writes a list as its count and each entry by put.
+func putList[T any](w *packer, l []T, put func(T)) {
+	w.uvarint(uint64(len(l)))
+	for _, v := range l {
+		put(v)
+	}
+}
+
+// packed reads the packed form of a trace. A read that runs out of
+// input or finds a malformed value marks the whole form bad. Lists of
+// records are read in loops of their own, not through a closure per
+// entry as putList writes them: that made decoding the delta
+// benchmark's manifest about a fifth slower.
+type packed struct {
+	b   []byte
+	bad bool
+}
+
+func (p *packed) uvarint() uint64 {
+	v, n := binary.Uvarint(p.b)
+	if n <= 0 {
+		p.bad = true
+		return 0
+	}
+	p.b = p.b[n:]
+	return v
+}
+
+// flags reads a flag byte, which must not exceed top.
+func (p *packed) flags(top byte) byte {
+	if len(p.b) == 0 || p.b[0] > top {
+		p.bad = true
+		return 0
+	}
+	f := p.b[0]
+	p.b = p.b[1:]
+	return f
+}
+
+// count reads a list length. Each entry takes at least entryMin
+// bytes, so a length the rest of the input cannot hold is malformed: a
+// hostile length reserves nothing.
+func (p *packed) count(entryMin int) int {
+	n := p.uvarint()
+	if n > uint64(len(p.b)/entryMin) {
+		p.bad = true
+		return 0
+	}
+	return int(n)
+}
+
+// fixed fills dst with the next len(dst) bytes.
+func (p *packed) fixed(dst []byte) {
+	if len(p.b) < len(dst) {
+		p.bad = true
+		return
+	}
+	p.b = p.b[copy(dst, p.b):]
+}
+
+// uint64s reads a counted uvarint list; an empty one is nil.
+func (p *packed) uint64s() []uint64 {
+	n := p.count(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = p.uvarint()
+	}
+	return out
+}
+
+// intervals reads a counted interval list; an empty one is nil.
+func (p *packed) intervals() []disasm.Interval {
+	n := p.count(2)
+	if n == 0 {
+		return nil
+	}
+	out := make([]disasm.Interval, n)
+	for i := range out {
+		out[i] = disasm.Interval{Lo: p.uvarint(), Hi: p.uvarint()}
+	}
+	return out
+}
+
+// bytes reads a counted byte string into a copy of its own; an empty
+// one is nil.
+func (p *packed) bytes() []byte {
+	n := p.count(1)
+	if n == 0 {
+		return nil
+	}
+	out := slices.Clone(p.b[:n])
+	p.b = p.b[n:]
+	return out
+}
+
+// done reports whether the form decoded well and used all its input.
+func (p *packed) done() bool { return !p.bad && len(p.b) == 0 }
 
 // recorder accumulates the trace during a recorded cold run. It
 // implements disasm.ExecObserver and feeds the xref and tailcall
@@ -701,7 +759,16 @@ func (r *recorder) finish(img *elfx.Image, sess *disasm.Session, rep *Report, eh
 	if sess != nil {
 		res := sess.Result()
 		tr.SawMid = res.SawMid()
-		tr.GlobalInsts = disasm.PackInstFacts(res.InstFacts())
+		tr.GlobalInsts = make([]byte, 0, 2*len(res.Insts))
+		var prev uint64
+		for _, in := range res.Insts {
+			if in.Addr < prev {
+				panic("core: committed instructions not address-sorted")
+			}
+			tr.GlobalInsts = binary.AppendUvarint(tr.GlobalInsts, in.Addr-prev)
+			tr.GlobalInsts = binary.AppendUvarint(tr.GlobalInsts, uint64(in.Len))
+			prev = in.Addr
+		}
 		tr.TableReads = coalesce(res.TableReads())
 		tr.Funcs = sortedKeys(res.Funcs)
 		tr.FinalNonRet = sortedKeys(res.NonRet)

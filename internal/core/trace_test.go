@@ -1,175 +1,230 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
 
 	"fetch/internal/disasm"
 	"fetch/internal/elfx"
+	"fetch/internal/synth"
 	"fetch/internal/xref"
 )
 
-// TestRosterGobRoundTrip round-trips a roster through its packed form,
-// alone and inside a gob-encoded Trace, and rejects every truncation,
-// trailing data, and a Foreign byte other than 0 or 1.
-func TestRosterGobRoundTrip(t *testing.T) {
-	roster := Roster{
-		{Start: 0x401000, End: 0x401040, Foreign: true},
-		{Start: 0x401040, End: 0x401041},
-		{Start: 1 << 40, End: 1<<40 + 0x10000},
+// fullTrace returns a trace that sets every field, with multi-byte
+// values, both bits of every two-flag byte, and nested lists.
+func fullTrace() *Trace {
+	tr := &Trace{
+		BinSHA:      [32]byte{1, 2, 3},
+		ResidueHash: [32]byte{31: 9},
+		Roster: []RangeInfo{
+			{Start: 0x401000, End: 0x401040, Foreign: true},
+			{Start: 0x401040, End: 0x401041},
+			{Start: 1 << 40, End: 1<<40 + 0x10000},
+		},
+		UNonRet:         []uint64{0x401000, 1 << 63},
+		UCondNonRet:     []uint64{0x401040},
+		FinalNonRet:     []uint64{0x401000},
+		FinalCondNonRet: []uint64{7},
+		EV:              []uint64{0x401100},
+		Funcs:           []uint64{0x401000, 0x401040, 1 << 40},
+		SawMid:          true,
+		GlobalInsts:     packFacts(fullTraceFacts...),
+		TableReads:      []disasm.Interval{{Lo: 0x600000, Hi: 0x600040}},
+		XrefRecs: []XrefRec{
+			{C: 0x401000, OK: true, End: 0x401080, Consts: []uint64{7, 1 << 40},
+				Extent: []disasm.Interval{{Lo: 0x401000, Hi: 0x401080}, {Lo: 0x600000, Hi: 0x600010}}},
+			{C: 0x401200, Post: true},
+			{C: 1<<64 - 1, End: 3, Extent: []disasm.Interval{{Lo: 5, Hi: 2}}},
+		},
+		ConvRecs: []ConvRec{{Addr: 0x401000, End: 0x401010, OK: true}, {Addr: 0x401100, End: 0x401100}},
+		JumpRecs: []JumpRec{
+			{FDE: 0x401000, Addr: 0x401020, Target: 0x402000, HOK: true, HZero: true},
+			{FDE: 0x401000, Addr: 0x401030, Target: 1 << 63},
+		},
+		Removed:         []uint64{0x401100},
+		RemovedOrMerged: []uint64{0x401100, 0x401200},
+		Result:          []byte("recorded result"),
+		ResultSHA:       [32]byte{0xAA, 31: 0xBB},
 	}
-	for i := range roster {
-		for k := range roster[i].Hash {
-			roster[i].Hash[k] = byte(17*i + k)
+	for i := range tr.Roster {
+		for k := range tr.Roster[i].Hash {
+			tr.Roster[i].Hash[k] = byte(17*i + k)
 		}
 	}
-	blob, err := roster.GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Roster
-	if err := back.GobDecode(blob); err != nil {
-		t.Fatalf("valid roster rejected: %v", err)
-	}
-	if !reflect.DeepEqual(back, roster) {
-		t.Fatalf("round trip = %+v, want %+v", back, roster)
-	}
-
-	tr := &Trace{BinSHA: [32]byte{1}, Roster: roster, Funcs: []uint64{0x401000}}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(tr); err != nil {
-		t.Fatal(err)
-	}
-	var trBack Trace
-	if err := gob.NewDecoder(&buf).Decode(&trBack); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(trBack.Roster, roster) || trBack.BinSHA != tr.BinSHA {
-		t.Fatalf("trace round trip lost the roster: %+v", trBack.Roster)
-	}
-
-	var empty Roster
-	if err := empty.GobDecode(mustEncode(t, Roster{})); err != nil || len(empty) != 0 {
-		t.Fatalf("empty roster: %v, %d ranges", err, len(empty))
-	}
-
-	for n := 0; n < len(blob); n++ {
-		var got Roster
-		if err := got.GobDecode(blob[:n]); err == nil {
-			t.Fatalf("roster truncated to %d of %d bytes accepted as %+v", n, len(blob), got)
-		}
-	}
-	var got Roster
-	if err := got.GobDecode(append(append([]byte(nil), blob...), 0)); err == nil {
-		t.Fatal("roster with trailing data accepted")
-	}
-	bad := append([]byte(nil), blob...)
-	// The first range's Foreign byte follows the count, its Start, and
-	// its length.
-	foreign := binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, 3), 0x401000), 0x40)
-	if bad[len(foreign)] != 1 {
-		t.Fatalf("byte %d = %d, want the first range's Foreign flag", len(foreign), bad[len(foreign)])
-	}
-	bad[len(foreign)] = 2
-	if err := got.GobDecode(bad); err == nil {
-		t.Fatal("roster with Foreign byte 2 accepted")
-	}
+	return tr
 }
 
-func mustEncode(t *testing.T, r Roster) []byte {
+// fullTraceFacts is fullTrace's skeleton: the shortest and longest
+// lengths a fact may have, and address steps of one and two bytes.
+var fullTraceFacts = []disasm.InstFact{
+	{Addr: 0x401000, Len: 1}, {Addr: 0x401001, Len: 15},
+	{Addr: 0x401100, Len: disasm.MaxFactLen}, {Addr: 0x401180, Len: 4},
+}
+
+// packFacts packs address-sorted facts as a coverage skeleton
+// (Trace.GlobalInsts).
+func packFacts(facts ...disasm.InstFact) []byte {
+	var b []byte
+	prev := uint64(0)
+	for _, f := range facts {
+		b = binary.AppendUvarint(b, f.Addr-prev)
+		b = binary.AppendUvarint(b, uint64(f.Len))
+		prev = f.Addr
+	}
+	return b
+}
+
+func mustMarshal(t testing.TB, tr *Trace) []byte {
 	t.Helper()
-	b, err := r.GobEncode()
+	b, err := tr.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
 
-// TestVerdictRecordsGobRoundTrip round-trips the recorded verdict
-// lists through their packed forms, alone and inside a gob-encoded
-// Trace, and rejects every truncation, trailing data, and a flag byte
-// with an unknown bit.
-func TestVerdictRecordsGobRoundTrip(t *testing.T) {
-	xrefs := XrefRecs{
-		{C: 0x401000, OK: true, End: 0x401080, Consts: []uint64{7, 1 << 40},
-			Extent: []disasm.Interval{{Lo: 0x401000, Hi: 0x401080}, {Lo: 0x600000, Hi: 0x600010}}},
-		{C: 0x401200, Post: true},
-		{C: 1<<64 - 1, End: 3, Extent: []disasm.Interval{{Lo: 5, Hi: 2}}},
+// TestTraceCodecRoundTrip round-trips a trace that sets every field
+// through its packed form, reads its skeleton back, keeps a nil Result
+// apart from an empty one, and rejects every truncation, trailing data,
+// each flag byte above its range, a count the input cannot hold, and a
+// skeleton fact that is truncated or of a length outside [1,
+// MaxFactLen] — including lengths a uint16 would silently truncate. A
+// rejected input leaves the trace it was decoded into unchanged.
+func TestTraceCodecRoundTrip(t *testing.T) {
+	want := fullTrace()
+	blob := mustMarshal(t, want)
+	var back Trace
+	if err := back.UnmarshalBinary(blob); err != nil {
+		t.Fatalf("valid trace rejected: %v", err)
 	}
-	convs := ConvRecs{{Addr: 0x401000, End: 0x401010, OK: true}, {Addr: 0x401100, End: 0x401100}}
-	jumps := JumpRecs{{FDE: 0x401000, Addr: 0x401020, Target: 0x402000, HOK: true, HZero: true}, {FDE: 0x401000, Addr: 0x401030, Target: 1 << 63}}
-	lists := []struct {
+	if !reflect.DeepEqual(&back, want) {
+		t.Fatalf("round trip = %+v, want %+v", back, *want)
+	}
+	if got := substituteCoverage(&back, nil, nil); !reflect.DeepEqual(got, fullTraceFacts) {
+		t.Fatalf("skeleton reads back as %v, want %v", got, fullTraceFacts)
+	}
+	if err := new(Trace).UnmarshalBinary(mustMarshal(t, &Trace{Roster: []RangeInfo{{Start: 2, End: 1}}})); err == nil {
+		t.Error("a roster range ending before its start was accepted")
+	}
+
+	for _, result := range [][]byte{nil, {}} {
+		in := &Trace{Result: result}
+		var out Trace
+		if err := out.UnmarshalBinary(mustMarshal(t, in)); err != nil {
+			t.Fatalf("trace with Result %#v rejected: %v", result, err)
+		}
+		if !reflect.DeepEqual(&out, in) || (out.Result == nil) != (result == nil) {
+			t.Fatalf("trace with Result %#v came back with %#v", result, out.Result)
+		}
+	}
+
+	rejects := func(label string, b []byte) {
+		t.Helper()
+		got := *fullTrace()
+		if err := got.UnmarshalBinary(b); err == nil {
+			t.Fatalf("%s accepted", label)
+		}
+		if !reflect.DeepEqual(&got, fullTrace()) {
+			t.Fatalf("%s changed the trace it was decoded into", label)
+		}
+	}
+	for n := 0; n < len(blob); n++ {
+		rejects(fmt.Sprintf("trace truncated to %d of %d bytes", n, len(blob)), blob[:n])
+	}
+	rejects("trace with trailing data", append(slices.Clone(blob), 0))
+
+	// Each flag byte is the one byte that flipping its lowest flag
+	// changes.
+	for _, fl := range []struct {
 		name string
-		in   gobCodec
-		out  func() gobCodec
-		// flag is the offset of the first record's flag byte.
-		flag int
+		flip func(*Trace)
+		top  byte
 	}{
-		{"XrefRecs", &xrefs, func() gobCodec { return new(XrefRecs) }, uvarintsLen(3, 0x401000, 0x401080)},
-		{"ConvRecs", &convs, func() gobCodec { return new(ConvRecs) }, uvarintsLen(2, 0x401000, 0x401010)},
-		{"JumpRecs", &jumps, func() gobCodec { return new(JumpRecs) }, uvarintsLen(2, 0x401000, 0x401020, 0x402000)},
-	}
-	for _, l := range lists {
-		blob, err := l.in.GobEncode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		back := l.out()
-		if err := back.GobDecode(blob); err != nil {
-			t.Fatalf("%s: valid list rejected: %v", l.name, err)
-		}
-		if got, want := reflect.ValueOf(back).Elem().Interface(), reflect.ValueOf(l.in).Elem().Interface(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: round trip = %+v, want %+v", l.name, got, want)
-		}
-		for n := 0; n < len(blob); n++ {
-			if err := l.out().GobDecode(blob[:n]); err == nil {
-				t.Fatalf("%s truncated to %d of %d bytes accepted", l.name, n, len(blob))
+		{"roster Foreign", func(tr *Trace) { tr.Roster[0].Foreign = false }, 1},
+		{"SawMid", func(tr *Trace) { tr.SawMid = false }, 3},
+		{"xref record", func(tr *Trace) { tr.XrefRecs[0].OK = false }, 3},
+		{"convention record", func(tr *Trace) { tr.ConvRecs[0].OK = false }, 1},
+		{"jump record", func(tr *Trace) { tr.JumpRecs[0].HOK = false }, 3},
+	} {
+		flipped := fullTrace()
+		fl.flip(flipped)
+		fb := mustMarshal(t, flipped)
+		at := -1
+		for i := range blob {
+			if blob[i] != fb[i] {
+				if at >= 0 {
+					t.Fatalf("%s: flipping the flag changed bytes %d and %d", fl.name, at, i)
+				}
+				at = i
 			}
 		}
-		if err := l.out().GobDecode(append(slices.Clone(blob), 0)); err == nil {
-			t.Fatalf("%s with trailing data accepted", l.name)
+		if at < 0 || len(fb) != len(blob) {
+			t.Fatalf("%s: flipping the flag changed no single byte", fl.name)
 		}
 		bad := slices.Clone(blob)
-		if bad[l.flag] != 1 && bad[l.flag] != 3 {
-			t.Fatalf("%s: byte %d = %d, want the first record's flags", l.name, l.flag, bad[l.flag])
-		}
-		bad[l.flag] = 4
-		if err := l.out().GobDecode(bad); err == nil {
-			t.Fatalf("%s with flag byte 4 accepted", l.name)
-		}
+		bad[at] = fl.top + 1
+		rejects(fmt.Sprintf("%s flag byte %d", fl.name, fl.top+1), bad)
 	}
 
-	tr := &Trace{XrefRecs: xrefs, ConvRecs: convs, JumpRecs: jumps}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(tr); err != nil {
-		t.Fatal(err)
-	}
-	var trBack Trace
-	if err := gob.NewDecoder(&buf).Decode(&trBack); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(trBack.XrefRecs, xrefs) || !reflect.DeepEqual(trBack.ConvRecs, convs) || !reflect.DeepEqual(trBack.JumpRecs, jumps) {
-		t.Fatalf("trace round trip lost verdict records: %+v", trBack)
+	// A count the rest of the input cannot hold fails before anything
+	// is reserved for it: the roster's, after the two hashes.
+	rejects("roster count of 2^62", binary.AppendUvarint(make([]byte, 64), 1<<62))
+
+	for _, skel := range []struct {
+		name string
+		b    []byte
+	}{
+		{"length 0", binary.AppendUvarint(binary.AppendUvarint(nil, 0x401000), 0)},
+		{"length 256", binary.AppendUvarint(binary.AppendUvarint(nil, 0x401000), 256)},
+		{"length 70000", binary.AppendUvarint(binary.AppendUvarint(nil, 0x401000), 70000)},
+		{"one-byte length 0", []byte{1, 0}},
+		{"a step without a length", []byte{5}},
+		{"a truncated step", []byte{0x80}},
+		{"a truncated length", []byte{5, 0x80}},
+	} {
+		tr := fullTrace()
+		tr.GlobalInsts = append(packFacts(fullTraceFacts...), skel.b...)
+		rejects("skeleton fact with "+skel.name, mustMarshal(t, tr))
 	}
 }
 
-// uvarintsLen returns the bytes vs take as uvarints.
-func uvarintsLen(vs ...uint64) int {
-	var b []byte
-	for _, v := range vs {
-		b = binary.AppendUvarint(b, v)
+// FuzzTraceDecode feeds arbitrary bytes to UnmarshalBinary, seeded with
+// the recorded trace of a synth binary, fullTrace and the zero trace:
+// decoding never panics, and a trace it accepts marshals to bytes that
+// decode to an equal trace.
+func FuzzTraceDecode(f *testing.F) {
+	// The smallest synth binary: the fuzzer minimizes every input it
+	// finds interesting, at a cost that grows with the input's size.
+	cfg := synth.DefaultConfig("trace-fuzz", 5, synth.O2, synth.GCC, synth.LangC)
+	cfg.NumFuncs = 8
+	img, _, err := synth.Generate(cfg)
+	if err != nil {
+		f.Fatal(err)
 	}
-	return len(b)
-}
-
-// gobCodec is a value with a packed gob form.
-type gobCodec interface {
-	GobEncode() ([]byte, error)
-	GobDecode([]byte) error
+	_, recorded, err := AnalyzeRecorded(img.Strip(), FETCH, nil)
+	if err != nil || recorded == nil || len(recorded.GlobalInsts) == 0 {
+		f.Fatalf("no recorded trace with a skeleton: %v", err)
+	}
+	recorded.Result = []byte("recorded result")
+	for _, tr := range []*Trace{recorded, fullTrace(), {}} {
+		f.Add(mustMarshal(f, tr))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var tr Trace
+		if tr.UnmarshalBinary(data) != nil {
+			return
+		}
+		var back Trace
+		if err := back.UnmarshalBinary(mustMarshal(t, &tr)); err != nil {
+			t.Fatalf("re-marshaled trace rejected: %v", err)
+		}
+		if !reflect.DeepEqual(back, tr) {
+			t.Fatalf("re-marshaled trace decodes to %+v, want %+v", back, tr)
+		}
+	})
 }
 
 // TestXrefRecordCoversRejectingWalk records a candidate whose

@@ -52,7 +52,7 @@ func TestXrefChainConvergesPastLegacyCap(t *testing.T) {
 	// The truncation pathology stays observable: a bound below the
 	// chain's demand must mark the result truncated instead of
 	// silently converging.
-	trunc, err := AnalyzeConfig(img.Strip(), Config{Strategy: FETCH, XrefIterBound: legacyXrefIterCap})
+	trunc, _, err := analyzeWith(img.Strip(), FETCH, legacyXrefIterCap, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ import (
 //
 // reset empties the table by taking back every chunk written since the
 // last reset onto the table's own free list; a later first write takes
-// a chunk from there, cleared, before it asks the pool or the
+// a chunk from there, cleared, before it asks the chunk store or the
 // allocator. A table reused walk after walk — the owner workspace —
 // thus keeps its chunks, and pays for emptying only the chunks the last
 // walk wrote.
@@ -34,7 +34,7 @@ type byteTable[T uint8 | int32 | uint32] struct {
 	// free the chunks reset took back.
 	written []**[tableChunkLen]T
 	free    []*[tableChunkLen]T
-	// alloc counts bytes of the chunks taken from the pool or the
+	// alloc counts bytes of the chunks taken from the store or the
 	// allocator so far — an input of Stats.PeakAuxBytes. A chunk taken
 	// from the free list is not counted again.
 	alloc int64
@@ -167,17 +167,15 @@ var (
 )
 
 // reservedChunks is how many released chunks of each slot type a store
-// keeps out of the garbage collector's reach: more than the two replay
-// sessions of a delta request touch (24 four-byte chunks in all on
-// the delta benchmark's shape).
+// keeps: more than the two replay sessions of a delta request touch
+// (24 four-byte chunks in all on the delta benchmark's shape).
 const reservedChunks = 48
 
-// chunkStore holds released chunks of one slot type: up to
-// reservedChunks in a reserve the garbage collector never empties, the
-// rest in a sync.Pool, which every second collection does. A cached
-// service's delta request follows the cold run that recorded its base,
-// and that run's collections would leave a pool alone empty by the
-// time the replay asks.
+// chunkStore holds up to reservedChunks released chunks of one slot
+// type in a reserve the garbage collector never empties, and leaves
+// the rest to the collector. A cached service's delta request follows
+// the cold run that recorded its base, and that run's collections
+// would empty a sync.Pool by the time the replay asks.
 //
 // A reserved chunk keeps its stamp: no value in it is above the stamp.
 // A walk-mark chunk's stamp is its set's epoch at release; every other
@@ -185,7 +183,6 @@ const reservedChunks = 48
 type chunkStore[T uint8 | int32 | uint32] struct {
 	mu      sync.Mutex
 	reserve []stampedChunk[T]
-	pool    sync.Pool
 	// top is the highest stamp put so far (see startEpoch).
 	top uint32
 }
@@ -203,29 +200,25 @@ type stampedChunk[T uint8 | int32 | uint32] struct {
 // that is not clean must be cleared.
 func (st *chunkStore[T]) get(live uint32) (c *[tableChunkLen]T, clean bool) {
 	st.mu.Lock()
-	if n := len(st.reserve); n > 0 {
-		sc := st.reserve[n-1]
-		st.reserve = st.reserve[:n-1]
-		st.mu.Unlock()
-		return sc.c, sc.stamp < live
+	defer st.mu.Unlock()
+	n := len(st.reserve)
+	if n == 0 {
+		return nil, false
 	}
-	st.mu.Unlock()
-	c, _ = st.pool.Get().(*[tableChunkLen]T)
-	return c, false
+	sc := st.reserve[n-1]
+	st.reserve = st.reserve[:n-1]
+	return sc.c, sc.stamp < live
 }
 
-// put takes a released chunk with its stamp: into the reserve while it
-// has room, else into the pool.
+// put takes a released chunk with its stamp into the reserve while it
+// has room; a chunk beyond that is left to the garbage collector.
 func (st *chunkStore[T]) put(c *[tableChunkLen]T, stamp uint32) {
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	st.top = max(st.top, stamp)
 	if len(st.reserve) < reservedChunks {
 		st.reserve = append(st.reserve, stampedChunk[T]{c, stamp})
-		st.mu.Unlock()
-		return
 	}
-	st.mu.Unlock()
-	st.pool.Put(c)
 }
 
 // startEpoch returns the epoch a new walk-mark set starts at: one above
@@ -241,8 +234,8 @@ func (st *chunkStore[T]) startEpoch() uint32 {
 	return st.top + 1
 }
 
-// chunkPool returns the store of T chunks.
-func chunkPool[T uint8 | int32 | uint32]() *chunkStore[T] {
+// chunkStoreOf returns the store of T chunks.
+func chunkStoreOf[T uint8 | int32 | uint32]() *chunkStore[T] {
 	var st any
 	switch any(*new(T)).(type) {
 	case uint8:
@@ -259,7 +252,7 @@ func chunkPool[T uint8 | int32 | uint32]() *chunkStore[T] {
 // walk-mark epoch is live (0 for tables without epochs): a recycled one
 // when the store has one, cleared unless it is clean for live.
 func newChunk[T uint8 | int32 | uint32](live uint32) *[tableChunkLen]T {
-	if c, clean := chunkPool[T]().get(live); c != nil {
+	if c, clean := chunkStoreOf[T]().get(live); c != nil {
 		if !clean {
 			*c = [tableChunkLen]T{}
 		}
@@ -277,7 +270,7 @@ func (t *byteTable[T]) release() {
 	if t.stamp != nil {
 		stamp = *t.stamp
 	}
-	st := chunkPool[T]()
+	st := chunkStoreOf[T]()
 	for _, c := range t.free {
 		st.put(c, stamp)
 	}

@@ -193,7 +193,7 @@ func chunksHeld[T uint8 | int32 | uint32](t *byteTable[T]) int {
 
 // TestReleaseRecyclesChunks pins Session.Release: the released session
 // keeps no chunk, its committed results stay intact, and sessions
-// built after it — drawing chunks from pools that also hold garbage
+// built after it — drawing chunks from stores that also hold garbage
 // — walk exactly like the released one did, with the same PeakAuxBytes.
 func TestReleaseRecyclesChunks(t *testing.T) {
 	im, _, sec := buildBinary(t, 113, nil)
@@ -213,7 +213,11 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 	if !reflect.DeepEqual(resA.Insts, before) || a.Result() != resA {
 		t.Fatal("Release changed the committed result")
 	}
-	// Garbage chunks in every pool: a table must clear what it takes.
+	// Garbage chunks in every store: a table must clear what it takes.
+	// Emptied first, so that no store is too full to take them.
+	drainStore(&int32Chunks)
+	drainStore(&uint32Chunks)
+	drainStore(&uint8Chunks)
 	for i := 0; i < 8; i++ {
 		var i32 [tableChunkLen]int32
 		var u32 [tableChunkLen]uint32
@@ -242,8 +246,8 @@ func TestReleaseRecyclesChunks(t *testing.T) {
 
 // TestChunkReserveSurvivesGC pins the chunk stores' reserve: released
 // chunks up to reservedChunks per slot type come back after garbage
-// collections, which empty a sync.Pool, and the reserve holds no more
-// than that.
+// collections, which would empty a sync.Pool, and the store holds no
+// more than that.
 func TestChunkReserveSurvivesGC(t *testing.T) {
 	st := &chunkStore[int32]{}
 	put := map[*[tableChunkLen]int32]bool{}
@@ -264,6 +268,15 @@ func TestChunkReserveSurvivesGC(t *testing.T) {
 		}
 		delete(put, c)
 	}
+	if c, _ := st.get(0); c != nil {
+		t.Fatalf("the store kept a chunk beyond its %d-chunk reserve", reservedChunks)
+	}
+}
+
+// drainStore empties a chunk store.
+func drainStore[T uint8 | int32 | uint32](st *chunkStore[T]) {
+	for c, _ := st.get(0); c != nil; c, _ = st.get(0) {
+	}
 }
 
 // TestWalkMarkChunksCleanByStamp pins when a walk-mark set takes a
@@ -275,10 +288,7 @@ func TestChunkReserveSurvivesGC(t *testing.T) {
 // released ones.
 func TestWalkMarkChunksCleanByStamp(t *testing.T) {
 	layout := []Range{{Start: 0x10000, End: 0x10000 + tableChunkLen}}
-	drain := func() {
-		for c, _ := uint32Chunks.get(0); c != nil; c, _ = uint32Chunks.get(0) {
-		}
-	}
+	drain := func() { drainStore(&uint32Chunks) }
 	drain()
 	early := newWalkMarks(layout) // built before the release below
 	a := newWalkMarks(layout)

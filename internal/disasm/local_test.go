@@ -1,56 +1,12 @@
 package disasm
 
 import (
-	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"fetch/internal/elfx"
 )
-
-// TestInstFactsGobLengths round-trips every length the owner index
-// can hold and rejects the ones it cannot: zero, and anything past
-// maxOwnedInstLen — including lengths a uint16 would silently
-// truncate.
-func TestInstFactsGobLengths(t *testing.T) {
-	facts := []InstFact{{Addr: 0x401000, Len: 1}, {Addr: 0x401001, Len: 15}, {Addr: 0x401100, Len: maxOwnedInstLen}}
-	blob, err := PackInstFacts(facts).GobEncode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back InstFacts
-	if err := back.GobDecode(blob); err != nil {
-		t.Fatalf("valid facts rejected: %v", err)
-	}
-	if got := back.Unpack(); back.Len() != len(facts) || !reflect.DeepEqual(got, facts) {
-		t.Fatalf("round trip = %v (Len %d), want %v", got, back.Len(), facts)
-	}
-	var none InstFacts
-	if blob, err := none.GobEncode(); err != nil || none.Unpack() != nil {
-		t.Fatalf("zero InstFacts: %v, %v", err, none.Unpack())
-	} else if err := back.GobDecode(blob); err != nil || back.Len() != 0 {
-		t.Fatalf("zero InstFacts round trip: %v, Len %d", err, back.Len())
-	}
-
-	// A count the input is too short to hold fails before reserving
-	// anything for it.
-	var huge InstFacts
-	if err := huge.GobDecode(binary.AppendUvarint(nil, 1<<62)); err == nil {
-		t.Error("a count of 2^62 facts in a 9-byte input was accepted")
-	}
-
-	for _, l := range []uint64{0, 256, 70000} {
-		// One fact at 0x401000 of length l, in the packed form.
-		blob := binary.AppendUvarint(nil, 1)
-		blob = binary.AppendUvarint(blob, 0x401000)
-		blob = binary.AppendUvarint(blob, l)
-		var got InstFacts
-		if err := got.GobDecode(blob); err == nil {
-			t.Errorf("length %d accepted as %v", l, got.Unpack())
-		}
-	}
-}
 
 // boundedCounts tallies what a differential run compared, so the tests
 // can tell when their inputs stop exercising a path.

@@ -7,7 +7,7 @@ package disasm
 // byteTable of one byte per text byte, 0 when the byte is uncovered,
 // otherwise 1 + the byte's distance from the start of its owning
 // instruction. Decoded instructions are at most 15 bytes long, well
-// within maxOwnedInstLen, so the distance always fits, whatever the
+// within MaxFactLen, so the distance always fits, whatever the
 // section size.
 //
 // Committed passes allocate an index each, which their results keep.
@@ -19,9 +19,10 @@ type ownerIndex struct {
 	borrowed bool
 }
 
-// maxOwnedInstLen is the longest instruction the one-byte encoding can
-// own; persisted instruction facts beyond it are rejected.
-const maxOwnedInstLen = 255
+// MaxFactLen is the longest instruction the one-byte encoding can own:
+// a persisted instruction fact longer than that, or of length 0, is
+// corrupt.
+const MaxFactLen = 255
 
 // newOwnerIndex reserves one span per range without allocating any
 // chunks.
@@ -45,7 +46,7 @@ func (o *ownerIndex) get(addr uint64) (uint64, bool) {
 // instruction at addr, and reports whether any of them was owned
 // already: the instruction overlaps one decoded before it, and the
 // shared bytes now belong to whichever came last. n must not exceed
-// maxOwnedInstLen. Instruction bytes never cross a section end (decode
+// MaxFactLen. Instruction bytes never cross a section end (decode
 // windows are section-bounded), so the run stays in one span, though
 // it may straddle two chunks.
 func (o *ownerIndex) setRange(addr uint64, n int) (overlap bool) {

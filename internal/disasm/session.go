@@ -49,8 +49,8 @@ type Stats struct {
 	// the decode index and of the two walk-mark sets, and the decode
 	// arena at decodeEntryCost per entry — all of them for as long as
 	// the session holds them. A table is charged for each chunk it
-	// takes from the pool or the allocator, not for one its own reset
-	// freed and a later write took back. It is an accounting of
+	// takes from the chunk store or the allocator, not for one its own
+	// reset freed and a later write took back. It is an accounting of
 	// data-structure growth (deterministic for a given call sequence),
 	// not a heap measurement; like the decode counters it is an
 	// execution trace, so StripSchedule zeroes it.
@@ -215,11 +215,12 @@ func (s *Session) returnOwner(res *Result) {
 }
 
 // Release ends the session: every chunk of its decode index, walk
-// marks and owner workspace goes to the pool of its slot type, which
-// later sessions' tables draw from, so a short-lived session — delta
-// replay builds two per request — does not leave them to the garbage
-// collector. Results the session returned stay valid; a LocalWalk's
-// verdicts panic, and the session must not walk again.
+// marks and owner workspace goes to the store of its slot type, which
+// keeps up to reservedChunks of them for later sessions' tables to
+// draw from and leaves the rest to the garbage collector, so a
+// short-lived session — delta replay builds two per request — need not
+// allocate its chunks afresh. Results the session returned stay valid;
+// a LocalWalk's verdicts panic, and the session must not walk again.
 func (s *Session) Release() {
 	s.cache.index.release()
 	s.pushed.release()

@@ -125,7 +125,7 @@ func EvalImage(name string, im *elfx.Image) *BinaryReport {
 
 	for i, strat := range core.Lattice() {
 		start := time.Now()
-		res, err := core.AnalyzeConfig(stripped, core.Config{Strategy: strat})
+		res, err := core.Analyze(stripped, strat)
 		if err != nil {
 			rep.Err = fmt.Sprintf("%s: %v", StrategyNames[i], err)
 			rep.Scores = nil

@@ -56,7 +56,7 @@ func TestGoRealVerdictWalks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := core.AnalyzeConfig(img.Strip(), core.Config{Strategy: core.FETCH})
+		rep, err := core.Analyze(img.Strip(), core.FETCH)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -242,8 +242,15 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // every exit path, including shutdown-before-run.
 func (s *Server) runJob(j *job, admitted bool) {
 	defer s.jobs.wg.Done()
-	defer s.jobsActive.Add(-1)
-	defer os.Remove(j.spoolPath)
+	// The terminal state is published last, once the slot, the
+	// in-flight count and the active gauge no longer count the job: a
+	// poller that sees it finished reads stats that agree.
+	state, errMsg, cached := JobFailed, "server shut down before the job ran", false
+	defer func() {
+		os.Remove(j.spoolPath)
+		s.jobsActive.Add(-1)
+		s.jobs.finish(j, state, errMsg, cached)
+	}()
 	if !admitted {
 		waitStart := time.Now()
 		select {
@@ -253,7 +260,6 @@ func (s *Server) runJob(j *job, admitted bool) {
 		case <-s.jobs.closeCh:
 			s.adm.queued.Add(-1)
 			s.jobsFailed.Add(1)
-			s.jobs.finish(j, JobFailed, "server shut down before the job ran", false)
 			return
 		}
 	}
@@ -264,15 +270,15 @@ func (s *Server) runJob(j *job, admitted bool) {
 	defer s.exitFlight()
 
 	t0 := time.Now()
-	_, cached, err := s.cache.AnalyzeFile(j.spoolPath, j.opts...)
+	_, hit, err := s.cache.AnalyzeFile(j.spoolPath, j.opts...)
 	s.analyzeDur.observe(time.Since(t0))
 	if err != nil {
 		s.jobsFailed.Add(1)
-		s.jobs.finish(j, JobFailed, err.Error(), false)
+		errMsg = err.Error()
 		return
 	}
 	s.jobsCompleted.Add(1)
-	s.jobs.finish(j, JobDone, "", cached)
+	state, errMsg, cached = JobDone, "", hit
 }
 
 // handleJobGet serves GET /v1/jobs/{id}: the poll half of the async
