@@ -86,15 +86,12 @@ func mustMarshal(t testing.TB, tr *Trace) []byte {
 	return b
 }
 
-// TestTraceCodecRoundTrip round-trips a trace that sets every field
-// through its packed form, reads its skeleton back, keeps a nil Result
-// apart from an empty one, and rejects every truncation, trailing data,
-// each flag byte above its range, a count the input cannot hold, and a
-// skeleton fact that is truncated or of a length outside [1,
-// MaxFactLen] — including lengths a uint16 would silently truncate. A
-// rejected input leaves the trace it was decoded into unchanged.
-func TestTraceCodecRoundTrip(t *testing.T) {
-	want := fullTrace()
+// assertRoundTrip checks that mk's trace decodes from its packed form
+// to an equal trace, and that every truncation of that form, and the
+// form with a byte appended, is rejected. It returns the form.
+func assertRoundTrip(t *testing.T, mk func() *Trace) []byte {
+	t.Helper()
+	want := mk()
 	blob := mustMarshal(t, want)
 	var back Trace
 	if err := back.UnmarshalBinary(blob); err != nil {
@@ -103,11 +100,69 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(&back, want) {
 		t.Fatalf("round trip = %+v, want %+v", back, *want)
 	}
+	for n := 0; n < len(blob); n++ {
+		assertRejects(t, mk, fmt.Sprintf("trace truncated to %d of %d bytes", n, len(blob)), blob[:n])
+	}
+	assertRejects(t, mk, "trace with trailing data", append(slices.Clone(blob), 0))
+	return blob
+}
+
+// assertRejects checks that decoding b into mk's trace fails and
+// leaves that trace unchanged.
+func assertRejects(t *testing.T, mk func() *Trace, label string, b []byte) {
+	t.Helper()
+	got := mk()
+	if err := got.UnmarshalBinary(b); err == nil {
+		t.Fatalf("%s accepted", label)
+	}
+	if !reflect.DeepEqual(got, mk()) {
+		t.Fatalf("%s changed the trace it was decoded into", label)
+	}
+}
+
+// assertFlagBounded finds the flag byte of mk's packed form as the one
+// byte that clear — clearing the byte's lowest flag — changes, and
+// checks that the form with that byte set one above top is rejected.
+func assertFlagBounded(t *testing.T, mk func() *Trace, name string, clear func(*Trace), top byte) {
+	t.Helper()
+	blob := mustMarshal(t, mk())
+	cleared := mk()
+	clear(cleared)
+	cb := mustMarshal(t, cleared)
+	if len(cb) != len(blob) {
+		t.Fatalf("%s: clearing the flag changed the form's length", name)
+	}
+	at := -1
+	for i := range blob {
+		if blob[i] != cb[i] {
+			if at >= 0 {
+				t.Fatalf("%s: clearing the flag changed bytes %d and %d", name, at, i)
+			}
+			at = i
+		}
+	}
+	if at < 0 {
+		t.Fatalf("%s: clearing the flag changed no byte", name)
+	}
+	bad := slices.Clone(blob)
+	bad[at] = top + 1
+	assertRejects(t, mk, fmt.Sprintf("%s flag byte %d", name, top+1), bad)
+}
+
+// TestTraceCodecRoundTrip round-trips a trace that sets every field
+// through its packed form, reads its skeleton back, keeps a nil Result
+// apart from an empty one, and rejects every truncation, trailing data,
+// a SawMid byte above its range, and a skeleton fact that is truncated
+// or of a length outside [1, MaxFactLen] — including lengths a uint16
+// would silently truncate. A rejected input leaves the trace it was
+// decoded into unchanged.
+func TestTraceCodecRoundTrip(t *testing.T) {
+	var back Trace
+	if err := back.UnmarshalBinary(assertRoundTrip(t, fullTrace)); err != nil {
+		t.Fatal(err)
+	}
 	if got := substituteCoverage(&back, nil, nil); !reflect.DeepEqual(got, fullTraceFacts) {
 		t.Fatalf("skeleton reads back as %v, want %v", got, fullTraceFacts)
-	}
-	if err := new(Trace).UnmarshalBinary(mustMarshal(t, &Trace{Roster: []RangeInfo{{Start: 2, End: 1}}})); err == nil {
-		t.Error("a roster range ending before its start was accepted")
 	}
 
 	for _, result := range [][]byte{nil, {}} {
@@ -121,57 +176,7 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 		}
 	}
 
-	rejects := func(label string, b []byte) {
-		t.Helper()
-		got := *fullTrace()
-		if err := got.UnmarshalBinary(b); err == nil {
-			t.Fatalf("%s accepted", label)
-		}
-		if !reflect.DeepEqual(&got, fullTrace()) {
-			t.Fatalf("%s changed the trace it was decoded into", label)
-		}
-	}
-	for n := 0; n < len(blob); n++ {
-		rejects(fmt.Sprintf("trace truncated to %d of %d bytes", n, len(blob)), blob[:n])
-	}
-	rejects("trace with trailing data", append(slices.Clone(blob), 0))
-
-	// Each flag byte is the one byte that flipping its lowest flag
-	// changes.
-	for _, fl := range []struct {
-		name string
-		flip func(*Trace)
-		top  byte
-	}{
-		{"roster Foreign", func(tr *Trace) { tr.Roster[0].Foreign = false }, 1},
-		{"SawMid", func(tr *Trace) { tr.SawMid = false }, 3},
-		{"xref record", func(tr *Trace) { tr.XrefRecs[0].OK = false }, 3},
-		{"convention record", func(tr *Trace) { tr.ConvRecs[0].OK = false }, 1},
-		{"jump record", func(tr *Trace) { tr.JumpRecs[0].HOK = false }, 3},
-	} {
-		flipped := fullTrace()
-		fl.flip(flipped)
-		fb := mustMarshal(t, flipped)
-		at := -1
-		for i := range blob {
-			if blob[i] != fb[i] {
-				if at >= 0 {
-					t.Fatalf("%s: flipping the flag changed bytes %d and %d", fl.name, at, i)
-				}
-				at = i
-			}
-		}
-		if at < 0 || len(fb) != len(blob) {
-			t.Fatalf("%s: flipping the flag changed no single byte", fl.name)
-		}
-		bad := slices.Clone(blob)
-		bad[at] = fl.top + 1
-		rejects(fmt.Sprintf("%s flag byte %d", fl.name, fl.top+1), bad)
-	}
-
-	// A count the rest of the input cannot hold fails before anything
-	// is reserved for it: the roster's, after the two hashes.
-	rejects("roster count of 2^62", binary.AppendUvarint(make([]byte, 64), 1<<62))
+	assertFlagBounded(t, fullTrace, "SawMid", func(tr *Trace) { tr.SawMid = false }, 3)
 
 	for _, skel := range []struct {
 		name string
@@ -187,7 +192,49 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 	} {
 		tr := fullTrace()
 		tr.GlobalInsts = append(packFacts(fullTraceFacts...), skel.b...)
-		rejects("skeleton fact with "+skel.name, mustMarshal(t, tr))
+		assertRejects(t, fullTrace, "skeleton fact with "+skel.name, mustMarshal(t, tr))
+	}
+}
+
+// TestRosterGobRoundTrip round-trips a roster through the trace's
+// packed form, alone and empty, and rejects every truncation, trailing
+// data, a Foreign byte above 1 (alone and beside every other field), a
+// range ending before its start, and a roster count the input cannot
+// hold.
+func TestRosterGobRoundTrip(t *testing.T) {
+	rosterOnly := func() *Trace { return &Trace{Roster: fullTrace().Roster} }
+	assertRoundTrip(t, rosterOnly)
+
+	var empty Trace
+	if err := empty.UnmarshalBinary(mustMarshal(t, &Trace{Roster: []RangeInfo{}})); err != nil || len(empty.Roster) != 0 {
+		t.Fatalf("empty roster: %v, %d ranges", err, len(empty.Roster))
+	}
+
+	for _, mk := range []func() *Trace{rosterOnly, fullTrace} {
+		assertFlagBounded(t, mk, "roster Foreign", func(tr *Trace) { tr.Roster[0].Foreign = false }, 1)
+	}
+	assertRejects(t, rosterOnly, "a roster range ending before its start",
+		mustMarshal(t, &Trace{Roster: []RangeInfo{{Start: 2, End: 1}}}))
+	// A count the rest of the input cannot hold fails before anything
+	// is reserved for it: the roster's, after the two hashes.
+	assertRejects(t, rosterOnly, "roster count of 2^62", binary.AppendUvarint(make([]byte, 64), 1<<62))
+}
+
+// TestVerdictRecordsGobRoundTrip round-trips the recorded verdict
+// lists through the trace's packed form, and rejects every truncation,
+// trailing data, and each record's flag byte above its range, alone
+// and beside every other field.
+func TestVerdictRecordsGobRoundTrip(t *testing.T) {
+	verdictsOnly := func() *Trace {
+		full := fullTrace()
+		return &Trace{XrefRecs: full.XrefRecs, ConvRecs: full.ConvRecs, JumpRecs: full.JumpRecs}
+	}
+	assertRoundTrip(t, verdictsOnly)
+
+	for _, mk := range []func() *Trace{verdictsOnly, fullTrace} {
+		assertFlagBounded(t, mk, "xref record", func(tr *Trace) { tr.XrefRecs[0].OK = false }, 3)
+		assertFlagBounded(t, mk, "convention record", func(tr *Trace) { tr.ConvRecs[0].OK = false }, 1)
+		assertFlagBounded(t, mk, "jump record", func(tr *Trace) { tr.JumpRecs[0].HOK = false }, 3)
 	}
 }
 

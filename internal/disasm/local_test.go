@@ -8,6 +8,32 @@ import (
 	"fetch/internal/elfx"
 )
 
+// TestInstFactsGobLengths pins the fact lengths the owner index holds:
+// coverage built from facts of lengths 1, 15 and MaxFactLen owns every
+// byte of each fact and no byte beside them, while a fact of
+// MaxFactLen+1 loses its last byte. MaxFactLen is thus the longest
+// length a persisted coverage skeleton may carry.
+func TestInstFactsGobLengths(t *testing.T) {
+	facts := []InstFact{{Addr: 0x401000, Len: 1}, {Addr: 0x401001, Len: 15}, {Addr: 0x401100, Len: MaxFactLen}}
+	cov := BuildCoverage(facts)
+	for _, f := range facts {
+		for a := f.Addr; a < f.Addr+uint64(f.Len); a++ {
+			if got, ok := cov.InstStartAt(a); !ok || got != f.Addr {
+				t.Fatalf("InstStartAt(%#x) = %#x, %v; want the %d-byte fact at %#x", a, got, ok, f.Len, f.Addr)
+			}
+		}
+	}
+	for _, a := range []uint64{0x400fff, 0x401010, 0x4010ff, 0x401100 + MaxFactLen} {
+		if cov.Covered(a) {
+			t.Errorf("byte %#x outside every fact is covered", a)
+		}
+	}
+	long := InstFact{Addr: 0x401000, Len: MaxFactLen + 1}
+	if BuildCoverage([]InstFact{long}).Covered(long.Addr + MaxFactLen) {
+		t.Fatalf("a %d-byte fact kept its last byte: MaxFactLen is below what the owner index holds", long.Len)
+	}
+}
+
 // boundedCounts tallies what a differential run compared, so the tests
 // can tell when their inputs stop exercising a path.
 type boundedCounts struct {
