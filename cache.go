@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
+	"maps"
+	"slices"
 	"sync/atomic"
 
 	"fetch/internal/core"
@@ -150,8 +151,7 @@ func HashBinary(data []byte) [sha256.Size]byte {
 // populates the entries it serves. The Result is freshly decoded and
 // owned by the caller.
 func (c *Cache) Get(sum [sha256.Size]byte, opts ...Option) (*Result, bool) {
-	res, _, ok := c.lookup(cacheKey(sum, buildOptions(opts).Strategy))
-	return res, ok
+	return c.lookup(cacheKey(sum, buildOptions(opts).Strategy))
 }
 
 // Analyze is Analyze-with-WithCache plus hit observability: it runs
@@ -176,19 +176,16 @@ func (c *Cache) AnalyzeFile(path string, opts ...Option) (res *Result, cached bo
 	return analyzeFile(path, o)
 }
 
-// lookup returns the decoded entry for a key and its stored encoding,
-// if present and valid. An undecodable entry (e.g. written by a newer
-// build within the same schema version) is a miss, not an error.
-func (c *Cache) lookup(k resultcache.Key) (*Result, []byte, bool) {
-	blob, ok := c.rc.Get(k)
+// lookup returns the decoded entry for a key, if present and valid. An
+// undecodable entry (e.g. written by a newer build within the same
+// schema version) is a miss, not an error.
+func (c *Cache) lookup(k resultcache.Key) (*Result, bool) {
+	blob, _, ok := c.rc.Get(k)
 	if !ok {
-		return nil, nil, false
+		return nil, false
 	}
 	res, err := DecodeResult(blob)
-	if err != nil {
-		return nil, nil, false
-	}
-	return res, blob, true
+	return res, err == nil
 }
 
 // store serializes and saves an analysis result under a key, and
@@ -200,7 +197,7 @@ func (c *Cache) store(k resultcache.Key, res *Result) []byte {
 	if err != nil {
 		return nil
 	}
-	c.rc.Put(k, blob)
+	c.rc.Put(k, blob, nil)
 	return blob
 }
 
@@ -235,8 +232,9 @@ func cacheKey(sum [sha256.Size]byte, s core.Strategy) resultcache.Key {
 //   manifest ("mf.t<format>.<variant>", keyed by residue hash): the
 //   packed core.Trace (MarshalBinary) of a recorded analysis — the
 //   roster of FDE-delimited range hashes plus everything ReplayDelta
-//   verifies against, and the recorded result a delta hit serves (see
-//   recordResult).
+//   verifies against. In memory the entry also carries its recording:
+//   the decoded trace and the recorded result a delta hit serves (see
+//   tryDelta).
 //
 //   function range ("fn", keyed by resultcache.HashRange): the range's
 //   address (8 bytes little-endian) followed by its bytes. The key IS
@@ -260,19 +258,30 @@ func fnKey(sum [sha256.Size]byte) resultcache.Key {
 	return resultcache.Key{SHA256: sum, Variant: "fn", Schema: ResultSchemaVersion}
 }
 
+// recording is the decoded form of a manifest entry in the memory
+// tier: the trace, and the recorded run's result with the stored
+// encoding (the entry under the trace's BinSHA) it equals. Every delta
+// attempt that loads the manifest shares it, so nothing writes it.
+type recording struct {
+	tr   *core.Trace
+	res  *Result
+	blob []byte
+}
+
 // storeTrace persists a recorded analysis's delta tier: the manifest
-// under the residue key and each roster range under its content hash.
+// under the residue key, with a recording of res and its stored
+// encoding blob, and each roster range under its content hash.
 // Failures drop entries silently — the delta tier is an accelerator,
 // never a correctness dependency.
-func (c *Cache) storeTrace(tr *core.Trace, img *elfx.Image, s core.Strategy) {
+func (c *Cache) storeTrace(tr *core.Trace, img *elfx.Image, s core.Strategy, res *Result, blob []byte) {
 	if tr == nil {
 		return
 	}
-	blob, err := tr.MarshalBinary()
+	mf, err := tr.MarshalBinary()
 	if err != nil {
 		return
 	}
-	c.rc.Put(manifestKey(tr.ResidueHash, s), blob)
+	c.rc.Put(manifestKey(tr.ResidueHash, s), mf, &recording{tr, cloneResult(res), blob})
 	c.deltaPuts.Add(1)
 	for i := range tr.Roster {
 		ri := &tr.Roster[i]
@@ -283,25 +292,30 @@ func (c *Cache) storeTrace(tr *core.Trace, img *elfx.Image, s core.Strategy) {
 		payload := make([]byte, 8+len(body))
 		binary.LittleEndian.PutUint64(payload, ri.Start)
 		copy(payload[8:], body)
-		c.rc.Put(fnKey(ri.Hash), payload)
+		c.rc.Put(fnKey(ri.Hash), payload, nil)
 		c.deltaPuts.Add(1)
 	}
 }
 
-// loadTrace fetches and decodes the manifest for a residue hash.
-func (c *Cache) loadTrace(sum [sha256.Size]byte, s core.Strategy) (*core.Trace, bool) {
-	blob, ok := c.rc.Get(manifestKey(sum, s))
+// loadTrace fetches the manifest under k and returns its recording and
+// the payload it is the decoding of. A manifest without a recording
+// (read back from disk) is decoded here into one with the trace alone.
+func (c *Cache) loadTrace(k resultcache.Key) (*recording, []byte, bool) {
+	blob, v, ok := c.rc.Get(k)
 	if !ok {
 		c.manifestMisses.Add(1)
-		return nil, false
+		return nil, nil, false
 	}
-	tr := new(core.Trace)
-	if err := tr.UnmarshalBinary(blob); err != nil {
-		c.manifestMisses.Add(1)
-		return nil, false
+	rec, _ := v.(*recording)
+	if rec == nil {
+		rec = &recording{tr: new(core.Trace)}
+		if err := rec.tr.UnmarshalBinary(blob); err != nil {
+			c.manifestMisses.Add(1)
+			return nil, nil, false
+		}
 	}
 	c.manifestHits.Add(1)
-	return tr, true
+	return rec, blob, true
 }
 
 // fnRangeBytes fetches one recorded range's bytes from the function
@@ -309,7 +323,7 @@ func (c *Cache) loadTrace(sum [sha256.Size]byte, s core.Strategy) (*core.Trace, 
 // integrity on disk, but memory-level entries and the key binding are
 // this layer's responsibility). Returns nil on any doubt.
 func (c *Cache) fnRangeBytes(start uint64, sum [sha256.Size]byte) []byte {
-	payload, ok := c.rc.Get(fnKey(sum))
+	payload, _, ok := c.rc.Get(fnKey(sum))
 	if !ok || len(payload) < 8 ||
 		resultcache.HashBytes(payload) != sum ||
 		binary.LittleEndian.Uint64(payload) != start {
@@ -322,21 +336,27 @@ func (c *Cache) fnRangeBytes(start uint64, sum [sha256.Size]byte) []byte {
 
 // tryDelta attempts to serve a whole-binary miss by delta re-analysis:
 // find a recorded trace with the same residue, verify the changed
-// ranges are analysis-equivalent, and serve the recorded result. On
-// success it returns the decoded result and the recorded entry's
-// stored encoding, which the caller re-stores as-is under the new
-// binary's key. The bool reports success; on failure the DeltaOutcome
-// carries the fallback reason (zero value when the attempt never got
-// to verification).
+// ranges are analysis-equivalent, and serve the recorded result. That
+// is a copy of the manifest's recording while the recorded binary's
+// entry still holds the bytes it was recorded with; otherwise (stored
+// again, or read back from disk) it is the decoding of that entry,
+// which then becomes the recording, so the next hit decodes nothing.
+// On success it returns the result and the recorded entry's stored
+// encoding, which the caller re-stores as-is under the new binary's
+// key. The bool reports success; on failure the DeltaOutcome carries
+// the fallback reason (zero value when the attempt never got to
+// verification).
 func (c *Cache) tryDelta(img *elfx.Image, eh *core.EHFrame, o Options) (*Result, []byte, core.DeltaOutcome, bool) {
 	var zero core.DeltaOutcome
 	if eh == nil || eh.Roster == nil {
 		return nil, nil, zero, false
 	}
-	tr, ok := c.loadTrace(eh.Residue, o.Strategy)
+	mk := manifestKey(eh.Residue, o.Strategy)
+	rec, mf, ok := c.loadTrace(mk)
 	if !ok {
 		return nil, nil, zero, false
 	}
+	tr := rec.tr
 	outcome := core.ReplayDelta(core.DeltaInput{
 		Img:      img,
 		Sec:      eh.Sec,
@@ -352,10 +372,13 @@ func (c *Cache) tryDelta(img *elfx.Image, eh *core.EHFrame, o Options) (*Result,
 		c.deltaFallbacks.Add(1)
 		return nil, nil, outcome, false
 	}
-	blob, ok := c.rc.Get(cacheKey(tr.BinSHA, o.Strategy))
-	var res *Result
-	if ok {
-		res, ok = servedResult(tr, blob)
+	blob, _, ok := c.rc.Get(cacheKey(tr.BinSHA, o.Strategy))
+	if ok && !bytes.Equal(blob, rec.blob) {
+		res, err := DecodeResult(blob)
+		if ok = err == nil; ok {
+			rec = &recording{tr, res, blob}
+			c.rc.Fill(mk, mf, rec)
+		}
 	}
 	if !ok {
 		// The recorded result itself was evicted; nothing to serve.
@@ -365,76 +388,19 @@ func (c *Cache) tryDelta(img *elfx.Image, eh *core.EHFrame, o Options) (*Result,
 		return nil, nil, outcome, false
 	}
 	c.deltaHits.Add(1)
-	return res, blob, outcome, true
+	return cloneResult(rec.res), blob, outcome, true
 }
 
-// recordedResult is the form a trace carries its recorded result in
-// (core.Trace.Result): gob, which a delta hit decodes in a fraction of
-// the time the result's JSON takes. gob sends an empty list or map no
-// more than a nil one, which the JSON keeps apart, so bit i of Empty
-// is set when collection i of collections(Result) was empty but not
-// nil.
-type recordedResult struct {
-	Result Result
-	Empty  uint8
-}
-
-// collection is one of a Result's lists or maps: whether it is empty
-// but not nil, and how to make it so.
-type collection struct {
-	empty bool
-	set   func()
-}
-
-// collections returns r's lists and maps in recordedResult.Empty's
-// order.
-func collections(r *Result) []collection {
-	list := func(p *[]uint64) collection {
-		return collection{*p != nil && len(*p) == 0, func() { *p = []uint64{} }}
-	}
-	return []collection{
-		list(&r.FunctionStarts), list(&r.FDEStarts), list(&r.NewFromPointers),
-		list(&r.NewFromTailCalls), list(&r.RemovedBogusFDEs),
-		{r.MergedParts != nil && len(r.MergedParts) == 0, func() { r.MergedParts = map[uint64]uint64{} }},
-		{r.Stats.Passes != nil && len(r.Stats.Passes) == 0, func() { r.Stats.Passes = []PassStat{} }},
-	}
-}
-
-// recordResult returns the trace fields that carry res, whose stored
-// encoding is blob; nil when blob is (nothing was stored).
-func recordResult(res *Result, blob []byte) ([]byte, [sha256.Size]byte) {
-	if blob == nil {
-		return nil, [sha256.Size]byte{}
-	}
-	rr := recordedResult{Result: *res}
-	for i, c := range collections(res) {
-		if c.empty {
-			rr.Empty |= 1 << i
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&rr); err != nil {
-		return nil, [sha256.Size]byte{}
-	}
-	return buf.Bytes(), sha256.Sum256(blob)
-}
-
-// servedResult returns the recorded result a delta hit serves, whose
-// stored encoding is blob: the trace's own copy while blob is the
-// encoding the copy was recorded with, else the decoding of blob (a
-// later run of the same binary may have stored it again).
-func servedResult(tr *core.Trace, blob []byte) (*Result, bool) {
-	if tr.Result != nil && sha256.Sum256(blob) == tr.ResultSHA {
-		var rr recordedResult
-		if gob.NewDecoder(bytes.NewReader(tr.Result)).Decode(&rr) == nil {
-			for i, c := range collections(&rr.Result) {
-				if rr.Empty&(1<<i) != 0 {
-					c.set()
-				}
-			}
-			return &rr.Result, true
-		}
-	}
-	res, err := DecodeResult(blob)
-	return res, err == nil
+// cloneResult returns a copy of r that shares none of its lists or
+// maps, each nil or empty as in r.
+func cloneResult(r *Result) *Result {
+	cp := *r
+	cp.FunctionStarts = slices.Clone(r.FunctionStarts)
+	cp.FDEStarts = slices.Clone(r.FDEStarts)
+	cp.NewFromPointers = slices.Clone(r.NewFromPointers)
+	cp.NewFromTailCalls = slices.Clone(r.NewFromTailCalls)
+	cp.MergedParts = maps.Clone(r.MergedParts)
+	cp.RemovedBogusFDEs = slices.Clone(r.RemovedBogusFDEs)
+	cp.Stats.Passes = slices.Clone(r.Stats.Passes)
+	return &cp
 }

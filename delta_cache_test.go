@@ -3,7 +3,6 @@ package fetch
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -489,7 +488,7 @@ func requirePlantedTraceMisses(t *testing.T, plant func(*core.Trace) []byte) {
 	if _, err := Analyze(baseRaw, WithCache(cache)); err != nil {
 		t.Fatal(err)
 	}
-	blob, ok := cache.rc.Get(key)
+	blob, _, ok := cache.rc.Get(key)
 	if !ok {
 		t.Fatal("base analysis stored no manifest under the next build's residue key")
 	}
@@ -497,7 +496,7 @@ func requirePlantedTraceMisses(t *testing.T, plant func(*core.Trace) []byte) {
 	if err := tr.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
-	cache.rc.Put(key, plant(&tr))
+	cache.rc.Put(key, plant(&tr), nil)
 
 	before := cache.Stats()
 	res, err := Analyze(nextRaw, WithCache(cache))
@@ -587,7 +586,10 @@ func TestDeltaFnTierMemoryCorruption(t *testing.T) {
 // TestDeltaConcurrentAnalyses drives base and next builds through one
 // shared cache from many goroutines (run under -race): concurrent
 // trace recording, delta replay, and whole-binary hits must neither
-// race nor ever serve a result differing from cold analysis.
+// race nor ever serve a result differing from cold analysis. It then
+// drives both builds again through a cache restarted over a directory
+// that holds the base build's recorded run, whose delta replays decode
+// the manifest from disk and fill its recording concurrently.
 func TestDeltaConcurrentAnalyses(t *testing.T) {
 	baseRaw, nextRaw, coldEnc := deltaPair(t)
 	baseCold, err := Analyze(baseRaw)
@@ -599,46 +601,56 @@ func TestDeltaConcurrentAnalyses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache, err := NewCache(CacheConfig{MaxEntries: 3 * deltaNumFuncs, Dir: t.TempDir()})
-	if err != nil {
+	hammer := func(cache *Cache) {
+		t.Helper()
+		const workers = 8
+		var wg sync.WaitGroup
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			w := w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// Half the workers race base-build recording against the
+				// other half's next-build delta attempts.
+				raw, want := baseRaw, baseEnc
+				if w%2 == 1 {
+					raw, want = nextRaw, coldEnc
+				}
+				for i := 0; i < 3; i++ {
+					res, err := Analyze(raw, WithCache(cache))
+					if err != nil {
+						errs <- err
+						return
+					}
+					enc, err := EncodeResult(StripSchedule(res))
+					if err != nil {
+						errs <- err
+						return
+					}
+					if !bytes.Equal(enc, want) {
+						errs <- errResultMismatch
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	}
+	hammer(deltaDiskCache(t, t.TempDir()))
+
+	dir := t.TempDir()
+	if _, err := Analyze(baseRaw, WithCache(deltaDiskCache(t, dir))); err != nil {
 		t.Fatal(err)
 	}
-	const workers = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Half the workers race base-build recording against the
-			// other half's next-build delta attempts.
-			raw, want := baseRaw, baseEnc
-			if w%2 == 1 {
-				raw, want = nextRaw, coldEnc
-			}
-			for i := 0; i < 3; i++ {
-				res, err := Analyze(raw, WithCache(cache))
-				if err != nil {
-					errs <- err
-					return
-				}
-				enc, err := EncodeResult(StripSchedule(res))
-				if err != nil {
-					errs <- err
-					return
-				}
-				if !bytes.Equal(enc, want) {
-					errs <- errResultMismatch
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	restarted := deltaDiskCache(t, dir)
+	hammer(restarted)
+	if st := restarted.Stats(); st.DeltaHits == 0 {
+		t.Fatalf("no delta hit through the restarted cache: %+v", st)
 	}
 }
 
@@ -728,10 +740,13 @@ func TestMissReusesEHFrame(t *testing.T) {
 }
 
 // TestDeltaServesRecordedResult pins where a delta hit's result comes
-// from: the manifest's copy of the recorded result while the recorded
-// JSON is the one the copy was recorded with, field for field what
-// decoding that JSON gives (pass wall times included), and the JSON
-// once the binary's entry was stored again since.
+// from, in its four cases. In-process, the manifest's recording serves
+// it, field for field what decoding the recorded binary's stored JSON
+// gives (pass wall times included), and a planted recording shows
+// through. After a restart over the same directory it is that JSON's
+// decoding, which the manifest then holds as its recording. Once the
+// binary's entry is stored again it is the new JSON's decoding, and
+// once that entry is evicted the hit falls back.
 func TestDeltaServesRecordedResult(t *testing.T) {
 	baseRaw, nextRaw, coldEnc := deltaPair(t)
 	img, err := elfx.LoadELF(nextRaw)
@@ -744,25 +759,20 @@ func TestDeltaServesRecordedResult(t *testing.T) {
 	}
 	mfKey := manifestKey(eh.Residue, core.FETCH)
 	baseKey := cacheKey(HashBinary(baseRaw), core.FETCH)
-	// serve records the base build into a fresh cache, lets edit
-	// change its stored entries, and returns the next build's delta
-	// result without its delta markers, and the base build's stored
-	// JSON at that point.
-	serve := func(edit func(c *Cache, tr *core.Trace)) (*Result, []byte) {
+	// record returns a cache over dir (memory-only when dir is "") that
+	// holds the base build's recorded run.
+	record := func(t *testing.T, dir string) *Cache {
 		t.Helper()
-		cache, err := NewCache(CacheConfig{MaxEntries: 3 * deltaNumFuncs})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cache := deltaDiskCache(t, dir)
 		if _, err := Analyze(baseRaw, WithCache(cache)); err != nil {
 			t.Fatal(err)
 		}
-		tr, ok := cache.loadTrace(eh.Residue, core.FETCH)
-		if !ok || tr.Result == nil {
-			t.Fatal("the base build's manifest carries no recorded result")
-		}
-		edit(cache, tr)
-		blob, _ := cache.rc.Get(baseKey)
+		return cache
+	}
+	// serve returns the next build's delta result through cache without
+	// its delta markers, and the base build's stored JSON.
+	serve := func(t *testing.T, cache *Cache) (*Result, []byte) {
+		t.Helper()
 		res, err := Analyze(nextRaw, WithCache(cache))
 		if err != nil {
 			t.Fatal(err)
@@ -778,9 +788,10 @@ func TestDeltaServesRecordedResult(t *testing.T) {
 			t.Fatal("delta-served result differs from cold analysis")
 		}
 		res.Stats.DeltaPath, res.Stats.DeltaDirtyRanges, res.Stats.DeltaTotalRanges = false, 0, 0
+		blob, _, _ := cache.rc.Get(baseKey)
 		return res, blob
 	}
-	decoded := func(blob []byte) *Result {
+	decoded := func(t *testing.T, blob []byte) *Result {
 		t.Helper()
 		want, err := DecodeResult(blob)
 		if err != nil {
@@ -789,47 +800,88 @@ func TestDeltaServesRecordedResult(t *testing.T) {
 		return want
 	}
 
-	got, blob := serve(func(*Cache, *core.Trace) {})
-	if want := decoded(blob); !reflect.DeepEqual(got, want) {
-		t.Fatalf("served %+v, the recorded JSON decodes to %+v", got, want)
-	}
+	t.Run("in-process", func(t *testing.T) {
+		got, blob := serve(t, record(t, ""))
+		if want := decoded(t, blob); !reflect.DeepEqual(got, want) {
+			t.Fatalf("served %+v, the recorded JSON decodes to %+v", got, want)
+		}
 
-	// A copy whose JSON is still the one it was recorded with is what
-	// the hit serves: a planted copy shows through.
-	got, blob = serve(func(c *Cache, tr *core.Trace) {
-		var rr recordedResult
-		if err := gob.NewDecoder(bytes.NewReader(tr.Result)).Decode(&rr); err != nil {
-			t.Fatal(err)
+		cache := record(t, "")
+		mf, v, _ := cache.rc.Get(mfKey)
+		rec, ok := v.(*recording)
+		if !ok {
+			t.Fatal("the base build's manifest holds no recording")
 		}
-		rr.Result.Stats.Passes[0].Wall++
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&rr); err != nil {
-			t.Fatal(err)
+		planted := cloneResult(rec.res)
+		planted.Stats.Passes[0].Wall++
+		cache.rc.Put(mfKey, mf, &recording{rec.tr, planted, rec.blob})
+		got, blob = serve(t, cache)
+		if want := decoded(t, blob).Stats.Passes[0].Wall + 1; got.Stats.Passes[0].Wall != want {
+			t.Fatalf("served pass wall %v; the planted recording holds %v", got.Stats.Passes[0].Wall, want)
 		}
-		tr.Result = buf.Bytes()
-		putTrace(t, c, mfKey, tr)
 	})
-	if want := decoded(blob).Stats.Passes[0].Wall + 1; got.Stats.Passes[0].Wall != want {
-		t.Fatalf("served pass wall %v; the manifest's copy holds %v", got.Stats.Passes[0].Wall, want)
-	}
 
-	// The base build's JSON stored again, as a later run of the same
-	// binary would: the hit serves the JSON, not the stale copy.
-	got, blob = serve(func(c *Cache, _ *core.Trace) {
-		stored, _ := c.rc.Get(baseKey)
-		res := decoded(stored)
+	t.Run("restarted", func(t *testing.T) {
+		dir := t.TempDir()
+		record(t, dir)
+		cache := deltaDiskCache(t, dir)
+		got, blob := serve(t, cache)
+		want := decoded(t, blob)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("served %+v after a restart, the recorded JSON decodes to %+v", got, want)
+		}
+		_, v, _ := cache.rc.Get(mfKey)
+		if rec, ok := v.(*recording); !ok || !bytes.Equal(rec.blob, blob) || !reflect.DeepEqual(rec.res, want) {
+			t.Fatalf("after the first hit the manifest holds %#v, want a recording of the stored JSON", v)
+		}
+	})
+
+	t.Run("stored-again", func(t *testing.T) {
+		// The base build's JSON stored again, as a later run of the
+		// same binary would: the hit serves the new JSON.
+		cache := record(t, "")
+		stored, _, _ := cache.rc.Get(baseKey)
+		res := decoded(t, stored)
 		res.Stats.Passes[0].Wall += 7
-		c.store(baseKey, res)
+		cache.store(baseKey, res)
+		got, blob := serve(t, cache)
+		if want := decoded(t, blob); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, res) {
+			t.Fatalf("served %+v after the entry was stored again; it decodes to %+v", got, want)
+		}
 	})
-	if want := decoded(blob); !reflect.DeepEqual(got, want) {
-		t.Fatalf("served %+v after the entry was stored again; it decodes to %+v", got, want)
-	}
+
+	t.Run("evicted", func(t *testing.T) {
+		// A memory tier that holds exactly the base run's entries, of
+		// which the result is the oldest: one more entry evicts it.
+		cache, err := NewCache(CacheConfig{MaxEntries: record(t, "").Stats().Entries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Analyze(baseRaw, WithCache(cache)); err != nil {
+			t.Fatal(err)
+		}
+		cache.rc.Put(resultcache.Key{Variant: "filler", Schema: ResultSchemaVersion}, []byte("filler"), nil)
+		if _, _, ok := cache.rc.Get(baseKey); ok {
+			t.Fatal("the base build's result survived the eviction")
+		}
+		res, err := Analyze(nextRaw, WithCache(cache))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.DeltaPath || res.Stats.DeltaFallbackReason != "recorded result evicted" {
+			t.Fatalf("delta path %v, reason %q; want a fallback for the evicted result",
+				res.Stats.DeltaPath, res.Stats.DeltaFallbackReason)
+		}
+		if enc, err := EncodeResult(StripSchedule(res)); err != nil || !bytes.Equal(enc, coldEnc) {
+			t.Fatal("fallback result differs from cold analysis")
+		}
+	})
 }
 
 // putTrace stores tr's packed form under the manifest key k.
 func putTrace(t *testing.T, c *Cache, k resultcache.Key, tr *core.Trace) {
 	t.Helper()
-	c.rc.Put(k, marshalTrace(t, tr))
+	c.rc.Put(k, marshalTrace(t, tr), nil)
 }
 
 func marshalTrace(t *testing.T, tr *core.Trace) []byte {
@@ -841,9 +893,11 @@ func marshalTrace(t *testing.T, tr *core.Trace) []byte {
 	return b
 }
 
-// TestRecordedResultKeepsEmpties pins that a recorded result carried in
-// a trace comes back as the JSON decodes: lists and maps that were
-// empty stay empty rather than nil, and nil ones stay nil.
+// TestRecordedResultKeepsEmpties pins the copy of a recording's result
+// that a delta hit serves (cloneResult): it equals the recorded result,
+// empty lists and maps staying empty and nil ones nil, and shares none
+// of them with it, so a caller writing a served result cannot change
+// the next one.
 func TestRecordedResultKeepsEmpties(t *testing.T) {
 	for name, res := range map[string]*Result{
 		"nil": {},
@@ -861,22 +915,31 @@ func TestRecordedResultKeepsEmpties(t *testing.T) {
 				DeltaFallbackReason: "residue: hash mismatch", PeakAuxBytes: 5},
 		},
 	} {
-		blob, err := EncodeResult(res)
+		want, err := EncodeResult(res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := DecodeResult(blob)
-		if err != nil {
-			t.Fatal(err)
+		got := cloneResult(res)
+		if !reflect.DeepEqual(got, res) {
+			t.Errorf("%s: copy %#v, recorded %#v", name, got, res)
 		}
-		var tr core.Trace
-		tr.Result, tr.ResultSHA = recordResult(res, blob)
-		got, ok := servedResult(&tr, blob)
-		if !ok || !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: served %#v, the JSON decodes to %#v", name, got, want)
+		for _, l := range [][]uint64{got.FunctionStarts, got.FDEStarts, got.NewFromPointers,
+			got.NewFromTailCalls, got.RemovedBogusFDEs} {
+			for i := range l {
+				l[i]++
+			}
 		}
-		if again, err := EncodeResult(got); err != nil || !bytes.Equal(again, blob) {
-			t.Errorf("%s: the served result encodes differently from the stored JSON", name)
+		for part := range got.MergedParts {
+			got.MergedParts[part]++
+		}
+		if got.MergedParts != nil {
+			got.MergedParts[1] = 1
+		}
+		for i := range got.Stats.Passes {
+			got.Stats.Passes[i].Wall++
+		}
+		if again, err := EncodeResult(res); err != nil || !bytes.Equal(again, want) {
+			t.Errorf("%s: writing the copy changed the recorded result", name)
 		}
 	}
 }

@@ -275,7 +275,7 @@ func analyze(o Options, hash func() ([sha256.Size]byte, error), load func() (*el
 			return nil, false, fmt.Errorf("fetch: %w", err)
 		}
 		key = cacheKey(sum, o.Strategy)
-		if res, _, ok := o.Cache.lookup(key); ok {
+		if res, ok := o.Cache.lookup(key); ok {
 			return res, true, nil
 		}
 	}
@@ -301,7 +301,7 @@ func analyze(o Options, hash func() ([sha256.Size]byte, error), load func() (*el
 		// hit; only the returned copy carries the delta markers. The
 		// recorded entry is that encoding already, so it is stored
 		// as-is rather than re-encoded.
-		o.Cache.rc.Put(key, blob)
+		o.Cache.rc.Put(key, blob, nil)
 		res.Stats.DeltaPath = true
 		res.Stats.DeltaDirtyRanges = outcome.DirtyRanges
 		res.Stats.DeltaTotalRanges = outcome.TotalRanges
@@ -319,11 +319,10 @@ func analyze(o Options, hash func() ([sha256.Size]byte, error), load func() (*el
 	stored := o.Cache.store(key, cres)
 	if tr != nil {
 		tr.BinSHA = key.SHA256
-		tr.Result, tr.ResultSHA = recordResult(cres, stored)
 	}
-	o.Cache.storeTrace(tr, simg, o.Strategy)
+	o.Cache.storeTrace(tr, simg, o.Strategy, cres, stored)
 	// The fallback reason rides only on the returned copy, after the
-	// canonical blob is stored.
+	// canonical blob and the manifest's copy are stored.
 	cres.Stats.DeltaFallbackReason = outcome.Reason
 	return cres, false, nil
 }

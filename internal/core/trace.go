@@ -129,10 +129,12 @@ type JumpRec struct {
 // assumed a fixed window. Format 3 sets SawMid also when the committed
 // walk decoded overlapping instructions, whose coverage the replay
 // cannot rebuild from the skeleton; a format-2 trace may have missed
-// that. Format 4 carries the recorded result (Result, ResultSHA), so
+// that. Format 4 carried the recorded result (Result, ResultSHA), so
 // a delta hit need not parse the result's wire form. Format 5 is the
-// packed form of MarshalBinary, where earlier formats were gob.
-const TraceFormat = 5
+// packed form of MarshalBinary, where earlier formats were gob. Format
+// 6 drops the recorded result again: the storing layer keeps it decoded
+// beside the manifest in memory.
+const TraceFormat = 6
 
 // Trace is everything delta re-analysis needs to verify that a changed
 // binary is analysis-equivalent to the recorded one. It is stored
@@ -190,14 +192,6 @@ type Trace struct {
 	// is not replayed locally).
 	Removed         []uint64
 	RemovedOrMerged []uint64
-
-	// Result is the recorded run's result in the storing layer's own
-	// encoding, and ResultSHA the SHA-256 of the wire form that layer
-	// stored it under BinSHA in: a delta hit serves Result while that
-	// stored form is still the one it was recorded with. Core never
-	// reads either.
-	Result    []byte
-	ResultSHA [32]byte
 }
 
 // MarshalBinary packs the trace field by field, in declaration order:
@@ -207,12 +201,10 @@ type Trace struct {
 // range is Start, End-Start, a Foreign byte and its hash; an xref
 // record C, End, an OK|Post<<1 byte, Consts and Extent (an interval as
 // Lo, Hi); a convention record Addr, End and an OK byte; a jump record
-// FDE, Addr, Target and an HOK|HZero<<1 byte. SawMid's byte also tells
-// whether Result is set (bit 1), and Result is written only when it
-// is, so a nil Result comes back nil and an empty one empty; every
-// other empty list comes back nil.
+// FDE, Addr, Target and an HOK|HZero<<1 byte. An empty list comes back
+// nil.
 func (tr *Trace) MarshalBinary() ([]byte, error) {
-	w := packer{b: make([]byte, 0, 256+len(tr.Roster)*(rosterEntryMin+16)+len(tr.GlobalInsts)+len(tr.Result))}
+	w := packer{b: make([]byte, 0, 256+len(tr.Roster)*(rosterEntryMin+16)+len(tr.GlobalInsts))}
 	w.b = append(append(w.b, tr.BinSHA[:]...), tr.ResidueHash[:]...)
 	putList(&w, tr.Roster, func(ri RangeInfo) {
 		w.uvarint(ri.Start)
@@ -223,7 +215,7 @@ func (tr *Trace) MarshalBinary() ([]byte, error) {
 	for _, l := range [][]uint64{tr.UNonRet, tr.UCondNonRet, tr.FinalNonRet, tr.FinalCondNonRet, tr.EV, tr.Funcs} {
 		putList(&w, l, w.uvarint)
 	}
-	w.flags(tr.SawMid, tr.Result != nil)
+	w.flags(tr.SawMid)
 	w.bytes(tr.GlobalInsts)
 	interval := func(iv disasm.Interval) {
 		w.uvarint(iv.Lo)
@@ -250,10 +242,6 @@ func (tr *Trace) MarshalBinary() ([]byte, error) {
 	})
 	putList(&w, tr.Removed, w.uvarint)
 	putList(&w, tr.RemovedOrMerged, w.uvarint)
-	if tr.Result != nil {
-		w.bytes(tr.Result)
-	}
-	w.b = append(w.b, tr.ResultSHA[:]...)
 	return w.b, nil
 }
 
@@ -287,8 +275,7 @@ func (tr *Trace) UnmarshalBinary(data []byte) error {
 	}
 	t.UNonRet, t.UCondNonRet, t.FinalNonRet = p.uint64s(), p.uint64s(), p.uint64s()
 	t.FinalCondNonRet, t.EV, t.Funcs = p.uint64s(), p.uint64s(), p.uint64s()
-	f := p.flags(3)
-	t.SawMid = f&1 != 0
+	t.SawMid = p.flags(1) == 1
 	t.GlobalInsts = p.bytes()
 	p.bad = p.bad || !validSkeleton(t.GlobalInsts)
 	t.TableReads = p.intervals()
@@ -318,12 +305,6 @@ func (tr *Trace) UnmarshalBinary(data []byte) error {
 		}
 	}
 	t.Removed, t.RemovedOrMerged = p.uint64s(), p.uint64s()
-	if f&2 != 0 {
-		if t.Result = p.bytes(); t.Result == nil {
-			t.Result = []byte{}
-		}
-	}
-	p.fixed(t.ResultSHA[:])
 	if !p.done() {
 		return errBadTrace
 	}
@@ -336,12 +317,6 @@ func (tr *Trace) UnmarshalBinary(data []byte) error {
 // disasm.MaxFactLen].
 func validSkeleton(b []byte) bool {
 	for len(b) > 0 {
-		if len(b) >= 2 && b[0]|b[1] < 0x80 && b[1] != 0 {
-			// Both values fit one byte: a step below 128 and any real
-			// length, nearly every fact.
-			b = b[2:]
-			continue
-		}
 		var ok bool
 		if _, _, b, ok = skeletonFact(b); !ok {
 			return false

@@ -46,8 +46,6 @@ func fullTrace() *Trace {
 		},
 		Removed:         []uint64{0x401100},
 		RemovedOrMerged: []uint64{0x401100, 0x401200},
-		Result:          []byte("recorded result"),
-		ResultSHA:       [32]byte{0xAA, 31: 0xBB},
 	}
 	for i := range tr.Roster {
 		for k := range tr.Roster[i].Hash {
@@ -150,12 +148,11 @@ func assertFlagBounded(t *testing.T, mk func() *Trace, name string, clear func(*
 }
 
 // TestTraceCodecRoundTrip round-trips a trace that sets every field
-// through its packed form, reads its skeleton back, keeps a nil Result
-// apart from an empty one, and rejects every truncation, trailing data,
-// a SawMid byte above its range, and a skeleton fact that is truncated
-// or of a length outside [1, MaxFactLen] — including lengths a uint16
-// would silently truncate. A rejected input leaves the trace it was
-// decoded into unchanged.
+// through its packed form, reads its skeleton back, and rejects every
+// truncation, trailing data, a SawMid byte above 1, and a skeleton fact
+// that is truncated or of a length outside [1, MaxFactLen] — including
+// lengths a uint16 would silently truncate. A rejected input leaves the
+// trace it was decoded into unchanged.
 func TestTraceCodecRoundTrip(t *testing.T) {
 	var back Trace
 	if err := back.UnmarshalBinary(assertRoundTrip(t, fullTrace)); err != nil {
@@ -165,18 +162,7 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 		t.Fatalf("skeleton reads back as %v, want %v", got, fullTraceFacts)
 	}
 
-	for _, result := range [][]byte{nil, {}} {
-		in := &Trace{Result: result}
-		var out Trace
-		if err := out.UnmarshalBinary(mustMarshal(t, in)); err != nil {
-			t.Fatalf("trace with Result %#v rejected: %v", result, err)
-		}
-		if !reflect.DeepEqual(&out, in) || (out.Result == nil) != (result == nil) {
-			t.Fatalf("trace with Result %#v came back with %#v", result, out.Result)
-		}
-	}
-
-	assertFlagBounded(t, fullTrace, "SawMid", func(tr *Trace) { tr.SawMid = false }, 3)
+	assertFlagBounded(t, fullTrace, "SawMid", func(tr *Trace) { tr.SawMid = false }, 1)
 
 	for _, skel := range []struct {
 		name string
@@ -255,7 +241,6 @@ func FuzzTraceDecode(f *testing.F) {
 	if err != nil || recorded == nil || len(recorded.GlobalInsts) == 0 {
 		f.Fatalf("no recorded trace with a skeleton: %v", err)
 	}
-	recorded.Result = []byte("recorded result")
 	for _, tr := range []*Trace{recorded, fullTrace(), {}} {
 		f.Add(mustMarshal(f, tr))
 	}

@@ -5,10 +5,14 @@
 // bytes, the analysis variant (the strategy signature), and the result
 // schema version — so byte-identical binaries analyzed the same way
 // share one entry, a strategy change never aliases, and a codec schema
-// bump invalidates every stored encoding at once. Values are opaque
-// byte payloads: the package deliberately knows nothing about the
-// result encoding (the root fetch package owns the codec), which keeps
-// the dependency arrow pointing one way.
+// bump invalidates every stored encoding at once. Payloads are opaque
+// bytes: the package deliberately knows nothing about the result
+// encoding (the root fetch package owns the codec), which keeps the
+// dependency arrow pointing one way. A memory entry may also carry the
+// caller's decoded form of its payload, an opaque value that is never
+// written to disk: it is put with the payload, replaced with it, and
+// dropped on eviction, and a caller that decodes an entry promoted
+// from disk can fill it in (Fill), so the next hit decodes nothing.
 //
 // The store is a two-level hierarchy: a bounded in-memory LRU front,
 // and an optional on-disk back (Config.Dir). Disk writes are atomic —
@@ -156,10 +160,12 @@ type Cache struct {
 	diskBytes int64
 }
 
-// lruEntry is one resident memory entry.
+// lruEntry is one resident memory entry: the payload and the caller's
+// decoded form of it, if any.
 type lruEntry struct {
-	key  Key
-	data []byte
+	key   Key
+	data  []byte
+	value any
 }
 
 // New builds a Cache from cfg, creating the disk directory when one is
@@ -187,26 +193,29 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// Get returns the payload stored under k, or ok=false on a miss. A
-// disk-level hit is promoted into the memory LRU. The returned slice
-// is shared with the cache and must be treated as read-only.
+// Get returns the payload stored under k and the value put or filled
+// with it (nil when there is none), or ok=false on a miss. A
+// disk-level hit is promoted into the memory LRU, without a value. The
+// returned payload and value are shared with the cache and must be
+// treated as read-only.
 //
 // Disk reads happen outside the mutex: a Get that falls through to
 // disk never blocks other goroutines' memory hits behind file IO.
-func (c *Cache) Get(k Key) ([]byte, bool) {
+func (c *Cache) Get(k Key) ([]byte, any, bool) {
 	c.mu.Lock()
 	if el, ok := c.entries[k]; ok {
 		c.order.MoveToFront(el)
 		c.stats.Hits++
 		c.stats.MemHits++
-		data := el.Value.(*lruEntry).data
+		e := el.Value.(*lruEntry)
+		data, value := e.data, e.value
 		c.mu.Unlock()
-		return data, true
+		return data, value, true
 	}
 	if c.cfg.Dir == "" {
 		c.stats.Misses++
 		c.mu.Unlock()
-		return nil, false
+		return nil, nil, false
 	}
 	c.mu.Unlock()
 
@@ -217,7 +226,7 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 	c.stats.DiskErrors += st.diskErrors
 	if data == nil {
 		c.stats.Misses++
-		return nil, false
+		return nil, nil, false
 	}
 	c.stats.Hits++
 	c.stats.DiskHits++
@@ -225,29 +234,33 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 	// then keep the resident entry authoritative.
 	if el, ok := c.entries[k]; ok {
 		c.order.MoveToFront(el)
-		return el.Value.(*lruEntry).data, true
+		e := el.Value.(*lruEntry)
+		return e.data, e.value, true
 	}
-	c.insertLocked(k, data)
-	return data, true
+	c.insertLocked(k, data, nil)
+	return data, nil, true
 }
 
 // Put stores data under k in the memory LRU and, when configured, on
-// disk. The data slice is retained; callers must not mutate it after
-// the call. Disk failures degrade the entry to memory-only and are
-// counted in Stats.DiskErrors, never surfaced: a result cache must not
-// turn a successful analysis into an error.
+// disk. value, which may be nil, is the caller's decoded form of data:
+// it is kept beside data in memory only, and a later Put of k replaces
+// both. Neither may be mutated after the call. Disk failures degrade
+// the entry to memory-only and are counted in Stats.DiskErrors, never
+// surfaced: a result cache must not turn a successful analysis into an
+// error.
 //
 // The disk write happens outside the mutex; concurrent Puts of one
 // key are safe because each writes its own temp file and the final
 // rename is atomic (last writer wins with a complete entry).
-func (c *Cache) Put(k Key, data []byte) {
+func (c *Cache) Put(k Key, data []byte, value any) {
 	c.mu.Lock()
 	c.stats.Puts++
 	if el, ok := c.entries[k]; ok {
-		el.Value.(*lruEntry).data = data
+		e := el.Value.(*lruEntry)
+		e.data, e.value = data, value
 		c.order.MoveToFront(el)
 	} else {
-		c.insertLocked(k, data)
+		c.insertLocked(k, data, value)
 	}
 	dir := c.cfg.Dir
 	c.mu.Unlock()
@@ -264,6 +277,21 @@ func (c *Cache) Put(k Key, data []byte) {
 			if over {
 				c.enforceBudget()
 			}
+		}
+	}
+}
+
+// Fill sets value as the decoded form of k's memory entry while that
+// entry still holds data, the payload a Get returned and the caller
+// decoded; otherwise (evicted, or put again since) it does nothing. It
+// writes nothing to disk and counts as no Put. value must not be
+// mutated after the call.
+func (c *Cache) Fill(k Key, data []byte, value any) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[k]; ok {
+		if e := el.Value.(*lruEntry); len(e.data) == len(data) && (len(data) == 0 || &e.data[0] == &data[0]) {
+			e.value = value
 		}
 	}
 }
@@ -352,8 +380,8 @@ func (c *Cache) enforceBudget() {
 
 // insertLocked adds a new entry at the LRU front, evicting from the
 // back past capacity. Callers hold c.mu.
-func (c *Cache) insertLocked(k Key, data []byte) {
-	c.entries[k] = c.order.PushFront(&lruEntry{key: k, data: data})
+func (c *Cache) insertLocked(k Key, data []byte, value any) {
+	c.entries[k] = c.order.PushFront(&lruEntry{key: k, data: data, value: value})
 	for c.order.Len() > c.cfg.MaxEntries {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)

@@ -23,23 +23,23 @@ func TestMemoryGetPut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(key(1)); ok {
+	if _, _, ok := c.Get(key(1)); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(key(1), []byte("one"))
-	got, ok := c.Get(key(1))
+	c.Put(key(1), []byte("one"), nil)
+	got, _, ok := c.Get(key(1))
 	if !ok || string(got) != "one" {
 		t.Fatalf("got %q %v", got, ok)
 	}
 	// Same hash, different variant or schema: distinct entries.
 	k2 := key(1)
 	k2.Variant = "recF.xrefF.tailF"
-	if _, ok := c.Get(k2); ok {
+	if _, _, ok := c.Get(k2); ok {
 		t.Fatal("variant aliased")
 	}
 	k3 := key(1)
 	k3.Schema = 2
-	if _, ok := c.Get(k3); ok {
+	if _, _, ok := c.Get(k3); ok {
 		t.Fatal("schema aliased")
 	}
 	st := c.Stats()
@@ -53,15 +53,15 @@ func TestLRUEvictsOldest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Put(key(1), []byte("1"))
-	c.Put(key(2), []byte("2"))
+	c.Put(key(1), []byte("1"), nil)
+	c.Put(key(2), []byte("2"), nil)
 	c.Get(key(1)) // make key(2) the oldest
-	c.Put(key(3), []byte("3"))
-	if _, ok := c.Get(key(2)); ok {
+	c.Put(key(3), []byte("3"), nil)
+	if _, _, ok := c.Get(key(2)); ok {
 		t.Fatal("least-recently-used entry survived eviction")
 	}
 	for _, n := range []int{1, 3} {
-		if _, ok := c.Get(key(n)); !ok {
+		if _, _, ok := c.Get(key(n)); !ok {
 			t.Fatalf("entry %d evicted wrongly", n)
 		}
 	}
@@ -75,9 +75,9 @@ func TestPutOverwritesInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Put(key(1), []byte("old"))
-	c.Put(key(1), []byte("new"))
-	got, ok := c.Get(key(1))
+	c.Put(key(1), []byte("old"), nil)
+	c.Put(key(1), []byte("new"), nil)
+	got, _, ok := c.Get(key(1))
 	if !ok || string(got) != "new" {
 		t.Fatalf("got %q %v", got, ok)
 	}
@@ -92,7 +92,7 @@ func TestDiskPersistsAcrossInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1.Put(key(1), []byte("persisted"))
+	c1.Put(key(1), []byte("persisted"), nil)
 
 	// A fresh cache over the same directory serves the entry from disk
 	// and promotes it to memory.
@@ -100,7 +100,7 @@ func TestDiskPersistsAcrossInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c2.Get(key(1))
+	got, _, ok := c2.Get(key(1))
 	if !ok || string(got) != "persisted" {
 		t.Fatalf("disk miss: %q %v", got, ok)
 	}
@@ -108,7 +108,7 @@ func TestDiskPersistsAcrossInstances(t *testing.T) {
 	if st.DiskHits != 1 || st.MemHits != 0 {
 		t.Fatalf("stats after disk hit: %+v", st)
 	}
-	if _, ok := c2.Get(key(1)); !ok {
+	if _, _, ok := c2.Get(key(1)); !ok {
 		t.Fatal("promoted entry missed")
 	}
 	if st := c2.Stats(); st.MemHits != 1 {
@@ -150,7 +150,7 @@ func TestCorruptEntriesAreDroppedNotServed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.Put(key(1), payload)
+			c.Put(key(1), payload, nil)
 			path := entryPath(t, dir)
 			raw, err := os.ReadFile(path)
 			if err != nil {
@@ -166,7 +166,7 @@ func TestCorruptEntriesAreDroppedNotServed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, ok := c2.Get(key(1)); ok {
+			if got, _, ok := c2.Get(key(1)); ok {
 				t.Fatalf("corrupt entry served: %q", got)
 			}
 			if st := c2.Stats(); st.CorruptDrops != 1 {
@@ -176,8 +176,8 @@ func TestCorruptEntriesAreDroppedNotServed(t *testing.T) {
 				t.Fatalf("corrupt file not deleted: %v", err)
 			}
 			// The slot is reusable after the drop.
-			c2.Put(key(1), payload)
-			if got, ok := c2.Get(key(1)); !ok || !bytes.Equal(got, payload) {
+			c2.Put(key(1), payload, nil)
+			if got, _, ok := c2.Get(key(1)); !ok || !bytes.Equal(got, payload) {
 				t.Fatal("re-put after corruption drop failed")
 			}
 		})
@@ -195,8 +195,8 @@ func TestDiskWriteFailureDegradesToMemory(t *testing.T) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	c.Put(key(1), []byte("memory-only"))
-	got, ok := c.Get(key(1))
+	c.Put(key(1), []byte("memory-only"), nil)
+	got, _, ok := c.Get(key(1))
 	if !ok || string(got) != "memory-only" {
 		t.Fatalf("memory fallback broken: %q %v", got, ok)
 	}
@@ -242,8 +242,8 @@ func TestConcurrentReadersWriters(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				n := (w + i) % keys
 				if i%3 == 0 {
-					c.Put(key(n), []byte(fmt.Sprintf("payload-%d", n)))
-				} else if got, ok := c.Get(key(n)); ok {
+					c.Put(key(n), []byte(fmt.Sprintf("payload-%d", n)), nil)
+				} else if got, _, ok := c.Get(key(n)); ok {
 					want := fmt.Sprintf("payload-%d", n)
 					if string(got) != want {
 						t.Errorf("key %d: got %q want %q", n, got, want)
@@ -293,7 +293,7 @@ func TestDiskBudgetHoldsUnderConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				n := w*perWriter + i
-				c.Put(key(n), payload(n))
+				c.Put(key(n), payload(n), nil)
 			}
 		}()
 	}
@@ -311,7 +311,7 @@ func TestDiskBudgetHoldsUnderConcurrentWriters(t *testing.T) {
 	// Survivors read back correct (never a wrong hit), evictees miss.
 	survivors := 0
 	for n := 0; n < writers*perWriter; n++ {
-		got, ok := c.Get(key(n))
+		got, _, ok := c.Get(key(n))
 		if !ok {
 			continue
 		}
@@ -322,5 +322,135 @@ func TestDiskBudgetHoldsUnderConcurrentWriters(t *testing.T) {
 	}
 	if survivors == 0 {
 		t.Fatal("budget eviction emptied the cache entirely")
+	}
+}
+
+// TestValueRidesWithPayload pins the decoded value's life in the memory
+// tier: a value put with a payload comes back on a memory hit, the next
+// Put of the key replaces it with the payload, it goes with its entry
+// on eviction, and it is never written to disk, so an entry promoted
+// from disk has none.
+func TestValueRidesWithPayload(t *testing.T) {
+	dir := t.TempDir()
+	c, err := New(Config{MaxEntries: 2, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Put(key(1), []byte("one"), "decoded one")
+	if got, v, ok := c.Get(key(1)); !ok || string(got) != "one" || v != "decoded one" {
+		t.Fatalf("memory hit = %q, %v, %v; want the payload and its value", got, v, ok)
+	}
+	c.Put(key(1), []byte("uno"), "decoded uno")
+	if got, v, _ := c.Get(key(1)); string(got) != "uno" || v != "decoded uno" {
+		t.Fatalf("after a second put: %q, %v", got, v)
+	}
+	c.Put(key(1), []byte("eins"), nil)
+	if got, v, _ := c.Get(key(1)); string(got) != "eins" || v != nil {
+		t.Fatalf("a put without a value kept the old one: %q, %v", got, v)
+	}
+
+	// Two more entries evict key(1) from memory; the disk still has its
+	// payload, which comes back without a value.
+	c.Put(key(1), []byte("one"), "decoded one")
+	c.Put(key(2), []byte("two"), "decoded two")
+	c.Put(key(3), []byte("three"), "decoded three")
+	if got, v, ok := c.Get(key(1)); !ok || string(got) != "one" || v != nil {
+		t.Fatalf("after eviction: %q, %v, %v; want the disk payload without a value", got, v, ok)
+	}
+	c2, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, v, ok := c2.Get(key(3)); !ok || string(got) != "three" || v != nil {
+		t.Fatalf("promoted from disk: %q, %v, %v; want the payload without a value", got, v, ok)
+	}
+	if got, v, ok := c2.Get(key(3)); !ok || string(got) != "three" || v != nil {
+		t.Fatalf("memory hit on a promoted entry: %q, %v, %v", got, v, ok)
+	}
+}
+
+// TestFillOnlyWhileHoldingPayload pins Fill: it gives an entry promoted
+// from disk the value its payload was decoded into, without a disk
+// write or a Put, and does nothing once the entry holds another
+// payload or has left memory.
+func TestFillOnlyWhileHoldingPayload(t *testing.T) {
+	dir := t.TempDir()
+	c1, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1.Put(key(1), []byte("one"), nil)
+	c, err := New(Config{MaxEntries: 1, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, _ := c.Get(key(1))
+	c.Fill(key(1), got, "decoded one")
+	if _, v, _ := c.Get(key(1)); v != "decoded one" {
+		t.Fatalf("filled value %v, want the decoded payload", v)
+	}
+	if st := c.Stats(); st.Puts != 0 {
+		t.Fatalf("Fill counted as a put: %+v", st)
+	}
+	if raw, err := os.ReadFile(entryPath(t, dir)); err != nil || strings.Contains(string(raw), "decoded") {
+		t.Fatalf("Fill reached the disk entry: %q, %v", raw, err)
+	}
+
+	// A payload equal in bytes but put since is not the one decoded.
+	c.Put(key(1), []byte("one"), nil)
+	c.Fill(key(1), got, "stale")
+	if _, v, _ := c.Get(key(1)); v != nil {
+		t.Fatalf("a fill for a replaced payload stuck: %v", v)
+	}
+	// An evicted entry takes no fill, and comes back without a value.
+	now, _, _ := c.Get(key(1))
+	c.Put(key(2), []byte("two"), nil)
+	c.Fill(key(1), now, "evicted")
+	if _, v, ok := c.Get(key(1)); !ok || v != nil {
+		t.Fatalf("a fill of an evicted entry stuck: %v, %v", v, ok)
+	}
+}
+
+// TestConcurrentValues mixes puts, gets and fills of a few keys from
+// many goroutines (run under -race): every value a Get returns belongs
+// to the payload returned with it.
+func TestConcurrentValues(t *testing.T) {
+	c, err := New(Config{MaxEntries: 4, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		workers = 8
+		rounds  = 200
+		keys    = 6
+	)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				n := (w + i) % keys
+				if i%3 == 0 {
+					p := fmt.Sprintf("payload-%d-%d-%d", n, w, i)
+					c.Put(key(n), []byte(p), "put:"+p)
+					continue
+				}
+				got, v, ok := c.Get(key(n))
+				if !ok {
+					continue
+				}
+				if v != nil && v != "put:"+string(got) && v != "fill:"+string(got) {
+					t.Errorf("key %d: payload %q came with value %v", n, got, v)
+					return
+				}
+				c.Fill(key(n), got, "fill:"+string(got))
+			}
+		}()
+	}
+	wg.Wait()
+	if st := c.Stats(); st.Puts != workers*((rounds+2)/3) {
+		t.Fatalf("puts %d, want %d: fills must not count", st.Puts, workers*((rounds+2)/3))
 	}
 }
