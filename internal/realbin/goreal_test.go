@@ -19,12 +19,13 @@ import (
 // would repeat 9,212. goRealCommittedPasses and goRealProbes are the
 // same analysis's committed fixed-point passes (9 without the skip)
 // and validation probes (342 when every round walked every candidate
-// again).
+// again; 205 while imul r, r/m, imm counted as reading its destination,
+// so rule (iv) rejected one more candidate before its walk).
 const (
 	goRealToolchain       = "go1.24.0"
 	goRealVerdictWalks    = 6169
 	goRealCommittedPasses = 6
-	goRealProbes          = 205
+	goRealProbes          = 206
 )
 
 // TestGoRealVerdictWalks pins the engine work on go-real: the verdict

@@ -457,21 +457,17 @@ func classify(inst *Inst, pfx *prefixState, opc, op2 byte, twoByteMap, threeByte
 		inst.Args = []Operand{rmOperand()}
 		inst.OpSize = 8
 		inst.Classified = true
-	case opc == 0x90:
-		if pfx.rep == 0xF3 {
-			inst.Op = OpNop // PAUSE
-		} else if pfx.rexB() == 1 {
-			inst.Op = OpXchg // xchg r8, rax
-		} else {
-			inst.Op = OpNop
-		}
+	case opc == 0x90 && (pfx.rep == 0xF3 || pfx.rexB() == 0):
+		inst.Op = OpNop // NOP, PAUSE
 		inst.Classified = true
-	case opc >= 0x91 && opc <= 0x97:
+	case opc >= 0x90 && opc <= 0x97: // 0x90 with REX.B is xchg r8, rax
 		inst.Op = OpXchg
 		inst.Args = []Operand{RegOp(RAX), RegOp(Reg(opc&7 | pfx.rexB()<<3))}
 		inst.Classified = true
 	case opc == 0x98 || opc == 0x99:
+		// cbw/cwde/cdqe sign-extends within rax, cwd/cdq/cqo into rdx.
 		inst.Op = OpCwd
+		inst.Args = []Operand{RegOp([2]Reg{RAX, RDX}[opc-0x98]), RegOp(RAX)}
 		inst.Classified = true
 	case opc >= 0xA4 && opc <= 0xA7 || opc >= 0xAA && opc <= 0xAF:
 		inst.Op = OpMovStr
@@ -491,9 +487,14 @@ func classify(inst *Inst, pfx *prefixState, opc, op2 byte, twoByteMap, threeByte
 		inst.Classified = true
 	case opc == 0xC0 || opc == 0xC1 || (opc >= 0xD0 && opc <= 0xD3):
 		op := [8]Op{OpRol, OpRor, OpRol, OpRor, OpShl, OpShr, OpShl, OpSar}[(modrm>>3)&7]
-		if opc == 0xC0 || opc == 0xC1 {
+		switch {
+		case opc == 0xC0 || opc == 0xC1:
 			setArgsMI(op)
-		} else {
+		case opc == 0xD2 || opc == 0xD3: // by cl
+			inst.Op = op
+			inst.Args = []Operand{rmOperand(), RegOp(RCX)}
+			inst.Classified = true
+		default:
 			inst.Op = op
 			inst.Args = []Operand{rmOperand()}
 			inst.Classified = true

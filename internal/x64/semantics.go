@@ -20,6 +20,37 @@ func regsOfMem(m MemRef) RegSet {
 	return s
 }
 
+// regs returns the set of rs.
+func regs(rs ...Reg) RegSet {
+	var s RegSet
+	for _, r := range rs {
+		s = s.Add(r)
+	}
+	return s
+}
+
+// implicitRegs are the registers an instruction class reads and writes
+// beyond its operands: the stack pointer of the stack instructions, the
+// fixed registers of syscall, cpuid and cmpxchg, the rsi, rdi and rcx
+// that every string instruction is taken to read and write (its
+// accumulator is not modeled), and the caller-saved set a call
+// clobbers. A call also defines rax on return; modeling the set as
+// written makes later reads of caller-saved registers legitimate, which
+// is conservative in the right direction for the §IV-E validation.
+var implicitRegs = [OpOther + 1]struct{ reads, writes RegSet }{
+	OpPush:    {regs(RSP), regs(RSP)},
+	OpPop:     {regs(RSP), regs(RSP)},
+	OpRet:     {regs(RSP), regs(RSP)},
+	OpEnter:   {regs(RSP), regs(RSP, RBP)},
+	OpLeave:   {regs(RBP), regs(RSP, RBP)},
+	OpCall:    {0, regs(RAX, RCX, RDX, RSI, RDI, R8, R9, R10, R11)},
+	OpCallInd: {0, regs(RAX, RCX, RDX, RSI, RDI, R8, R9, R10, R11)},
+	OpSyscall: {regs(RAX), regs(RAX, RCX, R11)},
+	OpCpuid:   {regs(RAX, RCX), regs(RAX, RBX, RCX, RDX)},
+	OpCmpxchg: {regs(RAX), regs(RAX)},
+	OpMovStr:  {regs(RSI, RDI, RCX), regs(RSI, RDI, RCX)},
+}
+
 // Reads returns the set of general-purpose registers the instruction
 // reads. For unclassified instructions it returns the empty set; callers
 // that need soundness must check Classified.
@@ -29,10 +60,10 @@ func regsOfMem(m MemRef) RegSet {
 // and reads through RSP/RBP-based memory operands still count the base
 // register as read.
 func Reads(i *Inst) RegSet {
-	var s RegSet
 	if !i.Classified {
-		return s
+		return 0
 	}
+	s := implicitRegs[i.Op].reads
 	addOp := func(o Operand, includeReg bool) {
 		switch o.Kind {
 		case KindReg:
@@ -44,7 +75,7 @@ func Reads(i *Inst) RegSet {
 		}
 	}
 	switch i.Op {
-	case OpMov, OpMovsxd, OpMovzx, OpMovsx, OpCwd:
+	case OpMov, OpMovsxd, OpMovzx, OpMovsx, OpCwd, OpBsf, OpBsr, OpPopcnt:
 		// dst written only; src read.
 		if len(i.Args) == 2 {
 			addOp(i.Args[0], false)
@@ -55,62 +86,44 @@ func Reads(i *Inst) RegSet {
 			// LEA reads only the address components.
 			addOp(i.Args[1], false)
 		}
-	case OpXor, OpSub, OpSbb:
-		// xor r,r and sub r,r zero the register: not a true read.
-		if len(i.Args) == 2 && i.Args[0].Kind == KindReg &&
-			i.Args[1].Kind == KindReg && i.Args[0].Reg == i.Args[1].Reg {
-			return s
+	case OpXor, OpSub, OpSbb, OpAdd, OpAdc, OpAnd, OpOr, OpCmp, OpTest,
+		OpXchg, OpShl, OpShr, OpSar, OpRol, OpRor, OpXadd, OpCmpxchg, OpBt, OpCmovcc:
+		// xor r,r and sub/sbb r,r zero the register: not a true read.
+		// cmov keeps its destination when the condition fails.
+		if (i.Op == OpXor || i.Op == OpSub || i.Op == OpSbb) && len(i.Args) == 2 &&
+			i.Args[0].Kind == KindReg && i.Args[1].Kind == KindReg && i.Args[0].Reg == i.Args[1].Reg {
+			break
 		}
 		for _, a := range i.Args {
 			addOp(a, true)
 		}
-	case OpAdd, OpAdc, OpAnd, OpOr, OpCmp, OpTest, OpImul, OpXchg,
-		OpShl, OpShr, OpSar, OpRol, OpRor, OpXadd, OpCmpxchg, OpBt:
-		for _, a := range i.Args {
-			addOp(a, true)
-		}
-	case OpPush:
+	case OpPush, OpPop:
 		// Saving a register is not a use under the paper's rule, but
-		// pushing a memory operand reads its address registers.
+		// pushing or popping a memory operand reads its address
+		// registers.
 		if len(i.Args) == 1 {
 			addOp(i.Args[0], false)
 		}
-		s = s.Add(RSP)
-	case OpPop:
-		if len(i.Args) == 1 {
-			addOp(i.Args[0], false)
-		}
-		s = s.Add(RSP)
-	case OpInc, OpDec, OpNeg, OpNot, OpSetcc:
+	case OpInc, OpDec, OpNeg, OpNot, OpSetcc, OpBswap, OpCallInd, OpJmpInd:
 		if len(i.Args) == 1 {
 			addOp(i.Args[0], i.Op != OpSetcc)
 		}
-	case OpMul, OpDiv, OpIdiv:
+	case OpMul, OpImul, OpDiv, OpIdiv:
+		if len(i.Args) >= 2 {
+			// imul r, r/m reads both; imul r, r/m, imm only r/m.
+			addOp(i.Args[0], len(i.Args) == 2)
+			addOp(i.Args[1], true)
+			break
+		}
+		// The one-operand forms multiply rax, or divide rax (rdx:rax
+		// when wider than a byte), by r/m.
 		if len(i.Args) == 1 {
 			addOp(i.Args[0], true)
 		}
 		s = s.Add(RAX)
-		s = s.Add(RDX)
-	case OpCmovcc, OpBsf, OpBsr, OpPopcnt:
-		if len(i.Args) == 2 {
-			addOp(i.Args[1], true)
+		if (i.Op == OpDiv || i.Op == OpIdiv) && i.OpSize > 1 {
+			s = s.Add(RDX)
 		}
-	case OpBswap:
-		if len(i.Args) == 1 {
-			addOp(i.Args[0], true)
-		}
-	case OpCallInd, OpJmpInd:
-		if len(i.Args) == 1 {
-			addOp(i.Args[0], true)
-		}
-	case OpRet:
-		s = s.Add(RSP)
-	case OpLeave:
-		s = s.Add(RBP)
-	case OpMovStr:
-		s = s.Add(RSI)
-		s = s.Add(RDI)
-		s = s.Add(RCX)
 	}
 	return s
 }
@@ -118,10 +131,10 @@ func Reads(i *Inst) RegSet {
 // Writes returns the set of general-purpose registers the instruction
 // writes. Flags are not modeled.
 func Writes(i *Inst) RegSet {
-	var s RegSet
 	if !i.Classified {
-		return s
+		return 0
 	}
+	s := implicitRegs[i.Op].writes
 	writeDst := func() {
 		if len(i.Args) > 0 && i.Args[0].Kind == KindReg {
 			s = s.Add(i.Args[0].Reg)
@@ -131,49 +144,23 @@ func Writes(i *Inst) RegSet {
 	case OpMov, OpMovsxd, OpMovzx, OpMovsx, OpLea, OpAdd, OpSub, OpAdc,
 		OpSbb, OpAnd, OpOr, OpXor, OpInc, OpDec, OpNeg, OpNot, OpShl,
 		OpShr, OpSar, OpRol, OpRor, OpSetcc, OpCmovcc, OpBsf, OpBsr,
-		OpPopcnt, OpBswap, OpXadd, OpImul:
+		OpPopcnt, OpBswap, OpCwd, OpPop, OpCmpxchg:
 		writeDst()
-	case OpXchg:
+	case OpXchg, OpXadd:
 		for _, a := range i.Args {
 			if a.Kind == KindReg {
 				s = s.Add(a.Reg)
 			}
 		}
-	case OpPop:
-		writeDst()
-		s = s.Add(RSP)
-	case OpPush:
-		s = s.Add(RSP)
-	case OpMul, OpDiv, OpIdiv:
-		s = s.Add(RAX)
-		s = s.Add(RDX)
-	case OpCwd:
-		s = s.Add(RAX)
-		s = s.Add(RDX)
-	case OpCall, OpCallInd:
-		// A call clobbers all caller-saved registers and, on return,
-		// defines RAX. Modeling them as written makes later reads of
-		// caller-saved registers legitimate, which is conservative in
-		// the right direction for the §IV-E validation.
-		for _, r := range []Reg{RAX, RCX, RDX, RSI, RDI, R8, R9, R10, R11} {
-			s = s.Add(r)
+	case OpMul, OpImul, OpDiv, OpIdiv:
+		if len(i.Args) >= 2 {
+			writeDst()
+			break
 		}
-	case OpLeave:
-		s = s.Add(RSP)
-		s = s.Add(RBP)
-	case OpRet:
-		s = s.Add(RSP)
-	case OpEnter:
-		s = s.Add(RSP)
-		s = s.Add(RBP)
-	case OpMovStr:
-		s = s.Add(RSI)
-		s = s.Add(RDI)
-		s = s.Add(RCX)
-	case OpSyscall:
 		s = s.Add(RAX)
-		s = s.Add(RCX)
-		s = s.Add(R11)
+		if i.OpSize > 1 {
+			s = s.Add(RDX)
+		}
 	}
 	return s
 }
