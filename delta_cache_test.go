@@ -742,8 +742,9 @@ func TestMissReusesEHFrame(t *testing.T) {
 // TestDeltaServesRecordedResult pins where a delta hit's result comes
 // from, in its four cases. In-process, the manifest's recording serves
 // it, field for field what decoding the recorded binary's stored JSON
-// gives (pass wall times included), and a planted recording shows
-// through. After a restart over the same directory it is that JSON's
+// gives (pass wall times included), with no fallback reason though
+// the recorded cold run returned one, however the caller wrote the
+// result it got back; and a planted recording shows through. After a restart over the same directory it is that JSON's
 // decoding, which the manifest then holds as its recording. Once the
 // binary's entry is stored again it is the new JSON's decoding, and
 // once that entry is evicted the hit falls back.
@@ -760,13 +761,26 @@ func TestDeltaServesRecordedResult(t *testing.T) {
 	mfKey := manifestKey(eh.Residue, core.FETCH)
 	baseKey := cacheKey(HashBinary(baseRaw), core.FETCH)
 	// record returns a cache over dir (memory-only when dir is "") that
-	// holds the base build's recorded run.
+	// holds the base build's recorded run. A manifest planted under the
+	// shared residue that no build replays makes the base build's own
+	// delta attempt fall back, so its cold run returns a fallback
+	// reason. That result is the caller's to write, so record writes
+	// it: the recording must hold a copy of its own, taken before the
+	// reason was set.
 	record := func(t *testing.T, dir string) *Cache {
 		t.Helper()
 		cache := deltaDiskCache(t, dir)
-		if _, err := Analyze(baseRaw, WithCache(cache)); err != nil {
+		putTrace(t, cache, mfKey, &core.Trace{ResidueHash: eh.Residue})
+		res, err := Analyze(baseRaw, WithCache(cache))
+		if err != nil {
 			t.Fatal(err)
 		}
+		if res.Stats.DeltaPath || res.Stats.DeltaFallbackReason == "" {
+			t.Fatalf("the base build's delta attempt returned path %v, reason %q; want a fallback",
+				res.Stats.DeltaPath, res.Stats.DeltaFallbackReason)
+		}
+		res.FunctionStarts[0]++
+		res.Stats.DeltaFallbackReason = "written by the caller"
 		return cache
 	}
 	// serve returns the next build's delta result through cache without
