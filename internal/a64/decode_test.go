@@ -322,7 +322,7 @@ func TestISASurface(t *testing.T) {
 	if n := len(Arch.ArgRegs()); n != 8 {
 		t.Errorf("arg regs: %d", n)
 	}
-	if !Arch.IsArgReg(X7) || Arch.IsArgReg(X8) {
+	if args := Arch.ArgRegs(); args[0] != X0 || args[len(args)-1] != X7 {
 		t.Error("arg reg boundary wrong")
 	}
 	if arch.ForMachine(EMachine) == nil {

@@ -44,16 +44,13 @@ func (ISA) GateReg() arch.Reg { return X0 }
 // ArgRegs returns the AAPCS64 integer argument registers.
 func (ISA) ArgRegs() []arch.Reg { return ArgumentRegs[:] }
 
-// IsArgReg reports whether r is an AAPCS64 integer argument register.
-func (ISA) IsArgReg(r arch.Reg) bool { return IsArgumentReg(r) }
-
 // RetAddrReg returns (X30, true): the caller's BL leaves the return
 // address in the link register, so x30 is initialized at every
 // legitimate entry — a leaf's bare RET is not a convention violation.
 func (ISA) RetAddrReg() (arch.Reg, bool) { return X30, true }
 
-// RegCount returns 31: the validation loops range over X0..X30 (SP is
-// handled separately as the always-live stack pointer).
+// RegCount returns 31: the §IV-E rule judges X0..X30 (SP is handled
+// separately as the always-live stack pointer).
 func (ISA) RegCount() int { return 31 }
 
 // Reads returns the instruction's register read set.

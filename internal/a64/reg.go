@@ -56,10 +56,6 @@ const RegNone = arch.RegNone
 // ArgumentRegs are the AAPCS64 integer argument registers.
 var ArgumentRegs = [...]arch.Reg{X0, X1, X2, X3, X4, X5, X6, X7}
 
-// IsArgumentReg reports whether r is an AAPCS64 integer argument
-// register.
-func IsArgumentReg(r arch.Reg) bool { return r <= X7 }
-
 // CalleeSavedRegs are the AAPCS64 callee-saved registers (x19–x28 plus
 // the frame pointer).
 var CalleeSavedRegs = [...]arch.Reg{X19, X20, X21, X22, X23, X24, X25, X26, X27, X28, X29}

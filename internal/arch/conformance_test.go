@@ -136,12 +136,14 @@ func TestConformanceStructure(t *testing.T) {
 				t.Errorf("gate register %v is not the first argument register %v",
 					isa.GateReg(), args[0])
 			}
+			var argSet arch.RegSet
 			for _, r := range args {
-				if !isa.IsArgReg(r) {
-					t.Errorf("ArgRegs lists %v but IsArgReg rejects it", r)
+				if int(r) >= isa.RegCount() || argSet.Has(r) {
+					t.Errorf("ArgRegs lists %v outside the GPR file or twice", r)
 				}
+				argSet = argSet.Add(r)
 			}
-			if isa.IsArgReg(isa.SPReg()) || isa.IsArgReg(isa.FrameReg()) {
+			if argSet.Has(isa.SPReg()) || argSet.Has(isa.FrameReg()) {
 				t.Error("SP or frame register classified as argument register")
 			}
 			if isa.CFIRAReg() == isa.CFISPReg() {

@@ -77,15 +77,13 @@ type ISA interface {
 	GateReg() Reg
 	// ArgRegs lists the integer argument registers in call order.
 	ArgRegs() []Reg
-	// IsArgReg reports whether r is an integer argument register.
-	IsArgReg(r Reg) bool
 	// RetAddrReg returns the link register carrying the return address
 	// at function entry, when the ABI uses one (x30 on aarch64). ok is
 	// false when the return address lives on the stack (x86-64); the
 	// §IV-E validation treats a link register as initialized at entry.
 	RetAddrReg() (r Reg, ok bool)
-	// RegCount is the size of the numbered GPR file; validation loops
-	// range over [0, RegCount).
+	// RegCount is the size of the numbered GPR file: registers
+	// [0, RegCount) are the ones the §IV-E rule judges.
 	RegCount() int
 
 	// Reads and Writes return the register sets the instruction reads

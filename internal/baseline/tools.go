@@ -175,7 +175,7 @@ func hybridTool(img *elfx.Image, p hybridProfile) map[uint64]bool {
 				if p.validateDecode && !validateBySweep(img, addr, 8) {
 					continue
 				}
-				if p.validateConv && !callconv.Validate(img, addr) {
+				if p.validateConv && !callconv.Validate(img, sess, addr) {
 					continue
 				}
 				found = append(found, addr)

@@ -34,7 +34,7 @@ func TestValidateAcceptsStandardPrologue(t *testing.T) {
 		a.PopReg(x64.RBP)
 		a.Ret()
 	})
-	if !Validate(im, 0x1000) {
+	if !Validate(im, nil, 0x1000) {
 		t.Fatal("standard prologue rejected")
 	}
 }
@@ -45,7 +45,7 @@ func TestValidateAcceptsFramelessArgReader(t *testing.T) {
 		a.AddRegReg(x64.RAX, x64.RSI)
 		a.Ret()
 	})
-	if !Validate(im, 0x1000) {
+	if !Validate(im, nil, 0x1000) {
 		t.Fatal("frameless arg reader rejected")
 	}
 }
@@ -55,7 +55,7 @@ func TestValidateRejectsCalleeSavedRead(t *testing.T) {
 		a.MovRegReg(x64.RAX, x64.RBX) // rbx not initialized
 		a.Ret()
 	})
-	if Validate(im, 0x1000) {
+	if Validate(im, nil, 0x1000) {
 		t.Fatal("rbx read at entry accepted")
 	}
 }
@@ -65,7 +65,7 @@ func TestValidateRejectsRBPRead(t *testing.T) {
 		a.MovRegMem(x64.RDX, x64.RBP, -8) // reads the caller's rbp
 		a.Ret()
 	})
-	if Validate(im, 0x1000) {
+	if Validate(im, nil, 0x1000) {
 		t.Fatal("rbp-relative read at entry accepted")
 	}
 }
@@ -80,7 +80,7 @@ func TestValidatePushIsASaveNotAUse(t *testing.T) {
 		a.PopReg(x64.RBX)
 		a.Ret()
 	})
-	if !Validate(im, 0x1000) {
+	if !Validate(im, nil, 0x1000) {
 		t.Fatal("push-save pattern rejected")
 	}
 }
@@ -91,14 +91,14 @@ func TestValidateCallDefinesCallerSaved(t *testing.T) {
 		a.MovRegReg(x64.RDX, x64.RAX) // rax defined by the call
 		a.Ret()
 	})
-	if !Validate(im, 0x1000) {
+	if !Validate(im, nil, 0x1000) {
 		t.Fatal("post-call rax read rejected")
 	}
 }
 
 func TestValidateRejectsUnmappedAndGarbage(t *testing.T) {
 	im := imageFromAsm(t, func(a *x64.Asm) { a.Ret() })
-	if Validate(im, 0x9999999) {
+	if Validate(im, nil, 0x9999999) {
 		t.Fatal("unmapped address accepted")
 	}
 	bad := &elfx.Image{Sections: []*elfx.Section{{
@@ -106,7 +106,7 @@ func TestValidateRejectsUnmappedAndGarbage(t *testing.T) {
 		Data:  []byte{0x06, 0x06, 0x06}, // invalid opcodes
 		Flags: elfx.FlagAlloc | elfx.FlagExec,
 	}}}
-	if Validate(bad, 0x1000) {
+	if Validate(bad, nil, 0x1000) {
 		t.Fatal("invalid opcode accepted")
 	}
 }
@@ -120,7 +120,7 @@ func TestValidateOnSynthesizedBinaries(t *testing.T) {
 	}
 	// All true function entries validate.
 	for _, fn := range truth.Funcs {
-		if !Validate(im, fn.Addr) {
+		if !Validate(im, nil, fn.Addr) {
 			t.Errorf("true entry %s at %#x rejected", fn.Name, fn.Addr)
 		}
 	}
@@ -129,13 +129,13 @@ func TestValidateOnSynthesizedBinaries(t *testing.T) {
 	// and the FDE-start convention sweep must single out only the
 	// hand-written errors).
 	for _, p := range truth.Parts {
-		if !Validate(im, p.Addr) {
+		if !Validate(im, nil, p.Addr) {
 			t.Errorf("cold part %s at %#x rejected — the §V-B sweep would over-remove", p.Name, p.Addr)
 		}
 	}
 	// Hand-written CFI error starts (one byte early) must fail.
 	for _, a := range truth.CFIErrorAddrs {
-		if Validate(im, a) {
+		if Validate(im, nil, a) {
 			t.Errorf("CFI-error FDE start %#x accepted", a)
 		}
 	}
@@ -150,7 +150,7 @@ func TestValidateCFIErrorAddrsAcrossSeeds(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, a := range truth.CFIErrorAddrs {
-			if Validate(im, a) {
+			if Validate(im, nil, a) {
 				t.Errorf("seed %d: CFI-error start %#x accepted", seed, a)
 			}
 		}
@@ -185,9 +185,9 @@ func TestValidateExtentBoundsTheVerdict(t *testing.T) {
 			if !text.Contains(a) {
 				continue
 			}
-			ok, end := ValidateExtent(im, a)
-			if ok != Validate(im, a) || end < a {
-				t.Fatalf("%s %#x: ValidateExtent = %v, %#x; Validate = %v", isa, a, ok, end, Validate(im, a))
+			ok, end := ValidateExtent(im, nil, a)
+			if ok != Validate(im, nil, a) || end < a {
+				t.Fatalf("%s %#x: ValidateExtent = %v, %#x; Validate = %v", isa, a, ok, end, Validate(im, nil, a))
 			}
 			if !ok {
 				rejected++
@@ -208,7 +208,7 @@ func TestValidateExtentBoundsTheVerdict(t *testing.T) {
 					}
 					patched.Sections = append(patched.Sections, s)
 				}
-				if ok2, end2 := ValidateExtent(&patched, a); ok2 != ok || end2 != end {
+				if ok2, end2 := ValidateExtent(&patched, nil, a); ok2 != ok || end2 != end {
 					t.Fatalf("%s %#x: bytes past %#x moved the verdict: %v, %#x; was %v, %#x", isa, a, end, ok2, end2, ok, end)
 				}
 			}

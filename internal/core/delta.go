@@ -292,7 +292,7 @@ func ReplayDelta(in DeltaInput) DeltaOutcome {
 			if !overlapsDirty(disasm.Interval{Lo: rec.Addr, Hi: rec.End}) {
 				continue
 			}
-			if callconv.Validate(in.Img, rec.Addr) != rec.OK {
+			if callconv.Validate(in.Img, newSess, rec.Addr) != rec.OK {
 				return fail("convention verdict at %#x changed", rec.Addr)
 			}
 		}

@@ -582,6 +582,23 @@ func (s *Session) decode(addr uint64) *decodeEntry {
 	return e
 }
 
+// InstAt returns the session's memoized decode of the instruction at
+// addr, decoding and memoizing it on a miss, and counts the lookup in
+// InstsReused or InstsDecoded like any walk's. in is nil when no
+// instruction decodes there; hasBytes then tells bytes that form no
+// valid instruction (true) apart from no section bytes at addr
+// (false). The instruction is the session's: callers must not write
+// it.
+func (s *Session) InstAt(addr uint64) (in *arch.Inst, hasBytes bool) {
+	switch e := s.decode(addr); e.kind {
+	case decodeOK:
+		return &e.inst, true
+	case decodeBad:
+		return nil, true
+	}
+	return nil, false
+}
+
 // isExec reports whether addr lies in an executable section. Unless
 // the image's sections overlap, that is whether addr lies in the
 // layout, which holds a few ranges where the image's section index

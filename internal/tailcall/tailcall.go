@@ -39,8 +39,11 @@ type Input struct {
 	// DataRefCount reports how many data-section pointer slots hold a
 	// given address (the §IV-E conservative reference collection).
 	DataRefCount func(uint64) int
-	// Sess, when set, lets the static-height ablation's jump-table
-	// probes reuse the pipeline's shared decode cache.
+	// Sess, when set, is the pipeline's session over Img: the
+	// calling-convention checks of the sweep and of tail-call targets
+	// read their instructions from its decode cache, and the
+	// static-height ablation's jump-table probes reuse it. Without it
+	// both decode from Img, with the same verdicts.
 	Sess *disasm.Session
 
 	// UseStaticHeights replaces CFI-recorded heights with the static
@@ -125,7 +128,7 @@ func Run(in Input) Output {
 	cfiSP, cfiEntry := isa.CFISPReg(), isa.CFIEntryOffset()
 
 	entryOK := func(a uint64) bool {
-		v, end := callconv.ValidateExtent(in.Img, a)
+		v, end := callconv.ValidateExtent(in.Img, in.Sess, a)
 		if in.Obs != nil && in.Obs.OnConv != nil {
 			in.Obs.OnConv(a, end, v)
 		}

@@ -47,14 +47,11 @@ func (ISA) GateReg() arch.Reg { return RDI }
 // ArgRegs returns the System-V AMD64 integer argument registers.
 func (ISA) ArgRegs() []arch.Reg { return ArgumentRegs[:] }
 
-// IsArgReg reports whether r is a System-V integer argument register.
-func (ISA) IsArgReg(r arch.Reg) bool { return IsArgumentReg(r) }
-
 // RetAddrReg returns (0, false): on x86-64 the return address lives on
 // the stack, not in a register.
 func (ISA) RetAddrReg() (arch.Reg, bool) { return 0, false }
 
-// RegCount returns 16: the validation loops range over RAX..R15.
+// RegCount returns 16: the §IV-E rule judges RAX..R15.
 func (ISA) RegCount() int { return 16 }
 
 // Reads returns the instruction's register read set.

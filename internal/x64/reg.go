@@ -53,16 +53,6 @@ func ValidReg(r Reg) bool { return r < RIP }
 // (§IV-E) permits these to be read before being written.
 var ArgumentRegs = [6]Reg{RDI, RSI, RDX, RCX, R8, R9}
 
-// IsArgumentReg reports whether r is a System-V integer argument register.
-func IsArgumentReg(r Reg) bool {
-	for _, a := range ArgumentRegs {
-		if r == a {
-			return true
-		}
-	}
-	return false
-}
-
 // CalleeSavedRegs lists the System-V AMD64 callee-saved registers.
 var CalleeSavedRegs = [6]Reg{RBX, RBP, R12, R13, R14, R15}
 

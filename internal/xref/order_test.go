@@ -78,7 +78,7 @@ func validateWalkFirst(img *elfx.Image, res *disasm.Result, c uint64, opts Optio
 		}
 	}
 	// Rule (iv): calling convention at the candidate entry.
-	if !opts.DisableRule[3] && !callconv.Validate(img, c) {
+	if !opts.DisableRule[3] && !callconv.Validate(img, nil, c) {
 		return nil, false
 	}
 	return v, true

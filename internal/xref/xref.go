@@ -375,7 +375,7 @@ func ValidateCandidate(img *elfx.Image, res *disasm.Result, c uint64, opts Optio
 	if v == nil {
 		// Rule (iv): calling convention at the candidate entry — a
 		// bounded straight-line read, far cheaper than the walk.
-		if !opts.DisableRule[3] && !callconv.Validate(img, c) {
+		if !opts.DisableRule[3] && !callconv.Validate(img, opts.Session, c) {
 			return nil, false
 		}
 		v = walk(img, c, opts)
