@@ -211,9 +211,17 @@ prefixesDone:
 		if opc == 0xF7 && hasModRM && (modrm>>3)&7 <= 1 {
 			immCode = immZ
 		}
-		// Group 5 (FF) /7 is undefined.
-		if opc == 0xFF && hasModRM && (modrm>>3)&7 == 7 {
-			return Inst{}, ErrInvalidOpcode
+		// Undefined group encodings raise #UD: group 5 (FF) /7, group
+		// 4 (FE) /2-/7, group 1A (8F) /1-/7, and group 11 (C6/C7)
+		// /1-/7 but for XABORT (C6 F8) and XBEGIN (C7 F8).
+		if hasModRM {
+			switch reg := (modrm >> 3) & 7; {
+			case opc == 0xFF && reg == 7,
+				opc == 0xFE && reg >= 2,
+				opc == 0x8F && reg != 0,
+				(opc == 0xC6 || opc == 0xC7) && reg != 0 && modrm != 0xF8:
+				return Inst{}, ErrInvalidOpcode
+			}
 		}
 	}
 

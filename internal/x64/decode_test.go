@@ -1,6 +1,7 @@
 package x64
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -138,6 +139,75 @@ func TestDecodeInvalid(t *testing.T) {
 	for _, b := range invalid {
 		if _, err := Decode(b, 0); err == nil {
 			t.Errorf("Decode(% x) succeeded, want error", b)
+		}
+	}
+}
+
+// TestDecodeUndefinedGroupForms pins the undefined /reg slots of the
+// opcode groups that take a ModRM extension: each raises #UD on
+// hardware and must decode as an invalid opcode, while the defined
+// slots beside them, XABORT (C6 F8) and XBEGIN (C7 F8) among them,
+// still decode.
+func TestDecodeUndefinedGroupForms(t *testing.T) {
+	undefined := []struct {
+		form string
+		b    []byte
+	}{
+		{"FE /2", []byte{0xFE, 0xD1}},
+		{"FE /3", []byte{0xFE, 0xD9}},
+		{"FE /4", []byte{0xFE, 0xE1}},
+		{"FE /5", []byte{0xFE, 0xE9}},
+		{"FE /6", []byte{0xFE, 0xF1}},
+		{"FE /7", []byte{0xFE, 0xF9}},
+		{"FE /7 mem", []byte{0xFE, 0x38}},
+		{"8F /1", []byte{0x8F, 0xC9}},
+		{"8F /2", []byte{0x8F, 0xD1}},
+		{"8F /3", []byte{0x8F, 0xD9}},
+		{"8F /4", []byte{0x8F, 0xE1}},
+		{"8F /5", []byte{0x8F, 0xE9}},
+		{"8F /6", []byte{0x8F, 0xF1}},
+		{"8F /7", []byte{0x8F, 0xF9}},
+		{"8F /1 mem", []byte{0x8F, 0x08}},
+		{"C6 /1", []byte{0xC6, 0xC9, 0x05}},
+		{"C6 /2", []byte{0xC6, 0xD1, 0x05}},
+		{"C6 /3", []byte{0xC6, 0xD9, 0x05}},
+		{"C6 /4", []byte{0xC6, 0xE1, 0x05}},
+		{"C6 /5", []byte{0xC6, 0xE9, 0x05}},
+		{"C6 /6", []byte{0xC6, 0xF1, 0x05}},
+		{"C6 /7", []byte{0xC6, 0xF9, 0x05}},
+		{"C6 /7 mem", []byte{0xC6, 0x38, 0x05}},
+		{"C7 /1", []byte{0xC7, 0xC9, 0x01, 0x00, 0x00, 0x00}},
+		{"C7 /2", []byte{0xC7, 0xD1, 0x01, 0x00, 0x00, 0x00}},
+		{"C7 /3", []byte{0xC7, 0xD9, 0x01, 0x00, 0x00, 0x00}},
+		{"C7 /4", []byte{0xC7, 0xE1, 0x01, 0x00, 0x00, 0x00}},
+		{"C7 /5", []byte{0xC7, 0xE9, 0x01, 0x00, 0x00, 0x00}},
+		{"C7 /6", []byte{0xC7, 0xF1, 0x01, 0x00, 0x00, 0x00}},
+		{"C7 /7", []byte{0xC7, 0xF9, 0x01, 0x00, 0x00, 0x00}},
+		{"C7 /7 mem", []byte{0xC7, 0x38, 0x01, 0x00, 0x00, 0x00}},
+		{"REX.W C7 /1", []byte{0x48, 0xC7, 0xC9, 0x01, 0x00, 0x00, 0x00}},
+		{"FF /7", []byte{0xFF, 0xF8}},
+	}
+	for _, tc := range undefined {
+		if in, err := Decode(tc.b, 0x1000); !errors.Is(err, ErrInvalidOpcode) {
+			t.Errorf("%s (% x) = %+v, %v; want ErrInvalidOpcode", tc.form, tc.b, in, err)
+		}
+	}
+	defined := []struct {
+		form string
+		b    []byte
+	}{
+		{"FE /0", []byte{0xFE, 0xC1}},
+		{"FE /1", []byte{0xFE, 0xC9}},
+		{"8F /0", []byte{0x8F, 0xC1}},
+		{"C6 /0", []byte{0xC6, 0xC1, 0x05}},
+		{"C7 /0", []byte{0xC7, 0xC1, 0x01, 0x00, 0x00, 0x00}},
+		{"C6 F8 (xabort)", []byte{0xC6, 0xF8, 0x05}},
+		{"C7 F8 (xbegin)", []byte{0xC7, 0xF8, 0x10, 0x00, 0x00, 0x00}},
+		{"FF /6", []byte{0xFF, 0xF1}},
+	}
+	for _, tc := range defined {
+		if in, err := Decode(tc.b, 0x1000); err != nil || in.Len != len(tc.b) {
+			t.Errorf("%s (% x) = %+v, %v; want a %d-byte instruction", tc.form, tc.b, in, err, len(tc.b))
 		}
 	}
 }
