@@ -185,7 +185,14 @@ var Passes = []Pass{
 // Symbols are never consulted: the pipeline treats every input as
 // stripped.
 func Analyze(img *elfx.Image, strat Strategy) (*Report, error) {
-	rep, _, err := analyzeWith(img, strat, DefaultXrefIterBound, nil, nil)
+	rep, sess, err := analyzeWith(img, strat, DefaultXrefIterBound, nil, nil)
+	if sess != nil {
+		// The session ends here, and the next analysis takes its table
+		// chunks. The Report stays valid: committed results own their
+		// owner index, and their instructions live in the decode
+		// arena, which Release keeps.
+		sess.Release()
+	}
 	return rep, err
 }
 
