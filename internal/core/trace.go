@@ -545,7 +545,7 @@ func (r *recorder) onXref(c uint64, ok bool, v *disasm.Result) {
 			rec.Extent = append(rec.Extent, disasm.Interval{Lo: e.At, Hi: e.At + r.maxInstLen})
 		}
 	}
-	rec.Extent = coalesce(rec.Extent)
+	rec.Extent = exactCopy(coalesce(rec.Extent))
 	if ok && v != nil {
 		rec.End = xref.ContiguousEnd(v, c)
 		rec.Consts = sortedKeys(v.Constants)
@@ -722,7 +722,7 @@ func (r *recorder) finish(img *elfx.Image, sess *disasm.Session, rep *Report, eh
 	if eh.Roster == nil {
 		return nil, false
 	}
-	tr := &Trace{Roster: slices.Clone(eh.Roster), ResidueHash: eh.Residue}
+	tr := &Trace{Roster: exactCopy(eh.Roster), ResidueHash: eh.Residue}
 	for i := range tr.Roster {
 		ri := &tr.Roster[i]
 		b := RangeBytes(img, ri.Start, ri.End)
@@ -744,7 +744,8 @@ func (r *recorder) finish(img *elfx.Image, sess *disasm.Session, rep *Report, eh
 			tr.GlobalInsts = binary.AppendUvarint(tr.GlobalInsts, uint64(in.Len))
 			prev = in.Addr
 		}
-		tr.TableReads = coalesce(res.TableReads())
+		tr.GlobalInsts = exactCopy(tr.GlobalInsts)
+		tr.TableReads = exactCopy(coalesce(res.TableReads()))
 		tr.Funcs = sortedKeys(res.Funcs)
 		tr.FinalNonRet = sortedKeys(res.NonRet)
 		tr.FinalCondNonRet = sortedKeys(res.CondNonRet)
@@ -759,11 +760,12 @@ func (r *recorder) finish(img *elfx.Image, sess *disasm.Session, rep *Report, eh
 	tr.UNonRet = sortedKeys(r.uNonRet)
 	tr.UCondNonRet = sortedKeys(r.uCond)
 	tr.EV = sortedKeys(r.ev)
-	tr.XrefRecs = r.xrefRecs
-	tr.ConvRecs = r.convRecs
-	tr.JumpRecs = r.jumpRecs
-	tr.Removed = append([]uint64(nil), rep.CFIErrRemoved...)
-	tr.RemovedOrMerged = append([]uint64(nil), rep.CFIErrRemoved...)
+	tr.XrefRecs = exactCopy(r.xrefRecs)
+	tr.ConvRecs = exactCopy(r.convRecs)
+	tr.JumpRecs = exactCopy(r.jumpRecs)
+	tr.Removed = exactCopy(rep.CFIErrRemoved)
+	tr.RemovedOrMerged = make([]uint64, 0, len(rep.CFIErrRemoved)+len(rep.Merged))
+	tr.RemovedOrMerged = append(tr.RemovedOrMerged, rep.CFIErrRemoved...)
 	for part := range rep.Merged {
 		tr.RemovedOrMerged = append(tr.RemovedOrMerged, part)
 	}
@@ -771,6 +773,17 @@ func (r *recorder) finish(img *elfx.Image, sess *disasm.Session, rep *Report, eh
 		return tr.RemovedOrMerged[i] < tr.RemovedOrMerged[j]
 	})
 	return tr, true
+}
+
+// exactCopy returns a copy of s in an array of exactly its length, nil
+// when s is empty as in a decoded trace: a manifest's recording keeps
+// the recorder's trace in memory, where growth slack would be pinned
+// for as long as the manifest stays.
+func exactCopy[S ~[]E, E any](s S) S {
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make(S, 0, len(s)), s...)
 }
 
 // markForeign flags roster ranges whose interior is entered from

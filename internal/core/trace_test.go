@@ -319,3 +319,49 @@ func TestXrefRecordCoversRejectingWalk(t *testing.T) {
 		t.Errorf("extent %+v misses the bytes at the error %#x", ext, at)
 	}
 }
+
+// TestFinishedTraceHasNoSpareCapacity pins that a recorded trace holds
+// every list, nested ones included, in an array of exactly its length:
+// a manifest's recording keeps the trace in memory as long as the
+// manifest stays, and growth slack would stay with it.
+func TestFinishedTraceHasNoSpareCapacity(t *testing.T) {
+	cfg := synth.DefaultConfig("trace-cap", 11, synth.O2, synth.GCC, synth.LangC)
+	cfg.NumFuncs = 60
+	cfg.CFIErrorCount = 2
+	img, _, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, tr, err := AnalyzeRecorded(img.Strip(), FETCH, nil)
+	if err != nil || tr == nil {
+		t.Fatalf("no recorded trace: %v", err)
+	}
+	if len(rep.CFIErrRemoved) == 0 || len(tr.XrefRecs) == 0 || len(tr.ConvRecs) == 0 || len(tr.JumpRecs) == 0 {
+		t.Fatalf("trace lacks a list to check: %d removed, %d xref, %d conv, %d jump records",
+			len(rep.CFIErrRemoved), len(tr.XrefRecs), len(tr.ConvRecs), len(tr.JumpRecs))
+	}
+	lists := 0
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Slice:
+			if v.Len() > 0 {
+				lists++
+			}
+			if v.Cap() != v.Len() {
+				t.Errorf("%s: len %d, cap %d", path, v.Len(), v.Cap())
+			}
+			for i := 0; i < v.Len(); i++ {
+				walk(fmt.Sprintf("%s[%d]", path, i), v.Index(i))
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+		}
+	}
+	walk("Trace", reflect.ValueOf(*tr))
+	if lists < 10 {
+		t.Fatalf("only %d non-empty lists checked", lists)
+	}
+}
