@@ -116,11 +116,11 @@ func probeAddrs(t *testing.T, img *elfx.Image) (addrs, seeds []uint64) {
 func TestSessionCheckMatchesImageCheck(t *testing.T) {
 	for name, img := range cachedInputs(t) {
 		addrs, seeds := probeAddrs(t, img)
-		want := make([][2]uint64, len(addrs))
+		want := make([]verdict, len(addrs))
 		rejected := 0
 		for i, a := range addrs {
 			ok, end := callconv.ValidateExtent(img, nil, a)
-			want[i] = [2]uint64{b2u(ok), end}
+			want[i] = verdict{ok, end}
 			if !ok {
 				rejected++
 			}
@@ -131,9 +131,8 @@ func TestSessionCheckMatchesImageCheck(t *testing.T) {
 		check := func(when string, sess *disasm.Session) {
 			for i, a := range addrs {
 				ok, end := callconv.ValidateExtent(img, sess, a)
-				if got := [2]uint64{b2u(ok), end}; got != want[i] {
-					t.Fatalf("%s %s %#x: session check = %v, %#x; image check = %v, %#x",
-						name, when, a, ok, end, want[i][0] == 1, want[i][1])
+				if got := (verdict{ok, end}); got != want[i] {
+					t.Fatalf("%s %s %#x: session check = %+v; image check = %+v", name, when, a, got, want[i])
 				}
 			}
 		}
@@ -147,11 +146,10 @@ func TestSessionCheckMatchesImageCheck(t *testing.T) {
 	}
 }
 
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
+// verdict is one convention check's outcome and extent.
+type verdict struct {
+	ok  bool
+	end uint64
 }
 
 // FuzzConventionCached fuzzes the same equivalence on arbitrary code:
